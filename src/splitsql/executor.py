@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 import sqlite3
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .dataset import BenchmarkExample
@@ -19,6 +22,10 @@ _PROGRESS_INTERVAL = 1000
 STATUS_OK = "ok"
 STATUS_SQL_ERROR = "sql_error"
 STATUS_TIMEOUT = "timeout"
+
+# Outcomes already computed in the current scope, keyed by
+# (db path, sql, timeout_ms); None outside any execution_memo() scope.
+_MEMO: ContextVar[dict | None] = ContextVar("splitsql_execution_memo", default=None)
 
 
 class DatabaseOpenError(OSError):
@@ -63,14 +70,42 @@ class AccuracyOutcome:
     predicted: ExecOutcome | None
 
 
+@contextmanager
+def execution_memo():
+    """Within this scope, run each distinct query at most once.
+
+    execute_sql returns the stored outcome for a (db path, sql, timeout_ms)
+    it has already run here. ok and sql_error outcomes are stored; timeouts
+    depend on wall time and are always run again. The memo is local to the
+    current context (one thread, one example) and is dropped on exit, so a
+    database file that changes between scopes is read afresh.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def execute_sql(db_path: str | Path, sql: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> ExecOutcome:
     """Run one statement against a SQLite file opened read-only.
 
     Mutating statements fail under the read-only open and surface as
     sql_error. A query whose wall time exceeds timeout_ms is interrupted
-    and reported as timeout.
+    and reported as timeout. Inside an execution_memo() scope a repeated
+    query returns its first outcome without touching the database.
     """
-    db_path = Path(db_path)
+    memo = _MEMO.get()
+    key = (str(db_path), sql, timeout_ms)
+    if memo is not None and key in memo:
+        return memo[key]
+    outcome = _execute(Path(db_path), sql, timeout_ms)
+    if memo is not None and outcome.status != STATUS_TIMEOUT:
+        memo[key] = outcome
+    return outcome
+
+
+def _execute(db_path: Path, sql: str, timeout_ms: int) -> ExecOutcome:
     if not db_path.is_file():
         raise DatabaseOpenError(f"database file not found: {db_path}")
 
@@ -194,15 +229,19 @@ def _skip_separators(sql: str, i: int) -> int:
 
 
 def _cell_sort_key(cell):
+    # Bools and NaN get classes of their own: a bool equals only a bool, and
+    # NaN compares false with every number, which would let the order of the
+    # input decide how the two sides line up after sorting.
     if cell is None:
         return (0, 0.0)
     if isinstance(cell, bool):
         return (1, float(cell))
     if isinstance(cell, (int, float)):
-        return (1, float(cell))
+        value = float(cell)
+        return (3, 0.0) if math.isnan(value) else (2, value)
     if isinstance(cell, bytes):
-        return (3, cell)
-    return (2, str(cell))
+        return (5, cell)
+    return (4, str(cell))
 
 
 def _cells_equal(a, b, float_tolerance: float) -> bool:
@@ -214,10 +253,14 @@ def _cells_equal(a, b, float_tolerance: float) -> bool:
         fa, fb = float(a), float(b)
         if math.isnan(fa) or math.isnan(fb):
             return math.isnan(fa) and math.isnan(fb)
-        return abs(fa - fb) <= float_tolerance
+        return fa == fb or abs(fa - fb) <= float_tolerance
     if type(a) is not type(b):
         return False
     return a == b
+
+
+def _has_bool(rows: tuple[tuple, ...]) -> bool:
+    return bool in set(map(type, chain.from_iterable(rows)))
 
 
 def compare_results(
@@ -248,6 +291,12 @@ def compare_results(
             order_sensitive=order_sensitive,
             reason=f"row count differs: expected {len(gold.rows)}, got {len(pred.rows)}",
         )
+
+    if gold.rows == pred.rows and not (_has_bool(gold.rows) or _has_bool(pred.rows)):
+        # Identical rows in identical order: every cell pair is equal, and
+        # sorting both sides by the same keys keeps them aligned. Bools are
+        # excluded because True == 1 in Python but not in _cells_equal.
+        return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
 
     gold_rows, pred_rows = list(gold.rows), list(pred.rows)
     if not order_sensitive:

@@ -32,6 +32,7 @@ from .executor import (
     DatabaseOpenError,
     DatasetIntegrityError,
     execution_accuracy,
+    execution_memo,
 )
 from .llm import KIND_HTTP, ModelEndpoint, ModelPair, ProviderConfig, write_transcript
 from .pipeline import (
@@ -166,7 +167,6 @@ class RunConfig:
     fewshot_file: Path | None = None
     limit: int | None = None
     run_seed: int = 0  # reserved; every default is already deterministic
-    save_traces: bool = True
 
     def __post_init__(self):
         if self.worker_count < 1:
@@ -627,6 +627,7 @@ def _cache_key(
     config: RunConfig,
     model_ids: str,
     prompts_digest: str,
+    router_digest: str,
 ) -> str:
     payload = json.dumps(
         {
@@ -634,8 +635,16 @@ def _cache_key(
             "arm": arm,
             "merge_strategy": config.pipeline.merge_strategy,
             "column_selection": config.pipeline.column_selection_enabled,
+            "max_refinements": config.pipeline.max_refinements,
+            "parallel_subqueries": config.pipeline.parallel_subqueries,
+            "timeout_ms": config.timeout_ms,
+            "float_tolerance": config.float_tolerance,
             "model_ids": model_ids,
             "prompts": prompts_digest,
+            # Router settings only decide which arm a routed run takes.
+            "router": [config.router_kind, config.table_threshold, router_digest]
+            if arm == ARM_ROUTED
+            else None,
         },
         sort_keys=True,
     )
@@ -687,8 +696,13 @@ def run_benchmark(
     ``endpoints_for(example_id, example) -> ModelPair`` supplies the model
     endpoints per example; by default the configured HTTP endpoints are
     shared across examples. Results are cached per example under a key
-    covering the arm, pipeline flags, model ids, and prompt digests; cache
-    hits skip all model calls.
+    covering the arm, pipeline and executor settings, model ids, prompt
+    digests and, for routed runs, the router settings; cache hits skip all
+    model calls. Records carrying an error note are not cached.
+
+    Each example runs inside its own execution_memo(), so every distinct
+    query runs at most once per example and scoring reuses the outcomes
+    its refine loops already observed.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
@@ -703,10 +717,14 @@ def run_benchmark(
     prompts_hash = prompt_digest(templates, fewshot)
 
     router_model = None
+    router_digest = ""
     if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
         if config.router_model_file is None:
             raise ValueError("logistic routing requires router.model_file")
         router_model = load_router_model(config.router_model_file)
+        router_digest = hashlib.sha256(
+            Path(config.router_model_file).read_bytes()
+        ).hexdigest()
 
     if endpoints_for is None:
         if config.reasoning is None or config.coding is None:
@@ -738,17 +756,18 @@ def run_benchmark(
 
         pair = endpoints_for(example_id, example)
         model_ids = f"{pair.reasoning.model_id}|{pair.coding.model_id}"
-        key = _cache_key(example_id, arm, config, model_ids, prompts_hash)
+        key = _cache_key(example_id, arm, config, model_ids, prompts_hash, router_digest)
         if config.cache_dir is not None:
             cached = Path(config.cache_dir) / f"{key}.json"
             if cached.is_file():
                 return record_from_dict(json.loads(cached.read_text(encoding="utf-8")))
 
         try:
-            record = _run_example(
-                example_id, example, schema, arm, config, pair, templates,
-                fewshot, router_model, traces_dir, transcripts_dir,
-            )
+            with execution_memo():
+                record = _run_example(
+                    example_id, example, schema, arm, config, pair, templates,
+                    fewshot, router_model, traces_dir, transcripts_dir,
+                )
         except (DatasetIntegrityError, DatabaseOpenError, ValueError) as exc:
             record = PerExampleRecord(
                 example_id=example_id,
@@ -759,7 +778,9 @@ def run_benchmark(
                 error=str(exc),
             )
 
-        if config.cache_dir is not None:
+        # An error note may be transient (a model server failure), so such a
+        # record is computed again on the next run rather than replayed.
+        if config.cache_dir is not None and not record.error:
             _atomic_write(
                 Path(config.cache_dir) / f"{key}.json",
                 json.dumps(record_to_dict(record), sort_keys=True),
@@ -849,13 +870,12 @@ def _run_example(
         record.final_sql_baseline = trace.final_sql
         if note:
             notes.append(f"baseline: {note}")
-        if config.save_traces:
-            path = traces_dir / f"{example_id}_baseline.json"
-            write_trace(path, trace)
-            write_transcript(
-                transcripts_dir / f"{example_id}_baseline.jsonl", trace.transcript
-            )
-            trace_paths[0] = str(path)
+        path = traces_dir / f"{example_id}_baseline.json"
+        write_trace(path, trace)
+        write_transcript(
+            transcripts_dir / f"{example_id}_baseline.jsonl", trace.transcript
+        )
+        trace_paths[0] = str(path)
 
     if "module" in run_arms:
         trace = run_divide_and_merge(
@@ -874,13 +894,12 @@ def _run_example(
         record.final_sql_module = trace.final_sql
         if note:
             notes.append(f"module: {note}")
-        if config.save_traces:
-            path = traces_dir / f"{example_id}_module.json"
-            write_trace(path, trace)
-            write_transcript(
-                transcripts_dir / f"{example_id}_module.jsonl", trace.transcript
-            )
-            trace_paths[1] = str(path)
+        path = traces_dir / f"{example_id}_module.json"
+        write_trace(path, trace)
+        write_transcript(
+            transcripts_dir / f"{example_id}_module.jsonl", trace.transcript
+        )
+        trace_paths[1] = str(path)
 
     record.trace_paths = (trace_paths[0], trace_paths[1])
     record.error = "; ".join(notes)

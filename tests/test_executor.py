@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitsql import executor
 from splitsql.dataset import BenchmarkExample
 from splitsql.executor import (
     DatabaseOpenError,
@@ -13,6 +15,7 @@ from splitsql.executor import (
     compare_results,
     execute_sql,
     execution_accuracy,
+    execution_memo,
     has_top_level_order_by,
 )
 from splitsql.minicorpus import db_path
@@ -79,6 +82,63 @@ def test_execute_timeout(lab_db):
 def test_unopenable_database_raises(tmp_path):
     with pytest.raises(DatabaseOpenError):
         execute_sql(tmp_path / "missing.sqlite", "SELECT 1")
+
+
+# ---------------------------------------------------------------------------
+# execution_memo
+# ---------------------------------------------------------------------------
+
+HEAVY_SQL = (
+    "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) "
+    "SELECT COUNT(*) FROM r"
+)
+
+
+def test_memo_runs_a_repeated_query_once(lab_db, opened):
+    with execution_memo():
+        first = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
+        second = execute_sql(str(lab_db), "SELECT COUNT(*) FROM samples")
+        error = execute_sql(lab_db, "SELECT * FROM no_such_table")
+        again = execute_sql(lab_db, "SELECT * FROM no_such_table")
+    assert second == first
+    assert again == error and error.status == "sql_error"
+    assert opened == ["SELECT COUNT(*) FROM samples", "SELECT * FROM no_such_table"]
+
+
+def test_memo_keys_on_timeout_and_ends_with_its_scope(lab_db, opened):
+    with execution_memo():
+        execute_sql(lab_db, "SELECT 1", timeout_ms=1000)
+        execute_sql(lab_db, "SELECT 1", timeout_ms=2000)
+    execute_sql(lab_db, "SELECT 1", timeout_ms=1000)
+    execute_sql(lab_db, "SELECT 1", timeout_ms=1000)
+    assert opened == ["SELECT 1"] * 4
+
+
+def test_memo_runs_a_timed_out_query_again(lab_db, opened):
+    with execution_memo():
+        first = execute_sql(lab_db, HEAVY_SQL, timeout_ms=50)
+        second = execute_sql(lab_db, HEAVY_SQL, timeout_ms=50)
+    assert first.status == second.status == "timeout"
+    assert opened == [HEAVY_SQL, HEAVY_SQL]
+
+
+def test_memo_does_not_store_a_missing_database(tmp_path, lab_db):
+    target = tmp_path / "late.sqlite"
+    with execution_memo():
+        with pytest.raises(DatabaseOpenError):
+            execute_sql(target, "SELECT 1")
+        target.write_bytes(lab_db.read_bytes())
+        assert execute_sql(target, "SELECT 1").ok
+
+
+def test_scoring_inside_a_memo_runs_gold_once(lab_db, opened):
+    example = BenchmarkExample(
+        question="q", gold_sql="SELECT group_name FROM samples", db_id="measurement_lab"
+    )
+    with execution_memo():
+        assert execution_accuracy(example, "SELECT group_name FROM samples", lab_db).verdict.equal
+        assert not execution_accuracy(example, "SELECT 1", lab_db).verdict.equal
+    assert opened == ["SELECT group_name FROM samples", "SELECT 1"]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +267,93 @@ def test_compare_is_symmetric(left, right):
     forward = compare_results(left, right, order_sensitive=False).equal
     backward = compare_results(right, left, order_sensitive=False).equal
     assert forward == backward
+
+
+def test_compare_infinities_are_equal():
+    assert compare_results(_table((float("inf"),)), _table((float("inf"),)), False).equal
+    assert not compare_results(_table((float("inf"),)), _table((float("-inf"),)), False).equal
+
+
+def test_compare_nan_rows_match_in_any_order():
+    nan = float("nan")
+    gold = _table((nan,), (1.0,))
+    assert compare_results(gold, _table((1.0,), (nan,)), False).equal
+    assert compare_results(gold, _table((float("nan"),), (1.0,)), False).equal
+
+
+def test_compare_bool_is_not_the_integer_it_equals():
+    assert not compare_results(_table((True,)), _table((1,)), True).equal
+    assert not compare_results(_table((0,), (1,)), _table((False,), (1,)), False).equal
+
+
+# Every kind of cell a result can hold, plus bools, NaN and infinities.
+_any_cell = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-2, max_value=2),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf")]),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+)
+
+
+def _twin(cell, draw):
+    """A cell that == the given one in Python, possibly of another type."""
+    options = [cell]
+    if isinstance(cell, bool):
+        options.append(int(cell))
+    elif isinstance(cell, int):
+        options.append(float(cell))
+        if cell in (0, 1):
+            options.append(bool(cell))
+    elif isinstance(cell, float) and cell == cell:
+        options.append(-cell if cell == 0 else cell)
+        if cell.is_integer() and abs(cell) < 2**63:
+            options.append(int(cell))
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def _table_pairs(draw):
+    """(gold, pred): pred is gold with cells swapped for == twins, rows
+    shuffled, or is drawn on its own."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    height = draw(st.integers(min_value=0, max_value=6))
+    gold_rows = [tuple(draw(_any_cell) for _ in range(width)) for _ in range(height)]
+    kind = draw(st.sampled_from(["copy", "twins", "shuffled", "independent"]))
+    if kind == "independent":
+        pred_rows = [tuple(draw(_any_cell) for _ in range(width)) for _ in range(height)]
+    else:
+        pred_rows = [tuple(row) for row in gold_rows]
+        if kind != "copy":
+            pred_rows = [tuple(_twin(c, draw) for c in row) for row in gold_rows]
+        if kind == "shuffled":
+            pred_rows = draw(st.permutations(pred_rows))
+    return (
+        ResultTable(column_count=width, rows=tuple(gold_rows)),
+        ResultTable(column_count=width, rows=tuple(pred_rows)),
+    )
+
+
+def _full_comparison(gold, pred, order_sensitive):
+    """compare_results with the identical-rows fast path switched off."""
+    with mock.patch.object(executor, "_has_bool", return_value=True):
+        return compare_results(gold, pred, order_sensitive)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_pairs(), st.booleans(), st.randoms(use_true_random=False))
+def test_fast_path_gives_the_full_verdict(pair, order_sensitive, rng):
+    gold, pred = pair
+    verdict = compare_results(gold, pred, order_sensitive)
+    assert verdict == _full_comparison(gold, pred, order_sensitive)
+    if not order_sensitive:
+        shuffled = list(pred.rows)
+        rng.shuffle(shuffled)
+        permuted = ResultTable(column_count=pred.column_count, rows=tuple(shuffled))
+        assert compare_results(gold, permuted, False).equal == verdict.equal
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
+import shutil
+import sqlite3
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import scripted_pair
+from splitsql import harness
 from splitsql.harness import (
     ARM_BASELINE,
     ARM_BOTH,
@@ -36,7 +41,7 @@ from splitsql.harness import (
     spearman,
     write_records,
 )
-from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig
+from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig, canonical_trace_bytes
 from splitsql.router import BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE
 
 
@@ -478,6 +483,168 @@ def test_worker_counts_produce_identical_records(run_config):
     run_config.worker_count = 4
     parallel = run_benchmark(run_config, ARM_BOTH, endpoints_for=_scripted_factory())
     assert serial == parallel
+
+
+def test_both_run_executes_each_query_once_per_example(run_config, opened):
+    records = run_benchmark(run_config, ARM_BOTH, endpoints_for=_scripted_factory())
+    assert [r.baseline_correct for r in records] == [0, 1, 0]
+    assert [r.module_correct for r in records] == [1, 0, 1]
+    # Each gold query is shared by both arms' scoring, and each final SQL
+    # was already run by its refine loop, so nothing is opened twice.
+    assert set(Counter(opened).values()) == {1}
+    golds = [COUNT_CUSTOMERS, LIST_FIRST_NAMES]
+    assert all(gold in opened for gold in golds)
+    finals = {r.final_sql_baseline for r in records} | {r.final_sql_module for r in records}
+    assert finals <= set(opened)
+
+
+def test_rerun_over_a_rewritten_database_sees_the_new_rows(run_config, corpus_root, tmp_path):
+    corpus = shutil.copytree(corpus_root, tmp_path / "corpus")
+    run_config.tables_file = corpus / "tables.json"
+    run_config.examples_file = corpus / "examples.json"
+    run_config.limit = 1  # gold counts Customers, the baseline counts Orders
+
+    def factory(example_id, example):
+        return scripted_pair([_scripts_for_first_three()[example.question][0]])
+
+    assert run_benchmark(run_config, ARM_BASELINE, endpoints_for=factory)[0].baseline_correct == 0
+    connection = sqlite3.connect(corpus / "database" / "customer_orders" / "customer_orders.sqlite")
+    with connection:
+        connection.execute("DELETE FROM Customers")
+        connection.execute("DELETE FROM Orders")
+    connection.close()
+    assert run_benchmark(run_config, ARM_BASELINE, endpoints_for=factory)[0].baseline_correct == 1
+
+
+def _fanout_factory():
+    """The scripted factory, with the third example split into two
+    sub-questions so that parallel_subqueries fans out."""
+    scripts = _scripts_for_first_three()
+    question = "What is the price of all products being ordered on average?"
+    scripts[question] = scripts[question][:2] + [
+        (
+            "sub-questions",
+            "1. Find the price of each product.\n2. Average the price of ordered products.",
+        ),
+        ("Find the price of each product", "SELECT product_id, product_price FROM Products"),
+        scripts[question][3],
+    ]
+
+    def factory(example_id, example):
+        return scripted_pair(list(scripts[example.question]))
+
+    return factory
+
+
+def _run_outputs(run_config, monkeypatch):
+    """(records.json bytes, canonical bytes of every trace) of one both-arm run."""
+    kept = {}
+    write_trace = harness.write_trace
+
+    def keep(path, trace):
+        kept[str(path)] = canonical_trace_bytes(trace)
+        write_trace(path, trace)
+
+    monkeypatch.setattr(harness, "write_trace", keep)
+    run_benchmark(run_config, ARM_BOTH, endpoints_for=_fanout_factory())
+    return (run_config.run_dir / "records.json").read_bytes(), kept
+
+
+@pytest.mark.parametrize("parallel_subqueries", [False, True])
+def test_memo_leaves_records_and_traces_unchanged(run_config, monkeypatch, parallel_subqueries):
+    run_config.pipeline.parallel_subqueries = parallel_subqueries
+    runs = []
+    for workers in (1, 4):
+        run_config.worker_count = workers
+        runs.append(_run_outputs(run_config, monkeypatch))
+    monkeypatch.setattr(harness, "execution_memo", contextlib.nullcontext)
+    runs.append(_run_outputs(run_config, monkeypatch))
+    assert len(runs[0][1]) == 6
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _calls(run_config, arm, factory_builder=_scripted_factory):
+    created = []
+    records = run_benchmark(run_config, arm, endpoints_for=factory_builder(created))
+    return records, sum(script.call_count for script in created)
+
+
+def test_warm_cache_follows_the_router_threshold(run_config, tmp_path):
+    run_config.table_threshold = 1  # customer_orders has 8 tables
+    cold, _ = _calls(run_config, ARM_ROUTED)
+    assert all(r.route_taken == BRANCH_DIVIDE_AND_MERGE for r in cold)
+
+    run_config.cache_dir = tmp_path / "cache"
+    run_config.table_threshold = 100
+    first, _ = _calls(run_config, ARM_ROUTED)
+    assert all(r.route_taken == BRANCH_BASELINE for r in first)
+    run_config.table_threshold = 1
+    warm, calls = _calls(run_config, ARM_ROUTED)
+    assert [r.route_taken for r in warm] == [r.route_taken for r in cold]
+    assert calls > 0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda c: setattr(c.pipeline, "max_refinements", 1),
+        lambda c: setattr(c.pipeline, "parallel_subqueries", True),
+        lambda c: setattr(c, "timeout_ms", 1234),
+        lambda c: setattr(c, "float_tolerance", 1e-3),
+    ],
+    ids=["max_refinements", "parallel_subqueries", "timeout_ms", "float_tolerance"],
+)
+def test_warm_cache_misses_when_a_setting_changes(run_config, tmp_path, change):
+    run_config.cache_dir = tmp_path / "cache"
+    _calls(run_config, ARM_BOTH)
+    assert _calls(run_config, ARM_BOTH)[1] == 0
+    change(run_config)
+    assert _calls(run_config, ARM_BOTH)[1] > 0
+
+
+def test_warm_cache_follows_the_router_model_file(run_config, tmp_path):
+    model_file = tmp_path / "router.json"
+
+    def write_model(bias):
+        model_file.write_text(
+            json.dumps(
+                {
+                    "weights": [0.0] * 6,
+                    "bias": bias,
+                    "feature_means": [0.0] * 6,
+                    "feature_stds": [1.0] * 6,
+                }
+            )
+        )
+
+    run_config.cache_dir = tmp_path / "cache"
+    run_config.router_kind = "logistic"
+    run_config.router_model_file = model_file
+    write_model(5.0)
+    first, _ = _calls(run_config, ARM_ROUTED)
+    assert all(r.route_taken == BRANCH_DIVIDE_AND_MERGE for r in first)
+    write_model(-5.0)
+    second, _ = _calls(run_config, ARM_ROUTED)
+    assert all(r.route_taken == BRANCH_BASELINE for r in second)
+
+
+def test_error_records_are_not_cached(run_config, tmp_path):
+    def failing_factory(created):
+        def factory(example_id, example):
+            return scripted_pair([("never matches anything", "x")])
+
+        return factory
+
+    run_config.cache_dir = tmp_path / "cache"
+    failed, _ = _calls(run_config, ARM_BOTH, failing_factory)
+    assert all("provider error" in r.error for r in failed)
+    assert not any(run_config.cache_dir.glob("*.json"))
+
+    recovered, calls = _calls(run_config, ARM_BOTH)
+    assert calls > 0
+    assert [r.baseline_correct for r in recovered] == [0, 1, 0]
+    assert [r.module_correct for r in recovered] == [1, 0, 1]
+    assert all(r.error == "" for r in recovered)
 
 
 def test_script_exhaustion_marks_record_failed(run_config):
