@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter, ne
 from pathlib import Path
 
 from .dataset import BenchmarkExample
@@ -22,6 +23,9 @@ _PROGRESS_INTERVAL = 1000
 STATUS_OK = "ok"
 STATUS_SQL_ERROR = "sql_error"
 STATUS_TIMEOUT = "timeout"
+
+# Integers up to this magnitude convert to float exactly.
+_EXACT_INT_BOUND = 2**53
 
 # Outcomes already computed in the current scope, keyed by
 # (db path, sql, timeout_ms); None outside any execution_memo() scope.
@@ -128,7 +132,7 @@ def _execute(db_path: Path, sql: str, timeout_ms: int) -> ExecOutcome:
     try:
         connection.set_progress_handler(check_deadline, _PROGRESS_INTERVAL)
         cursor = connection.execute(sql)
-        rows = tuple(tuple(row) for row in cursor.fetchall())
+        rows = tuple(cursor.fetchall())
         column_count = len(cursor.description) if cursor.description else 0
         elapsed = int((time.monotonic() - started) * 1000)
         return ExecOutcome(
@@ -259,8 +263,56 @@ def _cells_equal(a, b, float_tolerance: float) -> bool:
     return a == b
 
 
+def _column_types(table: ResultTable) -> list[set[type]] | None:
+    """The set of cell types in each column, or None if a row has another
+    length than column_count."""
+    rows = table.rows
+    if not set(map(len, rows)) <= {table.column_count}:
+        return None
+    return [set(map(type, map(itemgetter(i), rows))) for i in range(table.column_count)]
+
+
 def _has_bool(rows: tuple[tuple, ...]) -> bool:
     return bool in set(map(type, chain.from_iterable(rows)))
+
+
+def _sorts_natively(rows: list[tuple], types: list[set[type]]) -> bool:
+    """True iff Python's own tuple order sorts these rows as _cell_sort_key does.
+
+    That holds when every column holds only str, only bytes, or only int and
+    float with no NaN and every int within +-2**53, where its conversion to
+    float is exact. Rows holding None or bools, or mixing kinds in a column,
+    need the key.
+    """
+    for i, kinds in enumerate(types):
+        if kinds == {str} or kinds == {bytes}:
+            continue
+        if not kinds <= {int, float}:
+            return False
+        column = list(map(itemgetter(i), rows))
+        if float in kinds and any(map(ne, column, column)):  # only NaN != itself
+            return False
+        ints = column if kinds == {int} else [c for c in column if type(c) is int]
+        if ints and not (-_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND):
+            return False
+    return True
+
+
+def _sorted_rows(table: ResultTable) -> tuple[list[tuple], bool]:
+    """The rows stably sorted by _cell_sort_key, and whether they are known
+    to hold no bool (False for ragged rows, whose types are not gathered).
+
+    Where Python's tuple order provably gives the same order, the rows are
+    sorted without computing a key for every cell.
+    """
+    rows = list(table.rows)
+    types = _column_types(table)
+    if types is not None and _sorts_natively(rows, types):
+        rows.sort()
+    else:
+        rows.sort(key=lambda row: tuple(_cell_sort_key(c) for c in row))
+    no_bool = types is not None and not any(bool in kinds for kinds in types)
+    return rows, no_bool
 
 
 def compare_results(
@@ -298,11 +350,12 @@ def compare_results(
         # excluded because True == 1 in Python but not in _cells_equal.
         return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
 
-    gold_rows, pred_rows = list(gold.rows), list(pred.rows)
+    gold_rows, pred_rows = gold.rows, pred.rows
     if not order_sensitive:
-        key = lambda row: tuple(_cell_sort_key(c) for c in row)
-        gold_rows.sort(key=key)
-        pred_rows.sort(key=key)
+        gold_rows, gold_no_bool = _sorted_rows(gold)
+        pred_rows, pred_no_bool = _sorted_rows(pred)
+        if gold_no_bool and pred_no_bool and gold_rows == pred_rows:
+            return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
 
     for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):
         for gold_cell, pred_cell in zip(gold_row, pred_row):

@@ -760,7 +760,11 @@ def run_benchmark(
         if config.cache_dir is not None:
             cached = Path(config.cache_dir) / f"{key}.json"
             if cached.is_file():
-                return record_from_dict(json.loads(cached.read_text(encoding="utf-8")))
+                # An unreadable entry counts as a miss and is written afresh.
+                try:
+                    return record_from_dict(json.loads(cached.read_text(encoding="utf-8")))
+                except (ValueError, KeyError, TypeError):
+                    pass
 
         try:
             with execution_memo():

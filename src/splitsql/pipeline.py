@@ -642,6 +642,6 @@ def canonical_trace_bytes(trace: PipelineTrace) -> bytes:
 def write_trace(path: str | Path, trace: PipelineTrace) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(trace_to_dict(trace), sort_keys=True, indent=2), encoding="utf-8"
-    )
+    # Compact, so that json uses its C encoder; canonical_trace_bytes keeps
+    # the indented form for byte comparison.
+    path.write_text(json.dumps(trace_to_dict(trace), sort_keys=True), encoding="utf-8")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from splitsql import executor
 from splitsql.dataset import BenchmarkExample
 from splitsql.executor import (
+    ComparisonVerdict,
     DatabaseOpenError,
     DatasetIntegrityError,
     ResultTable,
@@ -41,6 +41,8 @@ def test_execute_select_one(lab_db):
     assert outcome.status == "ok"
     assert outcome.result.rows == ((1,),)
     assert outcome.result.column_count == 1
+    assert type(outcome.result.rows) is tuple
+    assert all(type(row) is tuple for row in outcome.result.rows)
 
 
 def test_execute_missing_table_is_sql_error(lab_db):
@@ -294,6 +296,9 @@ _any_cell = st.one_of(
     st.integers(min_value=-2, max_value=2),
     st.floats(),
     st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf")]),
+    # Integers at and beyond 2**53, where conversion to float stops being exact.
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1]),
+    st.sampled_from([float(2**53 - 1), float(2**53), float(-(2**53) - 1), float(2**63 - 1)]),
     st.text(max_size=2),
     st.binary(max_size=2),
 )
@@ -337,10 +342,35 @@ def _table_pairs(draw):
     )
 
 
-def _full_comparison(gold, pred, order_sensitive):
-    """compare_results with the identical-rows fast path switched off."""
-    with mock.patch.object(executor, "_has_bool", return_value=True):
-        return compare_results(gold, pred, order_sensitive)
+def _reference_compare(
+    gold, pred, order_sensitive, float_tolerance=executor.DEFAULT_FLOAT_TOLERANCE
+):
+    """The comparison with no fast path: a stable sort by _cell_sort_key, then
+    a cell-by-cell comparison of the aligned rows."""
+    def verdict(equal, reason=""):
+        return ComparisonVerdict(equal=equal, order_sensitive=order_sensitive, reason=reason)
+
+    if gold.column_count != pred.column_count:
+        return verdict(
+            False,
+            f"column count differs: expected {gold.column_count}, got {pred.column_count}",
+        )
+    if len(gold.rows) != len(pred.rows):
+        return verdict(
+            False, f"row count differs: expected {len(gold.rows)}, got {len(pred.rows)}"
+        )
+    gold_rows, pred_rows = list(gold.rows), list(pred.rows)
+    if not order_sensitive:
+        key = lambda row: tuple(executor._cell_sort_key(c) for c in row)  # noqa: E731
+        gold_rows.sort(key=key)
+        pred_rows.sort(key=key)
+    for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):
+        for gold_cell, pred_cell in zip(gold_row, pred_row):
+            if not executor._cells_equal(gold_cell, pred_cell, float_tolerance):
+                return verdict(
+                    False, f"row {index} differs: expected {gold_row!r}, got {pred_row!r}"
+                )
+    return verdict(True)
 
 
 @settings(max_examples=400, deadline=None)
@@ -348,12 +378,49 @@ def _full_comparison(gold, pred, order_sensitive):
 def test_fast_path_gives_the_full_verdict(pair, order_sensitive, rng):
     gold, pred = pair
     verdict = compare_results(gold, pred, order_sensitive)
-    assert verdict == _full_comparison(gold, pred, order_sensitive)
+    assert verdict == _reference_compare(gold, pred, order_sensitive)
     if not order_sensitive:
         shuffled = list(pred.rows)
         rng.shuffle(shuffled)
         permuted = ResultTable(column_count=pred.column_count, rows=tuple(shuffled))
         assert compare_results(gold, permuted, False).equal == verdict.equal
+
+
+@pytest.mark.parametrize("order_sensitive", [False, True])
+def test_compare_matches_the_reference_on_edge_tables(order_sensitive):
+    nan = float("nan")
+    big = 2**53
+    tables = [
+        _table((big + 1, "a"), (big, "b")),
+        _table((big, "a"), (big + 1, "b")),
+        _table((float(big), "a"), (big + 1, "b")),
+        _table((2**63 - 1, "x"), (-big - 1, "y")),
+        _table((None, "a"), (1, "b")),
+        _table((True, "a"), (1, "b")),
+        _table((True, "a"), (0, "b")),
+        _table((True, "a"), (0, "c")),
+        _table((nan, "a"), (1.0, "b")),
+        _table(("1", "a"), (1, "b")),
+        _table((b"a", "a"), ("a", "b")),
+        _table((1.5, b"z"), (1, b"y")),
+        _table((-0.0, "a"), (0, "a")),
+        ResultTable(column_count=2, rows=((1, "a"), (0,))),
+        ResultTable(column_count=2, rows=((0, "a", "z"), (1, "b"))),
+    ]
+    for gold in tables:
+        for pred in tables:
+            assert compare_results(gold, pred, order_sensitive) == _reference_compare(
+                gold, pred, order_sensitive
+            ), (gold, pred)
+
+
+def test_compare_big_integers_line_up_like_their_floats():
+    # Both ints round to the same float, so the sort keeps their input order
+    # and the two sides align cell by cell within tolerance.
+    gold = _table((2**53 + 1, "a"), (2**53, "b"))
+    pred = _table((2**53, "a"), (2**53 + 1, "b"))
+    assert compare_results(gold, pred, False).equal
+    assert compare_results(pred, gold, False).equal
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,22 @@ def test_warm_cache_follows_the_router_model_file(run_config, tmp_path):
     assert all(r.route_taken == BRANCH_BASELINE for r in second)
 
 
+@pytest.mark.parametrize(
+    "content", ["{not json", "[1, 2]", "{}"], ids=["bad_json", "not_an_object", "no_fields"]
+)
+def test_corrupt_cache_entry_counts_as_a_miss(run_config, tmp_path, content):
+    run_config.cache_dir = tmp_path / "cache"
+    cold, _ = _calls(run_config, ARM_BOTH)
+    entries = sorted(run_config.cache_dir.glob("*.json"))
+    assert len(entries) == len(cold)
+    entries[0].write_text(content, encoding="utf-8")
+
+    rerun, calls = _calls(run_config, ARM_BOTH)
+    assert rerun == cold
+    assert calls > 0
+    assert isinstance(json.loads(entries[0].read_text(encoding="utf-8")), dict)
+
+
 def test_error_records_are_not_cached(run_config, tmp_path):
     def failing_factory(created):
         def factory(example_id, example):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from helpers import (
@@ -27,6 +29,8 @@ from splitsql.pipeline import (
     run_baseline,
     run_divide_and_merge,
     select_tables,
+    trace_to_dict,
+    write_trace,
 )
 
 
@@ -414,6 +418,18 @@ def test_two_runs_are_byte_identical(avg_example, orders_schema, orders_db):
         for _ in range(2)
     ]
     assert canonical_trace_bytes(traces[0]) == canonical_trace_bytes(traces[1])
+
+
+def test_trace_file_round_trips_as_one_line(avg_example, orders_schema, orders_db, tmp_path):
+    trace = _run_avg_scenario(avg_example, orders_schema, orders_db)
+    path = tmp_path / "traces" / "ex0000_module.json"
+    write_trace(path, trace)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == trace_to_dict(trace)
+    assert "\n" not in text
+    assert canonical_trace_bytes(trace) == json.dumps(
+        trace_to_dict(trace, include_timings=False), sort_keys=True, indent=2
+    ).encode("utf-8")
 
 
 def test_parallel_and_serial_produce_identical_subqueries(
