@@ -37,6 +37,7 @@ from .llm import (
 from .pipeline import (
     PipelineConfig,
     PipelineTrace,
+    StageContext,
     SubQuery,
     SubQuestion,
     column_select,

@@ -105,12 +105,19 @@ def _cmd_route_train(args) -> int:
     schemas = load_schemas(config.tables_file)
     examples = load_examples(config.examples_file)
 
+    # Example ids as run_benchmark assigns them.
+    by_id = {f"ex{index:04d}": example for index, example in enumerate(examples)}
     outcomes = []
     for record in records:
         if record.baseline_correct is None or record.module_correct is None:
             continue
-        index = int(record.example_id.removeprefix("ex"))
-        example = examples[index]
+        example = by_id.get(record.example_id)
+        if example is None:
+            print(
+                f"record {record.example_id!r} names no example of {config.examples_file}",
+                file=sys.stderr,
+            )
+            return 1
         schema = schemas[example.db_id]
         features = extract_features(example.question, schema)
         outcomes.append((features, record.baseline_correct, record.module_correct))

@@ -160,33 +160,19 @@ def has_top_level_order_by(sql: str) -> bool:
     identifiers, and both comment styles; malformed SQL is scanned
     best-effort.
     """
-    i, depth, n = 0, 0, len(sql)
-    while i < n:
+    depth = 0
+    for i in _code_indices(sql):
         ch = sql[i]
-        if ch == "'" or ch == '"' or ch == "`":
-            i = _skip_quoted(sql, i, ch)
-        elif ch == "[":
-            end = sql.find("]", i + 1)
-            i = n if end == -1 else end + 1
-        elif sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-        elif sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            i = n if end == -1 else end + 2
-        elif ch == "(":
+        if ch == "(":
             depth += 1
-            i += 1
         elif ch == ")":
             depth = max(depth - 1, 0)
-            i += 1
-        elif depth == 0 and _word_at(sql, i, "ORDER"):
-            j = _skip_separators(sql, i + 5)
-            if _word_at(sql, j, "BY"):
-                return True
-            i += 5
-        else:
-            i += 1
+        elif (
+            depth == 0
+            and _word_at(sql, i, "ORDER")
+            and _word_at(sql, _skip_separators(sql, i + 5), "BY")
+        ):
+            return True
     return False
 
 
@@ -201,6 +187,36 @@ def _skip_quoted(sql: str, start: int, quote: str) -> int:
             return i + 1
         i += 1
     return n
+
+
+# The other openers of a quoted identifier or comment, each with its closer.
+_DELIMITERS = (("[", "]"), ("--", "\n"), ("/*", "*/"))
+
+
+def _skip_inert(sql: str, i: int) -> int:
+    """The index just past the string literal, quoted identifier ("...",
+    `...` or [...]) or comment that starts at i, or i when none starts
+    there. One left open runs to the end of the text."""
+    ch = sql[i]
+    if ch == "'" or ch == '"' or ch == "`":
+        return _skip_quoted(sql, i, ch)
+    for opener, closer in _DELIMITERS:
+        if ch == opener[0] and sql.startswith(opener, i):
+            end = sql.find(closer, i + len(opener))
+            return len(sql) if end == -1 else end + len(closer)
+    return i
+
+
+def _code_indices(sql: str):
+    """Yield, in order, the index of every character of sql outside string
+    literals, quoted identifiers and comments."""
+    i, n = 0, len(sql)
+    while i < n:
+        end = _skip_inert(sql, i)
+        if end == i:
+            yield i
+            end += 1
+        i = end
 
 
 def _is_word_char(ch: str) -> bool:
@@ -221,12 +237,8 @@ def _skip_separators(sql: str, i: int) -> int:
     while i < n:
         if sql[i].isspace():
             i += 1
-        elif sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-        elif sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            i = n if end == -1 else end + 2
+        elif sql.startswith(("--", "/*"), i):
+            i = _skip_inert(sql, i)
         else:
             break
     return i

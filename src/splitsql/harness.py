@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,11 +166,35 @@ class RunConfig:
     prompts_dir: Path | None = None
     fewshot_file: Path | None = None
     limit: int | None = None
-    run_seed: int = 0  # reserved; every default is already deterministic
 
     def __post_init__(self):
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
+
+
+# The settings a config file may give, as (section, JSON key, field name);
+# a key the file leaves out keeps its dataclass default.
+_PIPELINE_KEYS = (
+    ("pipeline", "merge_strategy", "merge_strategy"),
+    ("pipeline", "column_selection", "column_selection_enabled"),
+    ("pipeline", "max_refinements", "max_refinements"),
+    ("pipeline", "parallel_subqueries", "parallel_subqueries"),
+    ("pipeline", "subquery_fanout_width", "subquery_fanout_width"),
+)
+_RUN_KEYS = (
+    ("router", "kind", "router_kind"),
+    ("router", "table_threshold", "table_threshold"),
+    ("router", "model_file", "router_model_file"),
+    ("harness", "worker_count", "worker_count"),
+    ("harness", "cache_dir", "cache_dir"),
+    ("harness", "limit", "limit"),
+    ("executor", "timeout_ms", "timeout_ms"),
+    ("executor", "float_tolerance", "float_tolerance"),
+    ("prompts", "dir", "prompts_dir"),
+    ("prompts", "fewshot_file", "fewshot_file"),
+)
+_PATH_FIELDS = frozenset({"router_model_file", "cache_dir", "prompts_dir", "fewshot_file"})
+_ENDPOINT_FIELDS = tuple(f.name for f in fields(EndpointSpec))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -185,6 +209,14 @@ def load_config(path: str | Path) -> RunConfig:
         candidate = Path(value)
         return candidate if candidate.is_absolute() else base / candidate
 
+    def present(keys: tuple[tuple[str, str, str], ...]) -> dict:
+        settings = {}
+        for section, key, name in keys:
+            if key in raw.get(section, {}):
+                value = raw[section][key]
+                settings[name] = resolve(value) if name in _PATH_FIELDS else value
+        return settings
+
     dataset = raw.get("dataset", {})
     root = resolve(dataset.get("root")) or base
     tables_file = resolve(dataset.get("tables")) or root / "tables.json"
@@ -196,50 +228,16 @@ def load_config(path: str | Path) -> RunConfig:
         section = llm_section.get(section_name)
         if not section:
             return None
-        return EndpointSpec(
-            base_url=section["base_url"],
-            model_id=section["model_id"],
-            api_key_env_var=section.get("api_key_env_var", ""),
-            temperature=section.get("temperature", 0.0),
-            max_tokens=section.get("max_tokens", 1024),
-            request_timeout_ms=section.get("request_timeout_ms", 60000),
-            max_retries=section.get("max_retries", 2),
-            retry_backoff_ms=section.get("retry_backoff_ms", 250),
-            stage_temperatures=section.get("stage_temperatures", {}),
-        )
-
-    pipeline_section = raw.get("pipeline", {})
-    pipeline = PipelineConfig(
-        merge_strategy=pipeline_section.get("merge_strategy", MERGE_PLANNER_EXECUTOR),
-        column_selection_enabled=pipeline_section.get("column_selection", True),
-        max_refinements=pipeline_section.get("max_refinements", 3),
-        parallel_subqueries=pipeline_section.get("parallel_subqueries", False),
-        subquery_fanout_width=pipeline_section.get("subquery_fanout_width", 4),
-    )
-
-    executor_section = raw.get("executor", {})
-    router_section = raw.get("router", {})
-    harness_section = raw.get("harness", {})
-    prompts_section = raw.get("prompts", {})
+        return EndpointSpec(**{name: section[name] for name in _ENDPOINT_FIELDS if name in section})
 
     return RunConfig(
         tables_file=tables_file,
         examples_file=examples_file,
-        run_dir=resolve(harness_section.get("run_dir")) or base / "runs" / "latest",
+        run_dir=resolve(raw.get("harness", {}).get("run_dir")) or base / "runs" / "latest",
         reasoning=endpoint("reasoning_model"),
         coding=endpoint("coding_model"),
-        pipeline=pipeline,
-        router_kind=router_section.get("kind", KIND_HEURISTIC),
-        table_threshold=router_section.get("table_threshold", 5),
-        router_model_file=resolve(router_section.get("model_file")),
-        worker_count=harness_section.get("worker_count", 1),
-        cache_dir=resolve(harness_section.get("cache_dir")),
-        timeout_ms=executor_section.get("timeout_ms", DEFAULT_TIMEOUT_MS),
-        float_tolerance=executor_section.get("float_tolerance", DEFAULT_FLOAT_TOLERANCE),
-        prompts_dir=resolve(prompts_section.get("dir")),
-        fewshot_file=resolve(prompts_section.get("fewshot_file")),
-        limit=harness_section.get("limit"),
-        run_seed=harness_section.get("run_seed", 0),
+        pipeline=PipelineConfig(**present(_PIPELINE_KEYS)),
+        **present(_RUN_KEYS),
     )
 
 
@@ -856,55 +854,42 @@ def _run_example(
         )
 
     notes = []
-    trace_paths = ["", ""]
-    if "baseline" in run_arms:
-        trace = run_baseline(
-            example,
-            schema,
-            pair.coding,
-            fewshot,
-            db_path,
-            config.pipeline.max_refinements,
-            example_id=example_id,
-            templates=templates,
-            timeout_ms=config.timeout_ms,
-        )
+    trace_paths = {"baseline": "", "module": ""}
+    for which in run_arms:
+        if which == "baseline":
+            trace = run_baseline(
+                example,
+                schema,
+                pair.coding,
+                fewshot,
+                db_path,
+                config.pipeline.max_refinements,
+                example_id=example_id,
+                templates=templates,
+                timeout_ms=config.timeout_ms,
+            )
+        else:
+            trace = run_divide_and_merge(
+                example,
+                schema,
+                config.pipeline,
+                pair,
+                db_path,
+                example_id=example_id,
+                templates=templates,
+                fewshot=fewshot,
+                timeout_ms=config.timeout_ms,
+            )
         bit, note = _score(example, trace, db_path, config)
-        record.baseline_correct = bit
-        record.final_sql_baseline = trace.final_sql
+        setattr(record, f"{which}_correct", bit)
+        setattr(record, f"final_sql_{which}", trace.final_sql)
         if note:
-            notes.append(f"baseline: {note}")
-        path = traces_dir / f"{example_id}_baseline.json"
+            notes.append(f"{which}: {note}")
+        path = traces_dir / f"{example_id}_{which}.json"
         write_trace(path, trace)
-        write_transcript(
-            transcripts_dir / f"{example_id}_baseline.jsonl", trace.transcript
-        )
-        trace_paths[0] = str(path)
+        write_transcript(transcripts_dir / f"{example_id}_{which}.jsonl", trace.transcript)
+        trace_paths[which] = str(path)
 
-    if "module" in run_arms:
-        trace = run_divide_and_merge(
-            example,
-            schema,
-            config.pipeline,
-            pair,
-            db_path,
-            example_id=example_id,
-            templates=templates,
-            fewshot=fewshot,
-            timeout_ms=config.timeout_ms,
-        )
-        bit, note = _score(example, trace, db_path, config)
-        record.module_correct = bit
-        record.final_sql_module = trace.final_sql
-        if note:
-            notes.append(f"module: {note}")
-        path = traces_dir / f"{example_id}_module.json"
-        write_trace(path, trace)
-        write_transcript(
-            transcripts_dir / f"{example_id}_module.jsonl", trace.transcript
-        )
-        trace_paths[1] = str(path)
-
-    record.trace_paths = (trace_paths[0], trace_paths[1])
+    record.trace_paths = (trace_paths["baseline"], trace_paths["module"])
     record.error = "; ".join(notes)
     return record

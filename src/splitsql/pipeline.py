@@ -9,7 +9,7 @@ import json
 import time
 from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dataset import (
@@ -41,10 +41,10 @@ from .prompts import (
     FewShotExample,
     PromptTemplate,
     SqlExtractionError,
+    default_templates,
     extract_sql,
     format_fewshot,
     load_fewshot,
-    load_templates,
     parse_subquestions,
     parse_table_list,
     render,
@@ -109,79 +109,79 @@ class PipelineTrace:
 
 
 @functools.lru_cache(maxsize=1)
-def _default_templates() -> dict[str, PromptTemplate]:
-    return load_templates()
-
-
-@functools.lru_cache(maxsize=1)
 def _default_fewshot() -> tuple[FewShotExample, ...]:
     return tuple(load_fewshot())
 
 
-def _generate_and_refine(
-    first_prompt: str,
-    *,
-    endpoint: ModelEndpoint,
-    stage_label: str,
-    task_text: str,
-    schema_text: str,
-    db_path: str | Path,
-    max_refinements: int,
-    templates: dict[str, PromptTemplate],
-    transcript: list[TranscriptEntry],
-    timeout_ms: int,
-) -> tuple[str, int, bool]:
-    """Generate SQL, execute it, and re-prompt with the engine error.
+@dataclass
+class StageContext:
+    """What the model stages of one arm run share: the database the refine
+    loop executes against, its bounds, the prompt templates, and the
+    transcript every model call is appended to."""
 
-    An execution error or a failed SQL extraction counts as a failed
-    attempt; an empty result set does not. Returns (sql, refinement
-    attempts used, executed without error). sql is '' when no attempt ever
-    produced extractable SQL.
-    """
-    prompt = first_prompt
-    sql = ""
-    for attempt in range(max_refinements + 1):
-        reply = endpoint.ask(
-            prompt, transcript=transcript, stage_label=stage_label, attempt_index=attempt
-        )
-        try:
-            sql = extract_sql(reply)
-        except SqlExtractionError as exc:
-            error_text = str(exc)
-        else:
-            outcome = execute_sql(db_path, sql, timeout_ms)
-            if outcome.ok:
-                return sql, attempt, True
-            error_text = outcome.error_message
-        if attempt == max_refinements:
-            break
-        prompt = render(
-            templates[STAGE_REFINEMENT],
-            {"question": task_text, "schema": schema_text, "sql": sql, "error": error_text},
-        )
-    return sql, max_refinements, False
+    db_path: str | Path
+    max_refinements: int
+    timeout_ms: int = DEFAULT_TIMEOUT_MS
+    templates: dict[str, PromptTemplate] = field(default_factory=default_templates)
+    transcript: list[TranscriptEntry] = field(default_factory=list)
+
+    def ask(self, endpoint: ModelEndpoint, stage: str, bindings: dict[str, str]) -> str:
+        """Render the stage's template and ask the endpoint once."""
+        prompt = render(self.templates[stage], bindings)
+        return endpoint.ask(prompt, transcript=self.transcript, stage_label=stage)
+
+    def refine(
+        self, endpoint: ModelEndpoint, stage: str, bindings: dict[str, str], task_text: str
+    ) -> tuple[str, int, bool]:
+        """Generate SQL, execute it, and re-prompt with the engine error.
+
+        The first prompt renders the stage's template; each refinement
+        prompt carries task_text, bindings["schema"], the failed SQL and the
+        error. An execution error or a failed SQL extraction counts as a
+        failed attempt; an empty result set does not. Returns (sql,
+        refinement attempts used, executed without error). sql is '' when no
+        attempt ever produced extractable SQL.
+        """
+        prompt = render(self.templates[stage], bindings)
+        schema_text = bindings["schema"]
+        sql = ""
+        for attempt in range(self.max_refinements + 1):
+            reply = endpoint.ask(
+                prompt, transcript=self.transcript, stage_label=stage, attempt_index=attempt
+            )
+            try:
+                sql = extract_sql(reply)
+            except SqlExtractionError as exc:
+                error_text = str(exc)
+            else:
+                outcome = execute_sql(self.db_path, sql, self.timeout_ms)
+                if outcome.ok:
+                    return sql, attempt, True
+                error_text = outcome.error_message
+            if attempt == self.max_refinements:
+                break
+            prompt = render(
+                self.templates[STAGE_REFINEMENT],
+                {"question": task_text, "schema": schema_text, "sql": sql, "error": error_text},
+            )
+        return sql, self.max_refinements, False
 
 
 def select_tables(
+    ctx: StageContext,
     question: str,
     schema: DatabaseSchema,
     reasoning_model: ModelEndpoint,
-    *,
-    templates: dict[str, PromptTemplate] | None = None,
-    transcript: list[TranscriptEntry] | None = None,
 ) -> ReducedSchema:
     """Ask the reasoning model which tables the question needs.
 
     Falls back to the full schema when the reply names no known table; the
     reduction never invents tables.
     """
-    templates = templates or _default_templates()
-    prompt = render(
-        templates[STAGE_TABLE_SELECTION],
+    reply = ctx.ask(
+        reasoning_model,
+        STAGE_TABLE_SELECTION,
         {"question": question, "schema": serialize_schema(schema)},
-    )
-    reply = reasoning_model.ask(
-        prompt, transcript=transcript, stage_label=STAGE_TABLE_SELECTION
     )
     try:
         return reduce_schema(schema, parse_table_list(reply))
@@ -190,21 +190,16 @@ def select_tables(
 
 
 def decompose(
+    ctx: StageContext,
     question: str,
     reduced_schema: ReducedSchema,
     reasoning_model: ModelEndpoint,
-    *,
-    templates: dict[str, PromptTemplate] | None = None,
-    transcript: list[TranscriptEntry] | None = None,
 ) -> list[SubQuestion]:
     """Split the question into ordered sub-questions (at least one)."""
-    templates = templates or _default_templates()
-    prompt = render(
-        templates[STAGE_DECOMPOSITION],
+    reply = ctx.ask(
+        reasoning_model,
+        STAGE_DECOMPOSITION,
         {"question": question, "schema": serialize_schema(reduced_schema)},
-    )
-    reply = reasoning_model.ask(
-        prompt, transcript=transcript, stage_label=STAGE_DECOMPOSITION
     )
     parsed = parse_subquestions(reply) or [question]
     return [SubQuestion(index=i + 1, text=text) for i, text in enumerate(parsed)]
@@ -217,42 +212,23 @@ def _format_prior(prior: list[SubQuery]) -> str:
 
 
 def generate_subquery(
+    ctx: StageContext,
     subquestion: SubQuestion,
     reduced_schema: ReducedSchema,
     coding_model: ModelEndpoint,
     fewshot: list[FewShotExample],
-    db_path: str | Path,
-    max_refinements: int,
     *,
     prior: list[SubQuery] | None = None,
-    templates: dict[str, PromptTemplate] | None = None,
-    transcript: list[TranscriptEntry] | None = None,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> SubQuery:
     """Generate SQL for one sub-question with the execute-and-refine loop."""
-    templates = templates or _default_templates()
-    transcript = transcript if transcript is not None else []
-    schema_text = serialize_schema(reduced_schema)
-    prompt = render(
-        templates[STAGE_SUBQUERY_GENERATION],
-        {
-            "subquestion": subquestion.text,
-            "schema": schema_text,
-            "examples": format_fewshot(fewshot),
-            "subqueries": _format_prior(prior or []),
-        },
-    )
-    sql, attempts, valid = _generate_and_refine(
-        prompt,
-        endpoint=coding_model,
-        stage_label=STAGE_SUBQUERY_GENERATION,
-        task_text=subquestion.text,
-        schema_text=schema_text,
-        db_path=db_path,
-        max_refinements=max_refinements,
-        templates=templates,
-        transcript=transcript,
-        timeout_ms=timeout_ms,
+    bindings = {
+        "subquestion": subquestion.text,
+        "schema": serialize_schema(reduced_schema),
+        "examples": format_fewshot(fewshot),
+        "subqueries": _format_prior(prior or []),
+    }
+    sql, attempts, valid = ctx.refine(
+        coding_model, STAGE_SUBQUERY_GENERATION, bindings, subquestion.text
     )
     return SubQuery(
         for_index=subquestion.index, sql=sql, refinement_attempts=attempts, valid=valid
@@ -274,18 +250,12 @@ def _format_pairs(subquestions: list[SubQuestion], subqueries: list[SubQuery]) -
 
 
 def merge_plan_execute(
+    ctx: StageContext,
     question: str,
     subquestions: list[SubQuestion],
     subqueries: list[SubQuery],
-    reasoning_model: ModelEndpoint,
-    coding_model: ModelEndpoint,
+    models: ModelPair,
     reduced_schema: ReducedSchema,
-    db_path: str | Path,
-    max_refinements: int,
-    *,
-    templates: dict[str, PromptTemplate] | None = None,
-    transcript: list[TranscriptEntry] | None = None,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> tuple[str, str, bool]:
     """Merge strategy 2: a reasoning model plans the merge, a coding model
     emits the final SQL, refined against the database.
@@ -295,54 +265,28 @@ def merge_plan_execute(
     """
     if not subqueries:
         raise ValueError("merge_plan_execute requires at least one sub-query")
-    templates = templates or _default_templates()
     pairs_text = _format_pairs(subquestions, subqueries)
-
-    plan_prompt = render(
-        templates[STAGE_MERGE_PLANNER], {"question": question, "subqueries": pairs_text}
+    plan_text = ctx.ask(
+        models.reasoning, STAGE_MERGE_PLANNER, {"question": question, "subqueries": pairs_text}
     )
-    plan_text = reasoning_model.ask(
-        plan_prompt, transcript=transcript, stage_label=STAGE_MERGE_PLANNER
-    )
-
-    schema_text = serialize_schema(reduced_schema)
-    executor_prompt = render(
-        templates[STAGE_MERGE_EXECUTOR],
-        {
-            "question": question,
-            "schema": schema_text,
-            "subqueries": pairs_text,
-            "plan": plan_text,
-        },
-    )
-    sql, _attempts, _valid = _generate_and_refine(
-        executor_prompt,
-        endpoint=coding_model,
-        stage_label=STAGE_MERGE_EXECUTOR,
-        task_text=question,
-        schema_text=schema_text,
-        db_path=db_path,
-        max_refinements=max_refinements,
-        templates=templates,
-        transcript=transcript if transcript is not None else [],
-        timeout_ms=timeout_ms,
-    )
+    bindings = {
+        "question": question,
+        "schema": serialize_schema(reduced_schema),
+        "subqueries": pairs_text,
+        "plan": plan_text,
+    }
+    sql, _attempts, _valid = ctx.refine(models.coding, STAGE_MERGE_EXECUTOR, bindings, question)
     if not sql:
         return plan_text, merge_last(subqueries), True
     return plan_text, sql, False
 
 
 def column_select(
+    ctx: StageContext,
     question: str,
     schema_context: ReducedSchema,
     merged_sql: str,
     reasoning_model: ModelEndpoint,
-    db_path: str | Path,
-    max_refinements: int,
-    *,
-    templates: dict[str, PromptTemplate] | None = None,
-    transcript: list[TranscriptEntry] | None = None,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> str:
     """Align the SELECT clause of the merged query with the question.
 
@@ -352,24 +296,8 @@ def column_select(
     """
     if not merged_sql:
         raise ValueError("column_select requires a non-empty merged query")
-    templates = templates or _default_templates()
-    schema_text = serialize_schema(schema_context)
-    prompt = render(
-        templates[STAGE_COLUMN_SELECTION],
-        {"question": question, "schema": schema_text, "sql": merged_sql},
-    )
-    sql, _attempts, valid = _generate_and_refine(
-        prompt,
-        endpoint=reasoning_model,
-        stage_label=STAGE_COLUMN_SELECTION,
-        task_text=question,
-        schema_text=schema_text,
-        db_path=db_path,
-        max_refinements=max_refinements,
-        templates=templates,
-        transcript=transcript if transcript is not None else [],
-        timeout_ms=timeout_ms,
-    )
+    bindings = {"question": question, "schema": serialize_schema(schema_context), "sql": merged_sql}
+    sql, _attempts, valid = ctx.refine(reasoning_model, STAGE_COLUMN_SELECTION, bindings, question)
     if not valid or not sql:
         return merged_sql
     return sql
@@ -403,42 +331,29 @@ def run_divide_and_merge(
     enabled. A provider failure yields a trace with empty final SQL and an
     error annotation instead of raising.
     """
-    templates = templates or _default_templates()
     fewshot = list(fewshot) if fewshot is not None else list(_default_fewshot())
     trace = PipelineTrace(example_id=example_id or example.db_id)
+    ctx = StageContext(
+        db_path,
+        config.max_refinements,
+        timeout_ms,
+        templates or default_templates(),
+        trace.transcript,
+    )
+    question = example.question
     total_started = time.monotonic()
 
     try:
         with _timed(trace, STAGE_TABLE_SELECTION):
-            reduced = select_tables(
-                example.question,
-                schema,
-                models.reasoning,
-                templates=templates,
-                transcript=trace.transcript,
-            )
+            reduced = select_tables(ctx, question, schema, models.reasoning)
         trace.reduced_schema = reduced
 
         with _timed(trace, STAGE_DECOMPOSITION):
-            trace.subquestions = decompose(
-                example.question,
-                reduced,
-                models.reasoning,
-                templates=templates,
-                transcript=trace.transcript,
-            )
+            trace.subquestions = decompose(ctx, question, reduced, models.reasoning)
 
         with _timed(trace, STAGE_SUBQUERY_GENERATION):
             trace.subqueries = _generate_all(
-                trace.subquestions,
-                reduced,
-                models.coding,
-                fewshot,
-                db_path,
-                config,
-                templates,
-                trace.transcript,
-                timeout_ms,
+                ctx, trace.subquestions, reduced, models.coding, fewshot, config
             )
 
         with _timed(trace, "merge"):
@@ -446,17 +361,7 @@ def run_divide_and_merge(
                 trace.merged_sql = merge_last(trace.subqueries)
             else:
                 plan, merged, fell_back = merge_plan_execute(
-                    example.question,
-                    trace.subquestions,
-                    trace.subqueries,
-                    models.reasoning,
-                    models.coding,
-                    reduced,
-                    db_path,
-                    config.max_refinements,
-                    templates=templates,
-                    transcript=trace.transcript,
-                    timeout_ms=timeout_ms,
+                    ctx, question, trace.subquestions, trace.subqueries, models, reduced
                 )
                 trace.merge_plan_text = plan
                 trace.merged_sql = merged
@@ -465,15 +370,7 @@ def run_divide_and_merge(
         if config.column_selection_enabled and trace.merged_sql:
             with _timed(trace, STAGE_COLUMN_SELECTION):
                 trace.final_sql = column_select(
-                    example.question,
-                    reduced,
-                    trace.merged_sql,
-                    models.reasoning,
-                    db_path,
-                    config.max_refinements,
-                    templates=templates,
-                    transcript=trace.transcript,
-                    timeout_ms=timeout_ms,
+                    ctx, question, reduced, trace.merged_sql, models.reasoning
                 )
         else:
             trace.final_sql = trace.merged_sql
@@ -486,58 +383,33 @@ def run_divide_and_merge(
 
 
 def _generate_all(
+    ctx: StageContext,
     subquestions: list[SubQuestion],
     reduced: ReducedSchema,
     coding_model: ModelEndpoint,
     fewshot: list[FewShotExample],
-    db_path: str | Path,
     config: PipelineConfig,
-    templates: dict[str, PromptTemplate],
-    transcript: list[TranscriptEntry],
-    timeout_ms: int,
 ) -> list[SubQuery]:
     if config.parallel_subqueries and len(subquestions) > 1:
         # Fan out with per-task transcripts, reassembled in index order so
         # the trace does not depend on completion order. Prior sub-queries
         # do not exist yet in this mode, so prompts carry none.
-        side_transcripts: list[list[TranscriptEntry]] = [[] for _ in subquestions]
+        sides = [replace(ctx, transcript=[]) for _ in subquestions]
 
         def task(i: int) -> SubQuery:
-            return generate_subquery(
-                subquestions[i],
-                reduced,
-                coding_model,
-                fewshot,
-                db_path,
-                config.max_refinements,
-                prior=None,
-                templates=templates,
-                transcript=side_transcripts[i],
-                timeout_ms=timeout_ms,
-            )
+            return generate_subquery(sides[i], subquestions[i], reduced, coding_model, fewshot)
 
         width = min(config.subquery_fanout_width, len(subquestions))
         with ThreadPoolExecutor(max_workers=width) as pool:
             results = list(pool.map(task, range(len(subquestions))))
-        for side in side_transcripts:
-            transcript.extend(side)
+        for side in sides:
+            ctx.transcript.extend(side.transcript)
         return results
 
     subqueries: list[SubQuery] = []
     for subquestion in subquestions:
         subqueries.append(
-            generate_subquery(
-                subquestion,
-                reduced,
-                coding_model,
-                fewshot,
-                db_path,
-                config.max_refinements,
-                prior=subqueries,
-                templates=templates,
-                transcript=transcript,
-                timeout_ms=timeout_ms,
-            )
+            generate_subquery(ctx, subquestion, reduced, coding_model, fewshot, prior=subqueries)
         )
     return subqueries
 
@@ -556,32 +428,21 @@ def run_baseline(
 ) -> PipelineTrace:
     """One-step few-shot generation over the full schema, with the same
     execute-and-refine loop as the pipeline arm."""
-    templates = templates or _default_templates()
     trace = PipelineTrace(example_id=example_id or example.db_id)
+    ctx = StageContext(
+        db_path, max_refinements, timeout_ms, templates or default_templates(), trace.transcript
+    )
     total_started = time.monotonic()
 
-    schema_text = serialize_schema(schema)
-    prompt = render(
-        templates[STAGE_BASELINE],
-        {
-            "question": example.question,
-            "schema": schema_text,
-            "examples": format_fewshot(fewshot),
-        },
-    )
+    bindings = {
+        "question": example.question,
+        "schema": serialize_schema(schema),
+        "examples": format_fewshot(fewshot),
+    }
     try:
         with _timed(trace, STAGE_BASELINE):
-            sql, _attempts, _valid = _generate_and_refine(
-                prompt,
-                endpoint=coding_model,
-                stage_label=STAGE_BASELINE,
-                task_text=example.question,
-                schema_text=schema_text,
-                db_path=db_path,
-                max_refinements=max_refinements,
-                templates=templates,
-                transcript=trace.transcript,
-                timeout_ms=timeout_ms,
+            sql, _attempts, _valid = ctx.refine(
+                coding_model, STAGE_BASELINE, bindings, example.question
             )
         trace.merged_sql = sql
         trace.final_sql = sql

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+
+from .executor import _code_indices
 
 PLACEHOLDER_NAMES = (
     "question",
@@ -134,7 +137,8 @@ def extract_sql(text: str) -> str:
 
     The first fenced code block wins (language tag ignored); otherwise the
     text from the first SELECT/WITH onward, truncated after the statement's
-    terminating semicolon when one appears outside string literals.
+    terminating semicolon when one appears outside string literals, quoted
+    identifiers and comments.
     """
     fence = _FENCE_RE.search(text)
     if fence:
@@ -144,39 +148,11 @@ def extract_sql(text: str) -> str:
     match = _SQL_START_RE.search(text)
     if not match:
         raise SqlExtractionError("no SQL found in model output")
-    return _cut_after_statement(text[match.start() :]).strip()
-
-
-def _cut_after_statement(sql: str) -> str:
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'" or ch == '"' or ch == "`":
-            i = _skip_quoted(sql, i, ch)
-        elif sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-        elif sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            i = n if end == -1 else end + 2
-        elif ch == ";":
-            return sql[: i + 1]
-        else:
-            i += 1
-    return sql
-
-
-def _skip_quoted(sql: str, start: int, quote: str) -> int:
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        if sql[i] == quote:
-            if i + 1 < n and sql[i + 1] == quote:
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    return n
+    sql = text[match.start() :]
+    for i in _code_indices(sql):
+        if sql[i] == ";":
+            return sql[: i + 1].strip()
+    return sql.strip()
 
 
 def builtin_template_dir() -> Path:
@@ -197,6 +173,12 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
             required_placeholders=required,
         )
     return templates
+
+
+@functools.lru_cache(maxsize=1)
+def default_templates() -> dict[str, PromptTemplate]:
+    """The shipped stage templates, read once per process."""
+    return load_templates()
 
 
 def load_fewshot(path: str | Path | None = None) -> list[FewShotExample]:

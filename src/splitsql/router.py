@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES, serialize_schema
 from .llm import ModelEndpoint, TranscriptEntry
-from .prompts import STAGE_JUDGE, PromptTemplate, render
+from .prompts import STAGE_JUDGE, PromptTemplate, default_templates, render
 
 BRANCH_BASELINE = "baseline"
 BRANCH_DIVIDE_AND_MERGE = "divide_and_merge"
@@ -20,7 +20,6 @@ BRANCH_DIVIDE_AND_MERGE = "divide_and_merge"
 KIND_HEURISTIC = "heuristic"
 KIND_LOGISTIC = "logistic"
 KIND_JUDGE = "judge"
-KIND_ORACLE = "oracle"
 
 _STD_FLOOR = 1e-9
 _FEATURE_COUNT = len(FEATURE_NAMES)
@@ -183,12 +182,8 @@ def route_judge(
     An unparseable reply routes to the baseline (the cheap default) with an
     annotation.
     """
-    if templates is None:
-        from .prompts import load_templates
-
-        templates = load_templates()
     prompt = render(
-        templates[STAGE_JUDGE],
+        (templates or default_templates())[STAGE_JUDGE],
         {"question": question, "schema": serialize_schema(schema)},
     )
     reply = reasoning_model.ask(prompt, transcript=transcript, stage_label=STAGE_JUDGE)

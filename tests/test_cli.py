@@ -135,3 +135,24 @@ def test_route_train_produces_model(tmp_path, corpus_root, capsys):
     assert "training accuracy: 1.0000" in out
     model = load_router_model(model_path)
     assert len(model.weights) == 6
+
+
+@pytest.mark.parametrize("example_id", ["ex0100", "ex-001"])
+def test_route_train_rejects_a_record_naming_no_example(
+    tmp_path, corpus_root, capsys, example_id
+):
+    # ex0100 comes from a longer dataset than the 20-example corpus; ex-001
+    # must not be read as index -1, the last example.
+    records = _both_arm_records()
+    records[0].example_id = example_id
+    records_path = tmp_path / "records.json"
+    write_records(records_path, records)
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    model_path = tmp_path / "router.json"
+    code = main(
+        ["route-train", "--records", str(records_path), "--config", str(config),
+         "--out", str(model_path)]
+    )
+    assert code == 1
+    assert repr(example_id) in capsys.readouterr().err
+    assert not model_path.exists()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitsql import executor
 from splitsql.dataset import BenchmarkExample
@@ -172,6 +172,96 @@ def test_scoring_inside_a_memo_runs_gold_once(lab_db, opened):
 )
 def test_order_by_detection(sql, expected):
     assert has_top_level_order_by(sql) is expected
+
+
+# The scanner as it stood before string literals, quoted identifiers and
+# comments were skipped by one shared scanner; the property below holds the
+# shared one to it.
+def _reference_has_top_level_order_by(sql: str) -> bool:
+    i, depth, n = 0, 0, len(sql)
+    while i < n:
+        ch = sql[i]
+        if ch == "'" or ch == '"' or ch == "`":
+            i = _reference_skip_quoted(sql, i, ch)
+        elif ch == "[":
+            end = sql.find("]", i + 1)
+            i = n if end == -1 else end + 1
+        elif sql.startswith("--", i):
+            end = sql.find("\n", i)
+            i = n if end == -1 else end + 1
+        elif sql.startswith("/*", i):
+            end = sql.find("*/", i + 2)
+            i = n if end == -1 else end + 2
+        elif ch == "(":
+            depth += 1
+            i += 1
+        elif ch == ")":
+            depth = max(depth - 1, 0)
+            i += 1
+        elif depth == 0 and _reference_word_at(sql, i, "ORDER"):
+            j = _reference_skip_separators(sql, i + 5)
+            if _reference_word_at(sql, j, "BY"):
+                return True
+            i += 5
+        else:
+            i += 1
+    return False
+
+
+def _reference_skip_quoted(sql: str, start: int, quote: str) -> int:
+    i = start + 1
+    n = len(sql)
+    while i < n:
+        if sql[i] == quote:
+            if i + 1 < n and sql[i + 1] == quote:
+                i += 2
+                continue
+            return i + 1
+        i += 1
+    return n
+
+
+def _reference_word_at(sql: str, i: int, word: str) -> bool:
+    end = i + len(word)
+    if sql[i:end].upper() != word:
+        return False
+    before_ok = i == 0 or not (sql[i - 1].isalnum() or sql[i - 1] == "_")
+    after_ok = end >= len(sql) or not (sql[end].isalnum() or sql[end] == "_")
+    return before_ok and after_ok
+
+
+def _reference_skip_separators(sql: str, i: int) -> int:
+    n = len(sql)
+    while i < n:
+        if sql[i].isspace():
+            i += 1
+        elif sql.startswith("--", i):
+            end = sql.find("\n", i)
+            i = n if end == -1 else end + 1
+        elif sql.startswith("/*", i):
+            end = sql.find("*/", i + 2)
+            i = n if end == -1 else end + 2
+        else:
+            break
+    return i
+
+
+# Single characters of SQL's quoting, nesting and comment syntax, plus a
+# few of their pairs, so that short inputs often close what they open.
+SCANNER_TOKENS = (
+    list("'\"`[]();-/*\n ")
+    + ["''", '""', "``", "[]", "()", "--\n", "/*", "*/", "/**/"]
+    + ["ORDER", "BY", "ORDER BY", "order\nby", "ORDER/**/BY"]
+    + list("ab_")
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(SCANNER_TOKENS), max_size=40).map("".join))
+@example("SELECT a FROM t ORDER 'x' BY a")
+@example("SELECT a FROM t ORDER [x] BY a")
+def test_order_by_detection_matches_the_reference_scanner(sql):
+    assert has_top_level_order_by(sql) is _reference_has_top_level_order_by(sql)
 
 
 # ---------------------------------------------------------------------------

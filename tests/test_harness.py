@@ -769,3 +769,15 @@ def test_load_config_round_trip(tmp_path, corpus_root):
     assert config.worker_count == 2
     assert config.run_dir == tmp_path / "out"
     assert config.reasoning.model_id == "r"
+
+    # A file that gives only its dataset leaves every other setting at its
+    # dataclass default; a harness.run_seed left in an old file is ignored.
+    for extra in ({}, {"harness": {"run_seed": 7}}):
+        path.write_text(json.dumps({"dataset": {"root": str(corpus_root)}, **extra}))
+        config = load_config(path)
+        assert config == RunConfig(
+            tables_file=corpus_root / "tables.json",
+            examples_file=corpus_root / "examples.json",
+            run_dir=tmp_path / "runs" / "latest",
+        )
+        assert config.pipeline == PipelineConfig()

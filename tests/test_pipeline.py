@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -13,11 +14,13 @@ from helpers import (
 )
 from splitsql.dataset import full_reduction
 from splitsql.executor import execute_sql, execution_accuracy
+from splitsql.llm import KIND_SCRIPTED, ModelEndpoint, ModelPair, ProviderConfig, ScriptState
 from splitsql.minicorpus import db_path
 from splitsql.pipeline import (
     MERGE_LAST_SUBQUERY,
     MERGE_PLANNER_EXECUTOR,
     PipelineConfig,
+    StageContext,
     SubQuery,
     SubQuestion,
     canonical_trace_bytes,
@@ -44,6 +47,11 @@ def orders_db(corpus_root):
     return db_path(corpus_root, "customer_orders")
 
 
+@pytest.fixture()
+def ctx(orders_db):
+    return StageContext(orders_db, 3)
+
+
 @pytest.fixture(scope="module")
 def avg_example(examples):
     (example,) = [e for e in examples if "on average" in e.question]
@@ -55,25 +63,25 @@ def avg_example(examples):
 # ---------------------------------------------------------------------------
 
 
-def test_select_tables_reduces(orders_schema):
+def test_select_tables_reduces(ctx, orders_schema):
     endpoint = scripted_endpoint(
         [("table names", "Order_Items, Products, Orders")]
     )
-    reduced = select_tables("q", orders_schema, endpoint)
+    reduced = select_tables(ctx, "q", orders_schema, endpoint)
     assert reduced.kept_table_names == ("Products", "Orders", "Order_Items")
     assert reduced.view.table_count == 3
 
 
-def test_select_tables_full_list_is_identity(orders_schema):
+def test_select_tables_full_list_is_identity(ctx, orders_schema):
     reply = ", ".join(t.name for t in orders_schema.tables)
     endpoint = scripted_endpoint([("table names", reply)])
-    reduced = select_tables("q", orders_schema, endpoint)
+    reduced = select_tables(ctx, "q", orders_schema, endpoint)
     assert reduced.view == orders_schema
 
 
-def test_select_tables_unmatched_reply_falls_back_to_full(orders_schema):
+def test_select_tables_unmatched_reply_falls_back_to_full(ctx, orders_schema):
     endpoint = scripted_endpoint([("table names", "none of these")])
-    reduced = select_tables("q", orders_schema, endpoint)
+    reduced = select_tables(ctx, "q", orders_schema, endpoint)
     assert reduced.view == orders_schema
     assert len(reduced.kept_table_names) == orders_schema.table_count
 
@@ -83,26 +91,26 @@ def test_select_tables_unmatched_reply_falls_back_to_full(orders_schema):
 # ---------------------------------------------------------------------------
 
 
-def test_decompose_four_items(orders_schema):
+def test_decompose_four_items(ctx, orders_schema):
     endpoint = scripted_endpoint(
         [("sub-questions", "1. Find the price of each product.\n2. B\n3. C\n4. D")]
     )
-    subqs = decompose("q", full_reduction(orders_schema), endpoint)
+    subqs = decompose(ctx, "q", full_reduction(orders_schema), endpoint)
     assert [sq.index for sq in subqs] == [1, 2, 3, 4]
     assert subqs[0].text == "Find the price of each product."
 
 
-def test_decompose_verbatim_reply_is_single_subquestion(orders_schema):
+def test_decompose_verbatim_reply_is_single_subquestion(ctx, orders_schema):
     endpoint = scripted_endpoint([("sub-questions", "how many products are there")])
-    subqs = decompose("how many products are there", full_reduction(orders_schema), endpoint)
+    subqs = decompose(ctx, "how many products are there", full_reduction(orders_schema), endpoint)
     assert len(subqs) == 1
     assert subqs[0].index == 1
 
 
-def test_decompose_ten_items(orders_schema):
+def test_decompose_ten_items(ctx, orders_schema):
     reply = "\n".join(f"Sub-question {i}: task {i}" for i in range(1, 11))
     endpoint = scripted_endpoint([("sub-questions", reply)])
-    subqs = decompose("q", full_reduction(orders_schema), endpoint)
+    subqs = decompose(ctx, "q", full_reduction(orders_schema), endpoint)
     assert len(subqs) == 10
     assert subqs[9].text == "task 10"
 
@@ -119,7 +127,11 @@ def _subq(text: str, index: int = 1) -> SubQuestion:
 def test_generate_first_try_success(orders_schema, orders_db):
     endpoint = scripted_endpoint([("count the products", "SELECT COUNT(*) FROM Products")])
     result = generate_subquery(
-        _subq("count the products"), full_reduction(orders_schema), endpoint, [], orders_db, 3
+        StageContext(orders_db, 3),
+        _subq("count the products"),
+        full_reduction(orders_schema),
+        endpoint,
+        [],
     )
     assert result.valid
     assert result.refinement_attempts == 0
@@ -135,13 +147,11 @@ def test_generate_recovers_after_one_error(orders_schema, orders_db):
     )
     transcript = []
     result = generate_subquery(
+        StageContext(orders_db, 3, transcript=transcript),
         _subq("count the products"),
         full_reduction(orders_schema),
         endpoint,
         [],
-        orders_db,
-        3,
-        transcript=transcript,
     )
     assert result.valid
     assert result.refinement_attempts == 1
@@ -162,7 +172,11 @@ def test_generate_exhausts_refinements(orders_schema, orders_db):
         ]
     )
     result = generate_subquery(
-        _subq("count the products"), full_reduction(orders_schema), endpoint, [], orders_db, 3
+        StageContext(orders_db, 3),
+        _subq("count the products"),
+        full_reduction(orders_schema),
+        endpoint,
+        [],
     )
     assert not result.valid
     assert result.refinement_attempts == 3
@@ -177,7 +191,11 @@ def test_generate_extraction_failure_counts_as_attempt(orders_schema, orders_db)
         ]
     )
     result = generate_subquery(
-        _subq("count the products"), full_reduction(orders_schema), endpoint, [], orders_db, 3
+        StageContext(orders_db, 3),
+        _subq("count the products"),
+        full_reduction(orders_schema),
+        endpoint,
+        [],
     )
     assert result.valid
     assert result.refinement_attempts == 1
@@ -186,7 +204,11 @@ def test_generate_extraction_failure_counts_as_attempt(orders_schema, orders_db)
 def test_generate_zero_refinements_allowed(orders_schema, orders_db):
     endpoint = scripted_endpoint([("count the products", "SELECT * FROM missing")])
     result = generate_subquery(
-        _subq("count the products"), full_reduction(orders_schema), endpoint, [], orders_db, 0
+        StageContext(orders_db, 0),
+        _subq("count the products"),
+        full_reduction(orders_schema),
+        endpoint,
+        [],
     )
     assert not result.valid
     assert result.refinement_attempts == 0
@@ -197,14 +219,12 @@ def test_generate_serial_prompt_includes_prior_subqueries(orders_schema, orders_
     transcript = []
     prior = [SubQuery(for_index=1, sql="SELECT 1", valid=True)]
     generate_subquery(
+        StageContext(orders_db, 0, transcript=transcript),
         _subq("second step", index=2),
         full_reduction(orders_schema),
         endpoint,
         [],
-        orders_db,
-        0,
         prior=prior,
-        transcript=transcript,
     )
     assert "SELECT 1" in transcript[0].request.last_user_content
 
@@ -223,7 +243,7 @@ def test_merge_last_returns_final_subquery():
         assert merge_last(pool) == f"SELECT {size - 1}"
 
 
-def test_merge_plan_execute_happy_path(orders_schema, orders_db):
+def test_merge_plan_execute_happy_path(ctx, orders_schema):
     pair = scripted_pair(
         [
             ("Work out how the sub-queries", "Keep the final aggregate only."),
@@ -234,15 +254,14 @@ def test_merge_plan_execute_happy_path(orders_schema, orders_db):
     queries = [SubQuery(1, "SELECT product_price FROM Products", valid=True),
                SubQuery(2, AVG_ORDERED_SQL, valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        "q", subqs, queries, pair.reasoning, pair.coding,
-        full_reduction(orders_schema), orders_db, 3,
+        ctx, "q", subqs, queries, pair, full_reduction(orders_schema)
     )
     assert plan == "Keep the final aggregate only."
     assert sql == AVG_ORDERED_SQL
     assert not fell_back
 
 
-def test_merge_plan_execute_single_subquery(orders_schema, orders_db):
+def test_merge_plan_execute_single_subquery(ctx, orders_schema):
     pair = scripted_pair(
         [
             ("Work out how the sub-queries", "Use sub-query 1 as-is."),
@@ -251,14 +270,13 @@ def test_merge_plan_execute_single_subquery(orders_schema, orders_db):
     )
     queries = [SubQuery(1, "SELECT COUNT(*) FROM Products", valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        "q", [_subq("count")], queries, pair.reasoning, pair.coding,
-        full_reduction(orders_schema), orders_db, 3,
+        ctx, "q", [_subq("count")], queries, pair, full_reduction(orders_schema)
     )
     assert sql == queries[0].sql
     assert not fell_back
 
 
-def test_merge_plan_execute_falls_back_when_no_sql_ever(orders_schema, orders_db):
+def test_merge_plan_execute_falls_back_when_no_sql_ever(ctx, orders_schema):
     pair = scripted_pair(
         [
             ("Work out how the sub-queries", "Some plan."),
@@ -270,8 +288,7 @@ def test_merge_plan_execute_falls_back_when_no_sql_ever(orders_schema, orders_db
     )
     queries = [SubQuery(1, "SELECT COUNT(*) FROM Products", valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        "q", [_subq("count")], queries, pair.reasoning, pair.coding,
-        full_reduction(orders_schema), orders_db, 3,
+        ctx, "q", [_subq("count")], queries, pair, full_reduction(orders_schema)
     )
     assert fell_back
     assert sql == "SELECT COUNT(*) FROM Products"
@@ -295,24 +312,22 @@ def test_column_select_narrows_output(schemas, corpus_root):
     )
     endpoint = scripted_endpoint([("returns exactly the columns", revised)])
     out = column_select(
+        StageContext(db_path(corpus_root, "city_channels"), 3),
         "Please show the most common affiliation for city channels.",
         full_reduction(schema),
         merged,
         endpoint,
-        db_path(corpus_root, "city_channels"),
-        3,
     )
     assert out == revised
     outcome = execute_sql(db_path(corpus_root, "city_channels"), out)
     assert outcome.result.rows == (("ABC",),)
 
 
-def test_column_select_echo_keeps_query(orders_schema, orders_db):
+def test_column_select_echo_keeps_query(ctx, orders_schema):
     merged = "SELECT COUNT(*) FROM Products"
     endpoint = scripted_endpoint([("returns exactly the columns", merged)])
     assert (
-        column_select("q", full_reduction(orders_schema), merged, endpoint, orders_db, 3)
-        == merged
+        column_select(ctx, "q", full_reduction(orders_schema), merged, endpoint) == merged
     )
 
 
@@ -328,13 +343,13 @@ def test_column_select_may_keep_wrong_but_runnable_output(schemas, corpus_root, 
     )
     endpoint = scripted_endpoint([("returns exactly the columns", merged)])
     final = column_select(
-        example.question, full_reduction(schema), merged, endpoint, db_file, 3
+        StageContext(db_file, 3), example.question, full_reduction(schema), merged, endpoint
     )
     assert final == merged
     assert not execution_accuracy(example, final, db_file).verdict.equal
 
 
-def test_column_select_never_breaks_runnable_query(orders_schema, orders_db):
+def test_column_select_never_breaks_runnable_query(ctx, orders_schema, orders_db):
     merged = "SELECT COUNT(*) FROM Products"
     endpoint = scripted_endpoint(
         [
@@ -344,7 +359,7 @@ def test_column_select_never_breaks_runnable_query(orders_schema, orders_db):
             ("failed when executed", "SELECT nope FROM missing"),
         ]
     )
-    out = column_select("q", full_reduction(orders_schema), merged, endpoint, orders_db, 3)
+    out = column_select(ctx, "q", full_reduction(orders_schema), merged, endpoint)
     assert out == merged
     assert execute_sql(orders_db, out).ok
 
@@ -444,6 +459,59 @@ def test_parallel_and_serial_produce_identical_subqueries(
     )
     assert serial.final_sql == parallel.final_sql
     assert serial.subqueries == parallel.subqueries
+
+
+class _SecondAnsweredFirst(ScriptState):
+    """Holds the reply to sub-question 1 until sub-question 2 is answered,
+    and records the order in which the two were answered."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.second_answered = threading.Event()
+        self.answered = []
+
+    def consume(self, message):
+        if "first step" in message:
+            assert self.second_answered.wait(timeout=10)
+        reply = super().consume(message)
+        for step in ("first step", "second step"):
+            if step in message:
+                self.answered.append(step)
+        if "second step" in message:
+            self.second_answered.set()
+        return reply
+
+
+def test_fan_out_transcript_follows_subquestion_order(avg_example, orders_schema, orders_db):
+    config = PipelineConfig(
+        merge_strategy=MERGE_LAST_SUBQUERY,
+        column_selection_enabled=False,
+        parallel_subqueries=True,
+    )
+    traces = []
+    for _ in range(2):
+        script = _SecondAnsweredFirst(
+            [
+                ("table names", "Products"),
+                ("sub-questions", "1. first step\n2. second step"),
+                ("first step", "SELECT 1"),
+                ("second step", "SELECT 2"),
+            ]
+        )
+        endpoint = ModelEndpoint(ProviderConfig(kind=KIND_SCRIPTED, script=script), "scripted")
+        trace = run_divide_and_merge(
+            avg_example, orders_schema, config, ModelPair(endpoint, endpoint), orders_db
+        )
+        assert script.answered == ["second step", "first step"]
+        generation = [
+            entry.request.last_user_content
+            for entry in trace.transcript
+            if entry.stage_label == "subquery_generation"
+        ]
+        assert len(generation) == 2
+        assert "first step" in generation[0] and "second step" in generation[1]
+        traces.append(trace)
+    assert canonical_trace_bytes(traces[0]) == canonical_trace_bytes(traces[1])
 
 
 def test_refinement_exhaustion_full_run(orders_schema, orders_db, avg_example):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitsql.prompts import (
+    _FENCE_RE,
+    _SQL_START_RE,
     REQUIRED_PLACEHOLDERS,
     FewShotExample,
     PromptTemplate,
@@ -143,6 +145,79 @@ def test_extract_sql_with_cte():
 def test_extract_sql_rejects_non_sql():
     with pytest.raises(SqlExtractionError):
         extract_sql("I cannot answer.")
+
+
+def test_extract_sql_semicolon_inside_bracketed_identifier_kept():
+    assert extract_sql("SELECT [a;b] FROM t; x") == "SELECT [a;b] FROM t;"
+
+
+# extract_sql as it stood before it shared the executor's scanner, which
+# also skips [...] identifiers; on text without "[" the two must agree.
+def _reference_extract_sql(text: str) -> str:
+    fence = _FENCE_RE.search(text)
+    if fence:
+        content = fence.group(1).strip()
+        if content:
+            return content
+    match = _SQL_START_RE.search(text)
+    if not match:
+        raise SqlExtractionError("no SQL found in model output")
+    return _reference_cut_after_statement(text[match.start() :]).strip()
+
+
+def _reference_cut_after_statement(sql: str) -> str:
+    i, n = 0, len(sql)
+    while i < n:
+        ch = sql[i]
+        if ch == "'" or ch == '"' or ch == "`":
+            i = _reference_skip_quoted(sql, i, ch)
+        elif sql.startswith("--", i):
+            end = sql.find("\n", i)
+            i = n if end == -1 else end + 1
+        elif sql.startswith("/*", i):
+            end = sql.find("*/", i + 2)
+            i = n if end == -1 else end + 2
+        elif ch == ";":
+            return sql[: i + 1]
+        else:
+            i += 1
+    return sql
+
+
+def _reference_skip_quoted(sql: str, start: int, quote: str) -> int:
+    i = start + 1
+    n = len(sql)
+    while i < n:
+        if sql[i] == quote:
+            if i + 1 < n and sql[i + 1] == quote:
+                i += 2
+                continue
+            return i + 1
+        i += 1
+    return n
+
+
+def _extract_or_error(extract, text):
+    try:
+        return extract(text)
+    except SqlExtractionError as exc:
+        return ("error", str(exc))
+
+
+# As for has_top_level_order_by's property, but without "[".
+SCANNER_TOKENS = (
+    list("'\"`]();-/*\n ")
+    + ["''", '""', "``", "()", "--\n", "/*", "*/", "/**/"]
+    + ["ORDER", "BY", "SELECT", "with", "SELECT a;"]
+    + list("ab_")
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(SCANNER_TOKENS), max_size=40).map("".join))
+@example("SELECT a /*/ ; b */ FROM t; x")
+def test_extract_sql_matches_the_reference_scanner_without_brackets(text):
+    assert _extract_or_error(extract_sql, text) == _extract_or_error(_reference_extract_sql, text)
 
 
 GOLD_LIKE_QUERIES = [
