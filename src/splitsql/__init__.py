@@ -25,6 +25,7 @@ from .executor import (
 )
 from .llm import (
     ChatMessage,
+    CompletionCache,
     CompletionRequest,
     CompletionResponse,
     ModelEndpoint,

@@ -1,5 +1,5 @@
-"""Benchmark orchestration over both pipeline arms, result caching, report
-formulas (execution accuracy, disagreement, oracle routing, router sweep,
+"""Benchmark orchestration over both pipeline arms, report formulas
+(execution accuracy, disagreement, oracle routing, router sweep,
 schema-complexity correlations), and report emission.
 
 Report percentages are computed as exact rationals (``fractions.Fraction``)
@@ -9,13 +9,10 @@ rounding to two decimals happens only at emission.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +31,9 @@ from .executor import (
     execution_accuracy,
     execution_memo,
 )
-from .llm import KIND_HTTP, ModelEndpoint, ModelPair, ProviderConfig, write_transcript
+from .llm import (
+    KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig, write_transcript
+)
 from .pipeline import (
     MERGE_LAST_SUBQUERY,
     MERGE_PLANNER_EXECUTOR,
@@ -44,7 +43,7 @@ from .pipeline import (
     run_divide_and_merge,
     write_trace,
 )
-from .prompts import load_fewshot, load_templates, prompt_digest
+from .prompts import load_fewshot, load_templates
 from .router import (
     BRANCH_BASELINE,
     BRANCH_DIVIDE_AND_MERGE,
@@ -619,51 +618,6 @@ def load_records(path: str | Path) -> list[PerExampleRecord]:
     return [record_from_dict(row) for row in data]
 
 
-def _cache_key(
-    example_id: str,
-    arm: str,
-    config: RunConfig,
-    model_ids: str,
-    prompts_digest: str,
-    router_digest: str,
-) -> str:
-    payload = json.dumps(
-        {
-            "example_id": example_id,
-            "arm": arm,
-            "merge_strategy": config.pipeline.merge_strategy,
-            "column_selection": config.pipeline.column_selection_enabled,
-            "max_refinements": config.pipeline.max_refinements,
-            "parallel_subqueries": config.pipeline.parallel_subqueries,
-            "timeout_ms": config.timeout_ms,
-            "float_tolerance": config.float_tolerance,
-            "model_ids": model_ids,
-            "prompts": prompts_digest,
-            # Router settings only decide which arm a routed run takes.
-            "router": [config.router_kind, config.table_threshold, router_digest]
-            if arm == ARM_ROUTED
-            else None,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
 def _score(
     example: BenchmarkExample,
     trace: PipelineTrace,
@@ -693,10 +647,10 @@ def run_benchmark(
 
     ``endpoints_for(example_id, example) -> ModelPair`` supplies the model
     endpoints per example; by default the configured HTTP endpoints are
-    shared across examples. Results are cached per example under a key
-    covering the arm, pipeline and executor settings, model ids, prompt
-    digests and, for routed runs, the router settings; cache hits skip all
-    model calls. Records carrying an error note are not cached.
+    shared across examples. With a ``cache_dir``, every model call goes
+    through one CompletionCache opened on it, so a rerun makes only the calls
+    whose full request it has not seen; every example is still routed, run,
+    scored and written.
 
     Each example runs inside its own execution_memo(), so every distinct
     query runs at most once per example and scoring reuses the outcomes
@@ -712,17 +666,12 @@ def run_benchmark(
 
     templates = load_templates(config.prompts_dir)
     fewshot = load_fewshot(config.fewshot_file)
-    prompts_hash = prompt_digest(templates, fewshot)
 
     router_model = None
-    router_digest = ""
     if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
         if config.router_model_file is None:
             raise ValueError("logistic routing requires router.model_file")
         router_model = load_router_model(config.router_model_file)
-        router_digest = hashlib.sha256(
-            Path(config.router_model_file).read_bytes()
-        ).hexdigest()
 
     if endpoints_for is None:
         if config.reasoning is None or config.coding is None:
@@ -737,6 +686,7 @@ def run_benchmark(
     run_dir = Path(config.run_dir)
     traces_dir = run_dir / "traces"
     transcripts_dir = run_dir / "transcripts"
+    cache = None if config.cache_dir is None else CompletionCache(config.cache_dir)
 
     def process(item: tuple[int, BenchmarkExample]) -> PerExampleRecord:
         index, example = item
@@ -753,25 +703,19 @@ def run_benchmark(
             )
 
         pair = endpoints_for(example_id, example)
-        model_ids = f"{pair.reasoning.model_id}|{pair.coding.model_id}"
-        key = _cache_key(example_id, arm, config, model_ids, prompts_hash, router_digest)
-        if config.cache_dir is not None:
-            cached = Path(config.cache_dir) / f"{key}.json"
-            if cached.is_file():
-                # An unreadable entry counts as a miss and is written afresh.
-                try:
-                    return record_from_dict(json.loads(cached.read_text(encoding="utf-8")))
-                except (ValueError, KeyError, TypeError):
-                    pass
-
+        if cache is not None:
+            pair = ModelPair(
+                reasoning=replace(pair.reasoning, cache=cache),
+                coding=replace(pair.coding, cache=cache),
+            )
         try:
             with execution_memo():
-                record = _run_example(
+                return _run_example(
                     example_id, example, schema, arm, config, pair, templates,
                     fewshot, router_model, traces_dir, transcripts_dir,
                 )
-        except (DatasetIntegrityError, DatabaseOpenError, ValueError) as exc:
-            record = PerExampleRecord(
+        except (DatasetIntegrityError, DatabaseOpenError) as exc:
+            return PerExampleRecord(
                 example_id=example_id,
                 db_id=example.db_id,
                 table_count=schema.table_count,
@@ -780,20 +724,15 @@ def run_benchmark(
                 error=str(exc),
             )
 
-        # An error note may be transient (a model server failure), so such a
-        # record is computed again on the next run rather than replayed.
-        if config.cache_dir is not None and not record.error:
-            _atomic_write(
-                Path(config.cache_dir) / f"{key}.json",
-                json.dumps(record_to_dict(record), sort_keys=True),
-            )
-        return record
-
-    if config.worker_count == 1:
-        records = [process(item) for item in enumerate(examples)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            records = list(pool.map(process, enumerate(examples)))
+    try:
+        if config.worker_count == 1:
+            records = [process(item) for item in enumerate(examples)]
+        else:
+            with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
+                records = list(pool.map(process, enumerate(examples)))
+    finally:
+        if cache is not None:
+            cache.close()
 
     records.sort(key=lambda record: record.example_id)
     write_records(run_dir / "records.json", records)

@@ -1,10 +1,13 @@
 """Chat-completion client: an OpenAI-compatible HTTP backend plus a scripted
-deterministic backend for tests. Every call can be recorded into a transcript."""
+deterministic backend for tests. Every call can be recorded into a transcript,
+and an endpoint can replay replies from a completion cache."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -246,12 +249,58 @@ def _parse_http_response(
     )
 
 
+class CompletionCache:
+    """Model replies kept under a directory, keyed by the full request.
+
+    Hits come only from the ``*.jsonl`` files present when the cache opens;
+    a line that cannot be read back is skipped, so its call is made again.
+    New replies go to a file of this cache's own, created on the first
+    ``put``, one flushed JSON line each. A cold run with a cache therefore
+    makes the same calls as a run without one, and two runs never append to
+    one file.
+    """
+
+    def __init__(self, directory: str | Path):
+        self.directory = Path(directory)
+        self._replies: dict[str, CompletionResponse] = {}
+        self._handle = None
+        self._lock = threading.Lock()
+        for path in sorted(self.directory.glob("*.jsonl")):
+            for line in path.read_bytes().splitlines():
+                try:
+                    entry = json.loads(line)
+                    response = CompletionResponse(**entry["response"])
+                    self._replies.setdefault(entry["key"], response)
+                except (ValueError, KeyError, TypeError):
+                    continue
+
+    def get(self, key: str) -> CompletionResponse | None:
+        return self._replies.get(key)
+
+    def put(self, key: str, response: CompletionResponse) -> None:
+        line = json.dumps({"key": key, "response": _response_to_dict(response)}, sort_keys=True)
+        with self._lock:
+            if self._handle is None:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                fd, _ = tempfile.mkstemp(suffix=".jsonl", prefix="run-", dir=self.directory)
+                self._handle = os.fdopen(fd, "w", encoding="utf-8")
+            self._handle.write(line + "\n")
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
+
 @dataclass
 class ModelEndpoint:
     """A provider plus the request defaults for one logical model role.
 
     temperature applies to every stage unless stage_temperatures overrides
-    it for a specific stage label.
+    it for a specific stage label. With a cache, a request it holds is
+    answered from it without calling the provider.
     """
 
     provider: ProviderConfig
@@ -259,6 +308,7 @@ class ModelEndpoint:
     temperature: float = 0.0
     max_tokens: int = 1024
     stage_temperatures: dict[str, float] = field(default_factory=dict)
+    cache: CompletionCache | None = None
 
     def ask(
         self,
@@ -274,13 +324,29 @@ class ModelEndpoint:
             temperature=self.stage_temperatures.get(stage_label, self.temperature),
             max_tokens=self.max_tokens,
         )
-        return complete(
+        if self.cache is not None:
+            key = self._request_key(request, stage_label, attempt_index)
+            response = self.cache.get(key)
+            if response is not None:
+                if transcript is not None:
+                    entry = TranscriptEntry(stage_label, request, response, attempt_index)
+                    transcript.append(entry)
+                return response.text
+        response = complete(
             self.provider,
             request,
             transcript=transcript,
             stage_label=stage_label,
             attempt_index=attempt_index,
-        ).text
+        )
+        if self.cache is not None:
+            self.cache.put(key, response)
+        return response.text
+
+    def _request_key(self, request: CompletionRequest, stage_label: str, attempt: int) -> str:
+        identity = [self.provider.kind, self.provider.base_url, self.model_id]
+        payload = [identity, _request_to_dict(request), stage_label, attempt]
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -291,26 +357,32 @@ class ModelPair:
     coding: ModelEndpoint
 
 
+def _request_to_dict(request: CompletionRequest) -> dict:
+    return {
+        "model_id": request.model_id,
+        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+        "temperature": request.temperature,
+        "max_tokens": request.max_tokens,
+        "stop_sequences": list(request.stop_sequences),
+    }
+
+
+def _response_to_dict(response: CompletionResponse) -> dict:
+    return {
+        "text": response.text,
+        "prompt_tokens": response.prompt_tokens,
+        "completion_tokens": response.completion_tokens,
+        "latency_ms": response.latency_ms,
+        "retries": response.retries,
+    }
+
+
 def transcript_entry_to_dict(entry: TranscriptEntry) -> dict:
     return {
         "stage_label": entry.stage_label,
         "attempt_index": entry.attempt_index,
-        "request": {
-            "model_id": entry.request.model_id,
-            "messages": [
-                {"role": m.role, "content": m.content} for m in entry.request.messages
-            ],
-            "temperature": entry.request.temperature,
-            "max_tokens": entry.request.max_tokens,
-            "stop_sequences": list(entry.request.stop_sequences),
-        },
-        "response": {
-            "text": entry.response.text,
-            "prompt_tokens": entry.response.prompt_tokens,
-            "completion_tokens": entry.response.completion_tokens,
-            "latency_ms": entry.response.latency_ms,
-            "retries": entry.response.retries,
-        },
+        "request": _request_to_dict(entry.request),
+        "response": _response_to_dict(entry.response),
     }
 
 

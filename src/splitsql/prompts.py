@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -190,19 +189,3 @@ def load_fewshot(path: str | Path | None = None) -> list[FewShotExample]:
 def format_fewshot(examples: list[FewShotExample]) -> str:
     blocks = [f"Question: {ex.question}\nSQL: {ex.sql}" for ex in examples]
     return "\n\n".join(blocks)
-
-
-def prompt_digest(templates: dict[str, PromptTemplate], fewshot: list[FewShotExample]) -> str:
-    """Stable digest of the prompt set, used in benchmark cache keys."""
-    hasher = hashlib.sha256()
-    for stage in sorted(templates):
-        hasher.update(stage.encode())
-        hasher.update(b"\x00")
-        hasher.update(templates[stage].body.encode())
-        hasher.update(b"\x00")
-    for example in fewshot:
-        hasher.update(example.question.encode())
-        hasher.update(b"\x00")
-        hasher.update(example.sql.encode())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()

@@ -7,6 +7,7 @@ import random
 import shutil
 import sqlite3
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from splitsql.harness import (
     spearman,
     write_records,
 )
+from splitsql.llm import ModelPair
 from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig, canonical_trace_bytes
 from splitsql.router import BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE
 
@@ -498,15 +500,31 @@ def test_both_run_executes_each_query_once_per_example(run_config, opened):
     assert finals <= set(opened)
 
 
-def test_rerun_over_a_rewritten_database_sees_the_new_rows(run_config, corpus_root, tmp_path):
+def _copy_corpus(run_config, corpus_root, tmp_path):
     corpus = shutil.copytree(corpus_root, tmp_path / "corpus")
     run_config.tables_file = corpus / "tables.json"
     run_config.examples_file = corpus / "examples.json"
+    return corpus
+
+
+def _set_first_gold(corpus, sql):
+    examples = json.loads((corpus / "examples.json").read_text(encoding="utf-8"))
+    examples[0]["query"] = sql
+    (corpus / "examples.json").write_text(json.dumps(examples), encoding="utf-8")
+
+
+def _baseline_factory(example_id, example):
+    return scripted_pair([_scripts_for_first_three()[example.question][0]])
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+def test_rerun_over_a_rewritten_database_sees_the_new_rows(
+    run_config, corpus_root, tmp_path, cached
+):
+    corpus = _copy_corpus(run_config, corpus_root, tmp_path)
+    run_config.cache_dir = tmp_path / "cache" if cached else None
     run_config.limit = 1  # gold counts Customers, the baseline counts Orders
-
-    def factory(example_id, example):
-        return scripted_pair([_scripts_for_first_three()[example.question][0]])
-
+    factory = _baseline_factory
     assert run_benchmark(run_config, ARM_BASELINE, endpoints_for=factory)[0].baseline_correct == 0
     connection = sqlite3.connect(corpus / "database" / "customer_orders" / "customer_orders.sqlite")
     with connection:
@@ -516,7 +534,37 @@ def test_rerun_over_a_rewritten_database_sees_the_new_rows(run_config, corpus_ro
     assert run_benchmark(run_config, ARM_BASELINE, endpoints_for=factory)[0].baseline_correct == 1
 
 
-def _fanout_factory():
+def test_warm_rerun_after_a_gold_edit_gives_the_fresh_verdict(run_config, corpus_root, tmp_path):
+    corpus = _copy_corpus(run_config, corpus_root, tmp_path)
+    run_config.cache_dir = tmp_path / "cache"
+    run_config.limit = 1
+    cold = run_benchmark(run_config, ARM_BASELINE, endpoints_for=_baseline_factory)
+    assert cold[0].baseline_correct == 0
+
+    _set_first_gold(corpus, "SELECT COUNT(*) FROM Orders")  # what the baseline predicts
+    created = []
+    warm = run_benchmark(run_config, ARM_BASELINE, endpoints_for=_scripted_factory(created))
+    assert warm[0].baseline_correct == 1
+    assert sum(script.call_count for script in created) == 0
+
+
+def test_mistyped_router_kind_fails_the_run(run_config):
+    run_config.router_kind = "heurstic"
+    with pytest.raises(ValueError, match="unknown router kind"):
+        run_benchmark(run_config, ARM_ROUTED, endpoints_for=_scripted_factory())
+
+
+def test_failing_gold_query_is_an_example_error_note(run_config, corpus_root, tmp_path):
+    corpus = _copy_corpus(run_config, corpus_root, tmp_path)
+    _set_first_gold(corpus, "SELECT COUNT(*) FROM No_Such_Table")
+    records = run_benchmark(run_config, ARM_BASELINE, endpoints_for=_baseline_factory)
+    assert records[0].baseline_correct == 0
+    assert "gold query failed" in records[0].error
+    assert [r.baseline_correct for r in records[1:]] == [1, 0]
+    assert all(r.error == "" for r in records[1:])
+
+
+def _fanout_factory(created=None):
     """The scripted factory, with the third example split into two
     sub-questions so that parallel_subqueries fans out."""
     scripts = _scripts_for_first_three()
@@ -531,22 +579,26 @@ def _fanout_factory():
     ]
 
     def factory(example_id, example):
-        return scripted_pair(list(scripts[example.question]))
+        pair = scripted_pair(list(scripts[example.question]))
+        if created is not None:
+            created.append(pair.reasoning.provider.script)
+        return pair
 
     return factory
 
 
-def _run_outputs(run_config, monkeypatch):
-    """(records.json bytes, canonical bytes of every trace) of one both-arm run."""
+def _run_outputs(run_config, monkeypatch, created=None):
+    """(records.json bytes, canonical bytes of every trace by file name) of
+    one both-arm run."""
     kept = {}
     write_trace = harness.write_trace
 
     def keep(path, trace):
-        kept[str(path)] = canonical_trace_bytes(trace)
+        kept[path.name] = canonical_trace_bytes(trace)
         write_trace(path, trace)
 
     monkeypatch.setattr(harness, "write_trace", keep)
-    run_benchmark(run_config, ARM_BOTH, endpoints_for=_fanout_factory())
+    run_benchmark(run_config, ARM_BOTH, endpoints_for=_fanout_factory(created))
     return (run_config.run_dir / "records.json").read_bytes(), kept
 
 
@@ -561,6 +613,29 @@ def test_memo_leaves_records_and_traces_unchanged(run_config, monkeypatch, paral
     runs.append(_run_outputs(run_config, monkeypatch))
     assert len(runs[0][1]) == 6
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("parallel_subqueries", [False, True])
+def test_warm_rerun_into_a_new_run_dir_writes_every_file(
+    run_config, monkeypatch, tmp_path, parallel_subqueries
+):
+    run_config.pipeline.parallel_subqueries = parallel_subqueries
+    run_config.cache_dir = tmp_path / "cache"
+    _, cold = _run_outputs(run_config, monkeypatch)
+    cold_dir = run_config.run_dir
+
+    run_config.run_dir = tmp_path / "rerun"
+    created = []
+    records, warm = _run_outputs(run_config, monkeypatch, created)
+    assert sum(script.call_count for script in created) == 0
+    assert len(warm) == 6 and warm == cold
+    for name in ("traces", "transcripts"):
+        files = sorted(path.name for path in (cold_dir / name).iterdir())
+        assert sorted(path.name for path in (run_config.run_dir / name).iterdir()) == files
+    for path in (cold_dir / "transcripts").iterdir():
+        assert (run_config.run_dir / "transcripts" / path.name).read_bytes() == path.read_bytes()
+    for record in json.loads(records):
+        assert all(p.startswith(str(run_config.run_dir)) for p in record["trace_paths"])
 
 
 def _calls(run_config, arm, factory_builder=_scripted_factory):
@@ -599,7 +674,33 @@ def test_warm_cache_misses_when_a_setting_changes(run_config, tmp_path, change):
     _calls(run_config, ARM_BOTH)
     assert _calls(run_config, ARM_BOTH)[1] == 0
     change(run_config)
-    assert _calls(run_config, ARM_BOTH)[1] > 0
+    warm, _ = _calls(run_config, ARM_BOTH)
+    run_config.cache_dir = None
+    assert warm == _calls(run_config, ARM_BOTH)[0]
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"temperature": 0.7}, {"stage_temperatures": {"baseline": 0.7}}, {"max_tokens": 64}],
+    ids=["temperature", "stage_temperatures", "max_tokens"],
+)
+def test_warm_cache_calls_again_when_a_request_setting_changes(run_config, tmp_path, setting):
+    def changed(created):
+        factory = _scripted_factory(created)
+
+        def build(example_id, example):
+            endpoint = replace(factory(example_id, example).reasoning, **setting)
+            return ModelPair(reasoning=endpoint, coding=endpoint)
+
+        return build
+
+    run_config.cache_dir = tmp_path / "cache"
+    cold, _ = _calls(run_config, ARM_BOTH)
+    assert _calls(run_config, ARM_BOTH)[1] == 0
+    warm, calls = _calls(run_config, ARM_BOTH, changed)
+    assert warm == cold
+    # stage_temperatures changes only the baseline request: one per example.
+    assert calls == (3 if "stage_temperatures" in setting else 12)
 
 
 def test_warm_cache_follows_the_router_model_file(run_config, tmp_path):
@@ -628,36 +729,59 @@ def test_warm_cache_follows_the_router_model_file(run_config, tmp_path):
     assert all(r.route_taken == BRANCH_BASELINE for r in second)
 
 
+def _cache_lines(run_config) -> list[str]:
+    return [
+        line
+        for path in sorted(run_config.cache_dir.glob("*.jsonl"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+
+
 @pytest.mark.parametrize(
-    "content", ["{not json", "[1, 2]", "{}"], ids=["bad_json", "not_an_object", "no_fields"]
+    "damage",
+    [
+        lambda lines: ["{not json"] + lines[1:],
+        lambda lines: ["[1, 2]"] + lines[1:],
+        lambda lines: ['{"key": ' + json.dumps(json.loads(lines[0])["key"]) + "}"] + lines[1:],
+        lambda lines: lines[1:] + [lines[0][: len(lines[0]) // 2]],
+    ],
+    ids=["bad_json", "not_an_object", "no_fields", "cut_last_line"],
 )
-def test_corrupt_cache_entry_counts_as_a_miss(run_config, tmp_path, content):
+def test_corrupt_cache_entry_counts_as_a_miss(run_config, tmp_path, damage):
+    # Each damage hits the line of the first call (ex0000's baseline), whose
+    # script entry comes first, so the single-use script answers it alone.
     run_config.cache_dir = tmp_path / "cache"
     cold, _ = _calls(run_config, ARM_BOTH)
-    entries = sorted(run_config.cache_dir.glob("*.json"))
-    assert len(entries) == len(cold)
-    entries[0].write_text(content, encoding="utf-8")
+    (cached,) = run_config.cache_dir.glob("*.jsonl")
+    lines = _cache_lines(run_config)
+    assert len(lines) == 12  # 3 examples x (1 baseline + 3 pipeline calls)
+    cached.write_text("\n".join(damage(lines)), encoding="utf-8")
 
     rerun, calls = _calls(run_config, ARM_BOTH)
     assert rerun == cold
-    assert calls > 0
-    assert isinstance(json.loads(entries[0].read_text(encoding="utf-8")), dict)
+    assert calls == 1
+    # The run's one new reply went to a file of its own.
+    assert len(list(run_config.cache_dir.glob("*.jsonl"))) == 2
+    assert len(_cache_lines(run_config)) == 13
 
 
 def test_error_records_are_not_cached(run_config, tmp_path):
-    def failing_factory(created):
+    def baseline_only(created):
         def factory(example_id, example):
-            return scripted_pair([("never matches anything", "x")])
+            pair = _baseline_factory(example_id, example)
+            created.append(pair.reasoning.provider.script)
+            return pair
 
         return factory
 
     run_config.cache_dir = tmp_path / "cache"
-    failed, _ = _calls(run_config, ARM_BOTH, failing_factory)
-    assert all("provider error" in r.error for r in failed)
-    assert not any(run_config.cache_dir.glob("*.json"))
+    failed, _ = _calls(run_config, ARM_BOTH, baseline_only)
+    assert all(r.error.startswith("module: provider error") for r in failed)
+    # The baseline replies are kept; the failed pipeline calls left no line.
+    assert len(_cache_lines(run_config)) == 3
 
     recovered, calls = _calls(run_config, ARM_BOTH)
-    assert calls > 0
+    assert calls == 9
     assert [r.baseline_correct for r in recovered] == [0, 1, 0]
     assert [r.module_correct for r in recovered] == [1, 0, 1]
     assert all(r.error == "" for r in recovered)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -8,7 +9,9 @@ import pytest
 
 from splitsql.llm import (
     ChatMessage,
+    CompletionCache,
     CompletionRequest,
+    CompletionResponse,
     ModelEndpoint,
     ProviderConfig,
     ProviderError,
@@ -144,6 +147,94 @@ def test_transcript_round_trips_to_jsonl(tmp_path):
     data = json.loads(lines[0])
     assert data == transcript_entry_to_dict(transcript[0])
     assert data["response"]["text"] == "y"
+
+
+# ---------------------------------------------------------------------------
+# Completion cache
+# ---------------------------------------------------------------------------
+
+
+def test_cache_replays_a_reply_from_an_earlier_run(tmp_path):
+    cache = CompletionCache(tmp_path)
+    endpoint = ModelEndpoint(scripted_provider([("q", "a1"), ("q", "a2")]), "m", cache=cache)
+    cold = []
+    # Hits come only from files present at open, so a cold run calls twice.
+    assert [endpoint.ask("q", transcript=cold, stage_label="s") for _ in range(2)] == ["a1", "a2"]
+
+    # Each reply is flushed as it comes, so a run that never closes its
+    # cache (a crash) leaves it readable.
+    warm_provider = scripted_provider([("never", "x")])
+    warm_endpoint = ModelEndpoint(warm_provider, "m", cache=CompletionCache(tmp_path))
+    cache.close()
+    warm = []
+    assert warm_endpoint.ask("q", transcript=warm, stage_label="s") == "a1"
+    assert warm_provider.script.call_count == 0
+    assert [transcript_entry_to_dict(e) for e in warm] == [transcript_entry_to_dict(cold[0])]
+
+
+@pytest.mark.parametrize(
+    "endpoint_change, ask_change",
+    [
+        ({"model_id": "other"}, {}),
+        ({"base_url": "http://localhost:8000/v1"}, {}),
+        ({"temperature": 0.5}, {}),
+        ({"stage_temperatures": {"s": 0.5}}, {}),
+        ({"max_tokens": 7}, {}),
+        ({}, {"prompt": "q, again"}),
+        ({}, {"stage_label": "t"}),
+        ({}, {"attempt_index": 1}),
+    ],
+    ids=[
+        "model_id", "base_url", "temperature", "stage_temperatures", "max_tokens",
+        "prompt", "stage_label", "attempt_index",
+    ],
+)
+def test_cache_key_covers_the_whole_request(tmp_path, endpoint_change, ask_change):
+    def ask(endpoint_change, ask_change):
+        # The reply names how many cache files existed, so a hit shows.
+        provider = scripted_provider([("q", f"reply {len(list(tmp_path.iterdir()))}")])
+        provider.base_url = endpoint_change.get("base_url", "")
+        settings = {k: v for k, v in endpoint_change.items() if k != "base_url"}
+        cache = CompletionCache(tmp_path)
+        try:
+            endpoint = ModelEndpoint(provider, **{"model_id": "m", **settings}, cache=cache)
+            return endpoint.ask(**{"prompt": "q", "stage_label": "s", **ask_change})
+        finally:
+            cache.close()
+
+    assert ask({}, {}) == "reply 0"
+    assert ask({}, {}) == "reply 0"
+    assert ask(endpoint_change, ask_change) == "reply 1"
+
+
+def test_cache_keeps_every_reply_under_concurrent_puts(tmp_path):
+    cache = CompletionCache(tmp_path)
+    threads, puts = 8, 200
+    start = threading.Barrier(threads)
+
+    def work(worker):
+        start.wait(timeout=30)  # every thread races for the first put
+        for index in range(puts):
+            cache.put(f"{worker}-{index}", CompletionResponse(text=f"reply {worker} {index}"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(w,)) for w in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+        cache.close()
+
+    assert len(list(tmp_path.glob("*.jsonl"))) == 1
+    reopened = CompletionCache(tmp_path)
+    for worker in range(threads):
+        for index in range(puts):
+            assert reopened.get(f"{worker}-{index}").text == f"reply {worker} {index}"
 
 
 # ---------------------------------------------------------------------------

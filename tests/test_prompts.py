@@ -17,7 +17,6 @@ from splitsql.prompts import (
     load_templates,
     parse_subquestions,
     parse_table_list,
-    prompt_digest,
     render,
 )
 
@@ -295,15 +294,3 @@ def test_shipped_templates_load_and_bind():
 def test_shipped_fewshot_has_five_pairs():
     fewshot = load_fewshot()
     assert len(fewshot) == 5
-
-
-def test_prompt_digest_is_stable_and_content_sensitive():
-    templates = load_templates()
-    fewshot = load_fewshot()
-    digest = prompt_digest(templates, fewshot)
-    assert digest == prompt_digest(load_templates(), load_fewshot())
-    trimmed = dict(templates)
-    trimmed["baseline"] = PromptTemplate(
-        "baseline", templates["baseline"].body + " ", templates["baseline"].required_placeholders
-    )
-    assert prompt_digest(trimmed, fewshot) != digest
