@@ -31,9 +31,7 @@ from .executor import (
     execution_accuracy,
     execution_memo,
 )
-from .llm import (
-    KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig, write_transcript
-)
+from .llm import KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig
 from .pipeline import (
     MERGE_LAST_SUBQUERY,
     MERGE_PLANNER_EXECUTOR,
@@ -685,7 +683,6 @@ def run_benchmark(
 
     run_dir = Path(config.run_dir)
     traces_dir = run_dir / "traces"
-    transcripts_dir = run_dir / "transcripts"
     cache = None if config.cache_dir is None else CompletionCache(config.cache_dir)
 
     def process(item: tuple[int, BenchmarkExample]) -> PerExampleRecord:
@@ -712,7 +709,7 @@ def run_benchmark(
             with execution_memo():
                 return _run_example(
                     example_id, example, schema, arm, config, pair, templates,
-                    fewshot, router_model, traces_dir, transcripts_dir,
+                    fewshot, router_model, traces_dir,
                 )
         except (DatasetIntegrityError, DatabaseOpenError) as exc:
             return PerExampleRecord(
@@ -768,7 +765,6 @@ def _run_example(
     fewshot,
     router_model,
     traces_dir: Path,
-    transcripts_dir: Path,
 ) -> PerExampleRecord:
     db_path = schema.db_file_path
     record = PerExampleRecord(
@@ -778,16 +774,12 @@ def _run_example(
     run_arms = {ARM_BASELINE: ("baseline",), ARM_MODULE: ("module",)}.get(
         arm, ("baseline", "module")
     )
+    router_transcript = []
     if arm == ARM_ROUTED:
-        router_transcript = []
         decision = _decide_route(
             example, schema, config, pair, templates, router_model, router_transcript
         )
         record.route_taken = decision.branch
-        if router_transcript:
-            write_transcript(
-                transcripts_dir / f"{example_id}_router.jsonl", router_transcript
-            )
         run_arms = (
             ("module",) if decision.branch == BRANCH_DIVIDE_AND_MERGE else ("baseline",)
         )
@@ -824,9 +816,10 @@ def _run_example(
         setattr(record, f"final_sql_{which}", trace.final_sql)
         if note:
             notes.append(f"{which}: {note}")
+        # A routed example runs one arm; its trace lists the judge's call first.
+        trace.transcript[:0] = router_transcript
         path = traces_dir / f"{example_id}_{which}.json"
         write_trace(path, trace)
-        write_transcript(transcripts_dir / f"{example_id}_{which}.jsonl", trace.transcript)
         trace_paths[which] = str(path)
 
     record.trace_paths = (trace_paths["baseline"], trace_paths["module"])

@@ -384,13 +384,3 @@ def transcript_entry_to_dict(entry: TranscriptEntry) -> dict:
         "request": _request_to_dict(entry.request),
         "response": _response_to_dict(entry.response),
     }
-
-
-def write_transcript(path: str | Path, entries: list[TranscriptEntry]) -> None:
-    """Persist a transcript as JSON Lines, one entry per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for entry in entries:
-            handle.write(json.dumps(transcript_entry_to_dict(entry), sort_keys=True))
-            handle.write("\n")

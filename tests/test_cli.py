@@ -36,6 +36,7 @@ def constant_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def _write_config(tmp_path, corpus_root, base_url):

@@ -447,9 +447,9 @@ def test_run_benchmark_both_arms(run_config):
     assert all(r.error == "" for r in records)
     assert records[0].final_sql_module == COUNT_CUSTOMERS
     assert (run_config.run_dir / "records.json").is_file()
-    # Traces and transcripts persisted per arm.
+    # One trace per arm is the only per-example file.
     assert (run_config.run_dir / "traces" / "ex0000_module.json").is_file()
-    assert (run_config.run_dir / "transcripts" / "ex0000_module.jsonl").is_file()
+    assert not (run_config.run_dir / "transcripts").exists()
 
 
 def test_run_benchmark_single_arm_leaves_other_bit_unset(run_config):
@@ -587,9 +587,9 @@ def _fanout_factory(created=None):
     return factory
 
 
-def _run_outputs(run_config, monkeypatch, created=None):
+def _run_outputs(run_config, monkeypatch, created=None, arm=ARM_BOTH):
     """(records.json bytes, canonical bytes of every trace by file name) of
-    one both-arm run."""
+    one run, both arms by default."""
     kept = {}
     write_trace = harness.write_trace
 
@@ -598,7 +598,7 @@ def _run_outputs(run_config, monkeypatch, created=None):
         write_trace(path, trace)
 
     monkeypatch.setattr(harness, "write_trace", keep)
-    run_benchmark(run_config, ARM_BOTH, endpoints_for=_fanout_factory(created))
+    run_benchmark(run_config, arm, endpoints_for=_fanout_factory(created))
     return (run_config.run_dir / "records.json").read_bytes(), kept
 
 
@@ -629,11 +629,9 @@ def test_warm_rerun_into_a_new_run_dir_writes_every_file(
     records, warm = _run_outputs(run_config, monkeypatch, created)
     assert sum(script.call_count for script in created) == 0
     assert len(warm) == 6 and warm == cold
-    for name in ("traces", "transcripts"):
-        files = sorted(path.name for path in (cold_dir / name).iterdir())
-        assert sorted(path.name for path in (run_config.run_dir / name).iterdir()) == files
-    for path in (cold_dir / "transcripts").iterdir():
-        assert (run_config.run_dir / "transcripts" / path.name).read_bytes() == path.read_bytes()
+    assert sorted(path.name for path in run_config.run_dir.iterdir()) == ["records.json", "traces"]
+    files = sorted(path.name for path in (cold_dir / "traces").iterdir())
+    assert sorted(path.name for path in (run_config.run_dir / "traces").iterdir()) == files
     for record in json.loads(records):
         assert all(p.startswith(str(run_config.run_dir)) for p in record["trace_paths"])
 
@@ -816,7 +814,27 @@ def test_routed_arm_judge_uses_one_call(run_config):
     records = run_benchmark(run_config, ARM_ROUTED, endpoints_for=judge_factory)
     assert all(r.route_taken == BRANCH_BASELINE for r in records)
     assert [r.baseline_correct for r in records] == [0, 1, 0]
-    assert (run_config.run_dir / "transcripts" / "ex0000_router.jsonl").is_file()
+    # The judge's call opens the routed trace, followed by the arm's own.
+    for record in records:
+        trace = run_config.run_dir / "traces" / f"{record.example_id}_baseline.json"
+        transcript = json.loads(trace.read_text())["transcript"]
+        assert [entry["stage_label"] for entry in transcript] == ["judge", "baseline"]
+    assert not (run_config.run_dir / "transcripts").exists()
+
+
+@pytest.mark.parametrize("table_threshold", [5, 100])
+def test_heuristic_routed_traces_equal_the_both_run_traces(
+    run_config, monkeypatch, tmp_path, table_threshold
+):
+    # customer_orders has 8 tables: threshold 5 routes every example to the
+    # pipeline, 100 to the baseline.
+    _, both = _run_outputs(run_config, monkeypatch)
+    run_config.run_dir = tmp_path / "routed"
+    run_config.router_kind = "heuristic"
+    run_config.table_threshold = table_threshold
+    _, routed = _run_outputs(run_config, monkeypatch, arm=ARM_ROUTED)
+    assert len(routed) == 3
+    assert routed == {name: both[name] for name in routed}
 
 
 def test_records_round_trip(tmp_path):

@@ -19,7 +19,6 @@ from splitsql.llm import (
     complete,
     scripted_provider,
     transcript_entry_to_dict,
-    write_transcript,
 )
 
 
@@ -134,19 +133,6 @@ def test_endpoint_ask_returns_text():
     transcript = []
     assert endpoint.ask("hello", transcript=transcript, stage_label="s") == "world"
     assert transcript[0].request.model_id == "m"
-
-
-def test_transcript_round_trips_to_jsonl(tmp_path):
-    provider = scripted_provider([("x", "y")])
-    transcript = []
-    complete(provider, _request("x"), transcript=transcript, stage_label="s")
-    path = tmp_path / "t.jsonl"
-    write_transcript(path, transcript)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    data = json.loads(lines[0])
-    assert data == transcript_entry_to_dict(transcript[0])
-    assert data["response"]["text"] == "y"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +268,7 @@ def http_server():
     _ScriptedHandler.requests_seen = 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def _http_provider(base_url: str, max_retries: int = 3) -> ProviderConfig:
