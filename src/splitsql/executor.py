@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import sqlite3
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
@@ -27,9 +28,18 @@ STATUS_TIMEOUT = "timeout"
 # Integers up to this magnitude convert to float exactly.
 _EXACT_INT_BOUND = 2**53
 
-# Outcomes already computed in the current scope, keyed by
-# (db path, sql, timeout_ms); None outside any execution_memo() scope.
-_MEMO: ContextVar[dict | None] = ContextVar("splitsql_execution_memo", default=None)
+# The current execution_memo() scope: its outcomes, keyed by (db path, sql,
+# timeout_ms), and its connection pool or None; None outside any scope.
+_MEMO: ContextVar[tuple | None] = ContextVar("splitsql_execution_memo", default=None)
+
+# The authorizer allows reads, and writes to main (which mode=ro refuses); anything else
+# (ATTACH, PRAGMA, CREATE, BEGIN, ...) is "not authorized", so no statement changes later ones.
+_READS = {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
+          sqlite3.SQLITE_RECURSIVE}
+_WRITES = {sqlite3.SQLITE_INSERT, sqlite3.SQLITE_UPDATE, sqlite3.SQLITE_DELETE}
+
+# A pooled connection lives for a whole run: cap its page cache (KiB); the OS caches the file.
+_PAGE_CACHE_PRAGMA = "PRAGMA cache_size = -64"
 
 
 class DatabaseOpenError(OSError):
@@ -75,16 +85,18 @@ class AccuracyOutcome:
 
 
 @contextmanager
-def execution_memo():
+def execution_memo(connections: dict | None = None):
     """Within this scope, run each distinct query at most once.
 
     execute_sql returns the stored outcome for a (db path, sql, timeout_ms)
     it has already run here. ok and sql_error outcomes are stored; timeouts
     depend on wall time and are always run again. The memo is local to the
-    current context (one thread, one example) and is dropped on exit, so a
-    database file that changes between scopes is read afresh.
+    current context (one thread, one example) and is dropped on exit. With a
+    connections pool, which the caller owns and closes, a query here runs on
+    its connection for (this thread, db path), opened on first use; database
+    files must not change while the pool is open.
     """
-    token = _MEMO.set({})
+    token = _MEMO.set(({}, connections))
     try:
         yield
     finally:
@@ -94,22 +106,28 @@ def execution_memo():
 def execute_sql(db_path: str | Path, sql: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> ExecOutcome:
     """Run one statement against a SQLite file opened read-only.
 
-    Mutating statements fail under the read-only open and surface as
-    sql_error. A query whose wall time exceeds timeout_ms is interrupted
-    and reported as timeout. Inside an execution_memo() scope a repeated
-    query returns its first outcome without touching the database.
+    Only reads are authorized: a write fails under the read-only open, any
+    other statement (ATTACH, PRAGMA, ...) as "not authorized", both as
+    sql_error. A query whose wall time exceeds timeout_ms is interrupted and
+    reported as timeout. Inside an execution_memo() scope a repeated query
+    returns its first outcome, and the scope's pool gives the connection.
     """
-    memo = _MEMO.get()
+    memo, pool = _MEMO.get() or (None, None)
     key = (str(db_path), sql, timeout_ms)
     if memo is not None and key in memo:
         return memo[key]
-    outcome = _execute(Path(db_path), sql, timeout_ms)
+    outcome = _execute(Path(db_path), sql, timeout_ms, pool)
     if memo is not None and outcome.status != STATUS_TIMEOUT:
         memo[key] = outcome
     return outcome
 
 
-def _execute(db_path: Path, sql: str, timeout_ms: int) -> ExecOutcome:
+def _authorize(action, _arg1, _arg2, db_name, _trigger):
+    allowed = action in _READS or (action in _WRITES and db_name == "main")
+    return sqlite3.SQLITE_OK if allowed else sqlite3.SQLITE_DENY
+
+
+def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> ExecOutcome:
     if not db_path.is_file():
         raise DatabaseOpenError(f"database file not found: {db_path}")
 
@@ -124,10 +142,19 @@ def _execute(db_path: Path, sql: str, timeout_ms: int) -> ExecOutcome:
             return 1
         return 0
 
-    try:
-        connection = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise DatabaseOpenError(f"cannot open {db_path}: {exc}") from exc
+    pool_key = (threading.get_ident(), str(db_path))
+    connection = None if pool is None else pool.get(pool_key)
+    if connection is None:
+        try:  # the owner of a pool closes its connections, from its own thread
+            connection = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True,
+                                         isolation_level=None, check_same_thread=pool is None)
+        except sqlite3.Error as exc:
+            raise DatabaseOpenError(f"cannot open {db_path}: {exc}") from exc
+        with suppress(sqlite3.Error):  # a file that is no database fails at the query
+            connection.execute(_PAGE_CACHE_PRAGMA)
+        connection.set_authorizer(_authorize)
+        if pool is not None:
+            pool[pool_key] = connection
 
     try:
         connection.set_progress_handler(check_deadline, _PROGRESS_INTERVAL)
@@ -150,7 +177,8 @@ def _execute(db_path: Path, sql: str, timeout_ms: int) -> ExecOutcome:
             )
         return ExecOutcome(status=STATUS_SQL_ERROR, error_message=str(exc), elapsed_ms=elapsed)
     finally:
-        connection.close()
+        if pool is None:
+            connection.close()
 
 
 def has_top_level_order_by(sql: str) -> bool:

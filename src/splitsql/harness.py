@@ -684,6 +684,7 @@ def run_benchmark(
     run_dir = Path(config.run_dir)
     traces_dir = run_dir / "traces"
     cache = None if config.cache_dir is None else CompletionCache(config.cache_dir)
+    connections: dict = {}  # execution_memo's pool: one per (worker thread, database)
 
     def process(item: tuple[int, BenchmarkExample]) -> PerExampleRecord:
         index, example = item
@@ -706,7 +707,7 @@ def run_benchmark(
                 coding=replace(pair.coding, cache=cache),
             )
         try:
-            with execution_memo():
+            with execution_memo(connections):
                 return _run_example(
                     example_id, example, schema, arm, config, pair, templates,
                     fewshot, router_model, traces_dir,
@@ -728,6 +729,8 @@ def run_benchmark(
             with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
                 records = list(pool.map(process, enumerate(examples)))
     finally:
+        for connection in connections.values():
+            connection.close()
         if cache is not None:
             cache.close()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sqlite3
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -26,28 +27,50 @@ def examples(corpus_root):
 
 
 class _LoggingConnection:
-    """A real connection that records each statement it is asked to run."""
+    """A real connection that records each statement it is asked to run,
+    except the page-cache setting the executor gives every connection."""
 
     def __init__(self, connection, log):
         self._connection = connection
         self._log = log
 
     def execute(self, sql):
-        self._log.append(sql)
+        if sql != executor._PAGE_CACHE_PRAGMA:
+            self._log.append(sql)
         return self._connection.execute(sql)
 
     def __getattr__(self, name):
         return getattr(self._connection, name)
 
 
+def _wrap_connect(monkeypatch, wrap):
+    """Make the executor open each connection as wrap(target, real connection)."""
+
+    def connect(target, *args, **kwargs):
+        return wrap(target, sqlite3.connect(target, *args, **kwargs))
+
+    fake = SimpleNamespace(**{**vars(sqlite3), "connect": connect})
+    monkeypatch.setattr(executor, "sqlite3", fake)
+
+
 @pytest.fixture()
 def opened(monkeypatch):
-    """The SQL of every connection the executor opens, in order."""
+    """The SQL of every statement the executor runs, in order, on any
+    connection."""
     log = []
-
-    def connect(*args, **kwargs):
-        return _LoggingConnection(sqlite3.connect(*args, **kwargs), log)
-
-    fake = SimpleNamespace(connect=connect, Error=sqlite3.Error, Warning=sqlite3.Warning)
-    monkeypatch.setattr(executor, "sqlite3", fake)
+    _wrap_connect(monkeypatch, lambda _target, connection: _LoggingConnection(connection, log))
     return log
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """(thread id, database URI, connection) for every connection the
+    executor opens, in order."""
+    made = []
+
+    def record(target, connection):
+        made.append((threading.get_ident(), target, connection))
+        return connection
+
+    _wrap_connect(monkeypatch, record)
+    return made

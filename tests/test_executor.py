@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sqlite3
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -141,6 +143,121 @@ def test_scoring_inside_a_memo_runs_gold_once(lab_db, opened):
         assert execution_accuracy(example, "SELECT group_name FROM samples", lab_db).verdict.equal
         assert not execution_accuracy(example, "SELECT 1", lab_db).verdict.equal
     assert opened == ["SELECT group_name FROM samples", "SELECT 1"]
+
+
+# ---------------------------------------------------------------------------
+# the read-only guard and the connection pool
+# ---------------------------------------------------------------------------
+
+LIKE_ALPHA = "SELECT sample_id FROM samples WHERE group_name LIKE 'ALPHA'"
+
+# Reads whose result a leaked setting, temp object, attached database or
+# write would change.
+GUARD_READS = (
+    "SELECT COUNT(*) FROM samples",
+    LIKE_ALPHA,
+    "SELECT group_name FROM samples",
+    "SELECT * FROM sample_groups",
+    "SELECT type, name FROM sqlite_temp_master",
+    "SELECT COUNT(*) FROM other.sqlite_master",
+)
+
+# Statements that, if they ran, would change what a later read sees.
+STATE_CHANGES = (
+    "PRAGMA case_sensitive_like=1",
+    "PRAGMA reverse_unordered_selects=1",
+    "PRAGMA query_only=1",
+    "CREATE TEMP TABLE samples(a)",
+    "CREATE TEMP VIEW sample_groups AS SELECT 1 AS group_name",
+    "ATTACH ':memory:' AS other",
+    "BEGIN",
+    "SAVEPOINT s",
+    "INSERT INTO samples VALUES (99, 'alpha', 1.0, 'x')",
+    "DELETE FROM samples",
+)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "ATTACH ':memory:' AS other",
+        "CREATE TEMP TABLE samples(a)",
+        "PRAGMA case_sensitive_like=1",
+        "BEGIN",
+    ],
+)
+def test_execute_refuses_statements_that_are_not_reads(lab_db, sql):
+    outcome = execute_sql(lab_db, sql)
+    assert outcome.status == "sql_error"
+    assert "not authorized" in outcome.error_message
+
+
+def _close(pool):
+    for connection in pool.values():
+        connection.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(GUARD_READS + STATE_CHANGES), min_size=1, max_size=12))
+@example(["PRAGMA case_sensitive_like=1", LIKE_ALPHA])
+@example(["CREATE TEMP TABLE samples(a)", "SELECT COUNT(*) FROM samples"])
+@example(["ATTACH ':memory:' AS other", "SELECT COUNT(*) FROM other.sqlite_master"])
+def test_pooled_reads_see_what_a_fresh_connection_sees(lab_db, statements):
+    """A sequence of reads and state-changing statements on one pooled
+    connection, each in its own memo scope as the examples of a run are:
+    every read gives the status and rows it gives on a fresh connection."""
+    pool = {}
+    try:
+        for sql in statements:
+            with execution_memo(pool):
+                pooled = execute_sql(lab_db, sql)
+            if sql in GUARD_READS:
+                fresh = execute_sql(lab_db, sql)
+                assert (pooled.status, pooled.result) == (fresh.status, fresh.result), sql
+        assert len(pool) == 1
+    finally:
+        _close(pool)
+
+
+def test_pool_serves_a_query_after_a_timed_out_one(lab_db, connections):
+    pool = {}
+    try:
+        with execution_memo(pool):
+            assert execute_sql(lab_db, HEAVY_SQL, timeout_ms=50).status == "timeout"
+            after = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
+        with execution_memo(pool):
+            again = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
+    finally:
+        _close(pool)
+    assert after.ok and after.result.rows == ((6,),)
+    assert again == after
+    assert len(connections) == 1 and len(pool) == 1
+
+
+def test_a_file_that_is_no_database_fails_at_the_query(tmp_path):
+    target = tmp_path / "junk.sqlite"
+    target.write_bytes(b"no database here " * 256)
+    pool = {}
+    try:
+        with execution_memo(pool):
+            pooled = execute_sql(target, "SELECT COUNT(*) FROM samples")
+    finally:
+        _close(pool)
+    fresh = execute_sql(target, "SELECT COUNT(*) FROM samples")
+    assert pooled == replace(fresh, elapsed_ms=pooled.elapsed_ms)
+    assert fresh.status == "sql_error"
+    assert "not a database" in fresh.error_message
+
+
+def test_outside_a_pool_each_query_opens_and_closes_its_own_connection(lab_db, connections):
+    with execution_memo():
+        execute_sql(lab_db, "SELECT 1")
+        execute_sql(lab_db, "SELECT 2")
+    execute_sql(lab_db, "SELECT 3")
+    assert len(connections) == 3
+    for _thread, _target, connection in connections:
+        with pytest.raises(sqlite3.ProgrammingError):
+            connection.execute("SELECT 1")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import random
 import shutil
 import sqlite3
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -498,6 +499,65 @@ def test_both_run_executes_each_query_once_per_example(run_config, opened):
     assert all(gold in opened for gold in golds)
     finals = {r.final_sql_baseline for r in records} | {r.final_sql_module for r in records}
     assert finals <= set(opened)
+
+
+def _gold_baseline_factory(example_id, example):
+    """A baseline that answers every example with its gold query."""
+    return scripted_pair([("in one step", example.gold_sql)])
+
+
+def _assert_all_closed(connections):
+    for _thread, _target, connection in connections:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            connection.execute("SELECT 1")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_opens_one_connection_per_thread_and_database(run_config, connections, workers):
+    run_config.limit = None
+    run_config.worker_count = workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to expose a shared-pool race
+    try:
+        records = run_benchmark(run_config, ARM_BASELINE, endpoints_for=_gold_baseline_factory)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.baseline_correct == 1 for r in records)
+    opened = Counter((thread, target) for thread, target, _ in connections)
+    assert set(opened.values()) == {1}
+    databases = {target for _thread, target in opened}
+    assert len(databases) == len({r.db_id for r in records}) > 1
+    threads = {thread for thread, _target in opened}
+    assert len(threads) <= workers
+    if workers == 1:
+        assert len(connections) == len(databases)
+    _assert_all_closed(connections)
+
+
+def test_run_closes_its_connections_after_a_gold_failure(
+    run_config, corpus_root, tmp_path, connections
+):
+    corpus = _copy_corpus(run_config, corpus_root, tmp_path)
+    _set_first_gold(corpus, "SELECT COUNT(*) FROM No_Such_Table")
+    records = run_benchmark(run_config, ARM_BASELINE, endpoints_for=_baseline_factory)
+    assert "gold query failed" in records[0].error
+    assert len(connections) == 1
+    _assert_all_closed(connections)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_closes_its_connections_when_it_raises(run_config, connections, workers):
+    run_config.worker_count = workers
+
+    def factory(example_id, example):
+        if example_id == "ex0002":
+            raise RuntimeError("endpoint lookup failed")
+        return _gold_baseline_factory(example_id, example)
+
+    with pytest.raises(RuntimeError, match="endpoint lookup failed"):
+        run_benchmark(run_config, ARM_BASELINE, endpoints_for=factory)
+    assert connections
+    _assert_all_closed(connections)
 
 
 def _copy_corpus(run_config, corpus_root, tmp_path):

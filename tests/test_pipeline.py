@@ -12,7 +12,8 @@ from helpers import (
     scripted_endpoint,
     scripted_pair,
 )
-from splitsql.dataset import full_reduction
+from splitsql import pipeline
+from splitsql.dataset import full_reduction, serialize_schema
 from splitsql.executor import execute_sql, execution_accuracy
 from splitsql.llm import KIND_SCRIPTED, ModelEndpoint, ModelPair, ProviderConfig, ScriptState
 from splitsql.minicorpus import db_path
@@ -445,6 +446,33 @@ def test_trace_file_round_trips_as_one_line(avg_example, orders_schema, orders_d
     assert canonical_trace_bytes(trace) == json.dumps(
         trace_to_dict(trace, include_timings=False), sort_keys=True, indent=2
     ).encode("utf-8")
+
+
+@pytest.mark.parametrize("parallel_subqueries", [False, True])
+def test_each_schema_is_serialized_once_per_arm(
+    avg_example, orders_schema, orders_db, monkeypatch, parallel_subqueries
+):
+    rendered = []
+
+    def counting(schema):
+        rendered.append(schema)
+        return serialize_schema(schema)
+
+    monkeypatch.setattr(pipeline, "serialize_schema", counting)
+    trace = _run_avg_scenario(
+        avg_example, orders_schema, orders_db, parallel_subqueries=parallel_subqueries
+    )
+    # Table selection sees the full schema; the four sub-queries, the merge
+    # and column selection share the one text of the reduced schema.
+    assert rendered == [orders_schema, trace.reduced_schema]
+    prompts = [entry.request.last_user_content for entry in trace.transcript]
+    assert sum(serialize_schema(trace.reduced_schema) in p for p in prompts) >= 7
+    baseline_rendered = len(rendered)
+    run_baseline(
+        avg_example, orders_schema, scripted_endpoint([("in one step", AVG_ORDERED_SQL)]),
+        [], orders_db,
+    )
+    assert rendered[baseline_rendered:] == [orders_schema]
 
 
 def test_parallel_and_serial_produce_identical_subqueries(
