@@ -28,8 +28,8 @@ STATUS_TIMEOUT = "timeout"
 # Integers up to this magnitude convert to float exactly.
 _EXACT_INT_BOUND = 2**53
 
-# The current execution_memo() scope: its outcomes, keyed by (db path, sql,
-# timeout_ms), and its connection pool or None; None outside any scope.
+# The current execution_memo() scope: its memo (outcomes by (db path, sql, timeout_ms), gold
+# order modes by gold SQL) and its connection pool or None; None outside any scope.
 _MEMO: ContextVar[tuple | None] = ContextVar("splitsql_execution_memo", default=None)
 
 # The authorizer allows reads, and writes to main (which mode=ro refuses); anything else
@@ -428,7 +428,10 @@ def execution_accuracy(
             f" ({example.question[:60]!r}): {gold_outcome.error_message}"
         )
 
-    order_sensitive = has_top_level_order_by(example.gold_sql)
+    memo = (_MEMO.get() or ({},))[0]
+    if example.gold_sql not in memo:
+        memo[example.gold_sql] = has_top_level_order_by(example.gold_sql)
+    order_sensitive = memo[example.gold_sql]
     if not predicted_sql.strip():
         verdict = ComparisonVerdict(
             equal=False, order_sensitive=order_sensitive, reason="no predicted SQL"

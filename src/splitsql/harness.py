@@ -31,7 +31,8 @@ from .executor import (
     execution_accuracy,
     execution_memo,
 )
-from .llm import KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig
+from .llm import (KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig,
+                  connection_pool)
 from .pipeline import (
     MERGE_LAST_SUBQUERY,
     MERGE_PLANNER_EXECUTOR,
@@ -127,7 +128,7 @@ class EndpointSpec:
     retry_backoff_ms: int = 250
     stage_temperatures: dict[str, float] = field(default_factory=dict)
 
-    def build(self) -> ModelEndpoint:
+    def build(self, pool=None) -> ModelEndpoint:
         provider = ProviderConfig(
             kind=KIND_HTTP,
             base_url=self.base_url,
@@ -135,6 +136,7 @@ class EndpointSpec:
             request_timeout_ms=self.request_timeout_ms,
             max_retries=self.max_retries,
             retry_backoff_ms=self.retry_backoff_ms,
+            pool=pool,
         )
         return ModelEndpoint(
             provider=provider,
@@ -671,12 +673,15 @@ def run_benchmark(
             raise ValueError("logistic routing requires router.model_file")
         router_model = load_router_model(config.router_model_file)
 
+    pools = {}  # one keep-alive pool per base_url, enough for every concurrent call
     if endpoints_for is None:
         if config.reasoning is None or config.coding is None:
             raise ValueError("config must define reasoning_model and coding_model")
-        shared = ModelPair(
-            reasoning=config.reasoning.build(), coding=config.coding.build()
-        )
+        specs = (config.reasoning, config.coding)
+        fanout = config.pipeline.subquery_fanout_width if config.pipeline.parallel_subqueries else 1
+        pools = {url: connection_pool(url, config.worker_count * fanout)
+                 for url in {spec.base_url for spec in specs}}
+        shared = ModelPair(*(spec.build(pools[spec.base_url]) for spec in specs))
 
         def endpoints_for(example_id, example):
             return shared
@@ -731,6 +736,8 @@ def run_benchmark(
     finally:
         for connection in connections.values():
             connection.close()
+        for http_pool in pools.values():
+            http_pool.clear()
         if cache is not None:
             cache.close()
 

@@ -10,10 +10,11 @@ import os
 import tempfile
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import requests
+import urllib3
 
 ROLES = ("system", "user", "assistant")
 
@@ -121,6 +122,8 @@ class ProviderConfig:
     max_retries: int = 2
     retry_backoff_ms: int = 250
     script: ScriptState | None = None
+    # The run's keep-alive pool for base_url; without one, each call opens its own.
+    pool: urllib3.PoolManager | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_HTTP, KIND_SCRIPTED):
@@ -131,6 +134,17 @@ class ProviderConfig:
             raise ValueError("timeouts and backoff must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+
+
+def connection_pool(url: str, maxsize: int = 1) -> urllib3.PoolManager:
+    """A keep-alive pool keeping up to maxsize idle connections per host, through
+    the environment's proxy for url's scheme unless the host bypasses it."""
+    parts = urllib3.util.parse_url(url)
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(parts.host):
+        auth = urllib3.make_headers(proxy_basic_auth=urllib3.util.parse_url(proxy).auth)
+        return urllib3.ProxyManager(proxy, proxy_headers=auth, maxsize=maxsize)
+    return urllib3.PoolManager(maxsize=maxsize)
 
 
 def scripted_provider(script: list[tuple[str, str]]) -> ProviderConfig:
@@ -201,41 +215,42 @@ def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> Comp
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    pool = provider.pool or connection_pool(url)
     started = time.monotonic()
     attempt = 0
-    while True:
-        status: int | None = None
-        failure = ""
-        try:
-            http_response = requests.post(
-                url,
-                json=payload,
-                headers=headers,
-                timeout=provider.request_timeout_ms / 1000.0,
-            )
-            status = http_response.status_code
-            if status == 200:
-                return _parse_http_response(http_response, started, retries=attempt)
-            failure = f"HTTP {status}"
-            if status not in _RETRYABLE_STATUS:
-                raise ProviderError(f"provider returned {failure}", status=status)
-        except requests.RequestException as exc:
-            failure = f"request failed: {exc}"
-
-        if attempt >= provider.max_retries:
-            raise ProviderError(
-                f"retries exhausted after {attempt + 1} attempts; last error: {failure}",
-                status=status,
-            )
-        time.sleep(provider.retry_backoff_ms * (2**attempt) / 1000.0)
-        attempt += 1
-
-
-def _parse_http_response(
-    http_response: requests.Response, started: float, retries: int
-) -> CompletionResponse:
     try:
-        data = http_response.json()
+        while True:
+            status: int | None = None
+            try:  # retries=False: this loop is the only one, so retries counts every attempt
+                http_response = pool.request(
+                    "POST", url, body=body, headers=headers, redirect=False, retries=False,
+                    timeout=provider.request_timeout_ms / 1000.0,
+                )
+                status = http_response.status
+                if status == 200:
+                    return _parse_http_response(http_response.data, started, retries=attempt)
+                failure = f"HTTP {status}"
+                if status not in _RETRYABLE_STATUS:
+                    raise ProviderError(f"provider returned {failure}", status=status)
+            except urllib3.exceptions.HTTPError as exc:
+                failure = f"request failed: {exc}"
+
+            if attempt >= provider.max_retries:
+                raise ProviderError(
+                    f"retries exhausted after {attempt + 1} attempts; last error: {failure}",
+                    status=status,
+                )
+            time.sleep(provider.retry_backoff_ms * (2**attempt) / 1000.0)
+            attempt += 1
+    finally:
+        if pool is not provider.pool:
+            pool.clear()
+
+
+def _parse_http_response(body: bytes, started: float, retries: int) -> CompletionResponse:
+    try:
+        data = json.loads(body)
         text = data["choices"][0]["message"]["content"] or ""
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ProviderError(f"malformed completion response: {exc}") from exc
@@ -278,7 +293,7 @@ class CompletionCache:
         return self._replies.get(key)
 
     def put(self, key: str, response: CompletionResponse) -> None:
-        line = json.dumps({"key": key, "response": _response_to_dict(response)}, sort_keys=True)
+        line = json.dumps({"key": key, "response": dict(vars(response))}, sort_keys=True)
         with self._lock:
             if self._handle is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
@@ -367,20 +382,10 @@ def _request_to_dict(request: CompletionRequest) -> dict:
     }
 
 
-def _response_to_dict(response: CompletionResponse) -> dict:
-    return {
-        "text": response.text,
-        "prompt_tokens": response.prompt_tokens,
-        "completion_tokens": response.completion_tokens,
-        "latency_ms": response.latency_ms,
-        "retries": response.retries,
-    }
-
-
 def transcript_entry_to_dict(entry: TranscriptEntry) -> dict:
     return {
         "stage_label": entry.stage_label,
         "attempt_index": entry.attempt_index,
         "request": _request_to_dict(entry.request),
-        "response": _response_to_dict(entry.response),
+        "response": dict(vars(entry.response)),
     }

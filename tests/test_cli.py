@@ -32,7 +32,7 @@ class _ConstantSqlHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def constant_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ConstantSqlHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

@@ -2,25 +2,31 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import math
 import random
 import shutil
 import sqlite3
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from helpers import scripted_pair
-from splitsql import harness
+from splitsql import executor, harness
 from splitsql.harness import (
     ARM_BASELINE,
     ARM_BOTH,
     ARM_MODULE,
     ARM_ROUTED,
     EmptyRecordsError,
+    EndpointSpec,
     EvalReport,
     PerExampleRecord,
     RunConfig,
@@ -43,7 +49,15 @@ from splitsql.harness import (
     spearman,
     write_records,
 )
-from splitsql.llm import ModelPair
+from splitsql.llm import (
+    KIND_HTTP,
+    ChatMessage,
+    CompletionRequest,
+    ModelPair,
+    ProviderConfig,
+    complete,
+    connection_pool,
+)
 from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig, canonical_trace_bytes
 from splitsql.router import BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE
 
@@ -983,3 +997,215 @@ def test_load_config_round_trip(tmp_path, corpus_root):
             run_dir=tmp_path / "runs" / "latest",
         )
         assert config.pipeline == PipelineConfig()
+
+
+def test_both_run_scores_the_gold_order_mode_once_per_example(run_config, monkeypatch):
+    scanned = []
+    scan = executor.has_top_level_order_by
+
+    def counting(sql):
+        scanned.append(sql)
+        return scan(sql)
+
+    monkeypatch.setattr(executor, "has_top_level_order_by", counting)
+    records = run_benchmark(run_config, ARM_BOTH, endpoints_for=_scripted_factory())
+    assert [r.baseline_correct for r in records] == [0, 1, 0]
+    assert [r.module_correct for r in records] == [1, 0, 1]
+    assert len(scanned) == len(records) == 3
+    assert len(set(scanned)) == 3
+
+
+# ---------------------------------------------------------------------------
+# Model connections against a counting HTTP/1.1 server
+# ---------------------------------------------------------------------------
+
+
+class _CountingServer(ThreadingHTTPServer):
+    """A keep-alive model server that counts the connections it accepts and
+    those still open. drop is "", "announced" (a Connection: close reply
+    header) or "silent" (closes after each reply without saying so)."""
+
+    def __init__(self, drop: str = ""):
+        super().__init__(("127.0.0.1", 0), _CountingHandler)
+        self.drop = drop
+        self.lock = threading.Lock()
+        self.opened = 0
+        self.open_now = 0
+        self.requests = 0
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.opened += 1
+            self.open_now += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.open_now -= 1
+
+    def wait_until_all_closed(self, timeout_s: float = 5.0) -> bool:
+        deadline = time.monotonic() + timeout_s
+        while self.open_now and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.open_now == 0
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    """Routes every question to the pipeline, splits it into three
+    sub-questions and answers every SQL stage with SELECT 1."""
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1  # one write per reply: split writes stall keep-alive calls (Nagle)
+    timeout = 30  # a leaked keep-alive connection frees its thread after this
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = request["messages"][-1]["content"]
+        if "SIMPLE or COMPLEX" in prompt:
+            text = "COMPLEX"
+        elif "numbered list of sub-questions" in prompt:
+            text = "1. Count the rows.\n2. Count them again.\n3. Count them once more."
+        else:
+            text = "SELECT 1"
+        with self.server.lock:
+            self.server.requests += 1
+        payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        if self.server.drop == "announced":
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+        if self.server.drop == "silent":
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def counting_server(request):
+    server = _CountingServer(getattr(request, "param", ""))
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def kept_pools(monkeypatch):
+    """The connection pools run_benchmark builds, kept alive after the run:
+    a pool that is garbage collected closes its connections, so with this
+    only clearing it does."""
+    pools = []
+
+    def keep(url, maxsize):
+        pools.append(connection_pool(url, maxsize))
+        return pools[-1]
+
+    monkeypatch.setattr(harness, "connection_pool", keep)
+    return pools
+
+
+@pytest.fixture()
+def http_run_config(run_config, counting_server, kept_pools):
+    """A judge-routed 2-worker run over the whole mini corpus against the
+    counting server."""
+    url = f"http://127.0.0.1:{counting_server.server_port}"
+    run_config.reasoning = EndpointSpec(base_url=url, model_id="reasoner")
+    run_config.coding = EndpointSpec(base_url=url, model_id="coder")
+    run_config.router_kind = "judge"
+    run_config.worker_count = 2
+    run_config.limit = None
+    return run_config
+
+
+def _transcript_retries(run_config) -> list[int]:
+    return [
+        entry["response"]["retries"]
+        for path in sorted((run_config.run_dir / "traces").iterdir())
+        for entry in json.loads(path.read_text())["transcript"]
+    ]
+
+
+def test_judge_routed_run_keeps_one_connection_per_worker(
+    http_run_config, counting_server, kept_pools
+):
+    records = run_benchmark(http_run_config, ARM_ROUTED)
+    assert len(records) == 20
+    assert all(r.route_taken == BRANCH_DIVIDE_AND_MERGE and not r.error for r in records)
+    assert counting_server.requests >= 4 * len(records)
+    assert counting_server.opened <= 2
+    assert len(kept_pools) == 1  # both endpoints name one base_url
+    assert counting_server.wait_until_all_closed()
+
+
+def test_run_closes_its_model_connections_when_it_raises(
+    http_run_config, counting_server, monkeypatch
+):
+    write_trace = harness.write_trace
+
+    def failing(path, trace):
+        if path.name.startswith("ex0003"):
+            raise RuntimeError("disk full")
+        write_trace(path, trace)
+
+    monkeypatch.setattr(harness, "write_trace", failing)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_benchmark(http_run_config, ARM_ROUTED)
+    assert counting_server.opened >= 1
+    assert counting_server.wait_until_all_closed()
+
+
+@pytest.mark.parametrize("counting_server", ["announced"], indirect=True)
+def test_server_closing_after_every_reply_costs_no_retries(http_run_config, counting_server):
+    records = run_benchmark(http_run_config, ARM_ROUTED)
+    assert all(not r.error for r in records)
+    retries = _transcript_retries(http_run_config)
+    assert len(retries) == counting_server.requests == counting_server.opened
+    assert set(retries) == {0}
+
+
+def test_call_without_a_pool_closes_its_connection(counting_server):
+    url = f"http://127.0.0.1:{counting_server.server_port}"
+    provider = ProviderConfig(kind=KIND_HTTP, base_url=url)
+    request = CompletionRequest(model_id="m", messages=(ChatMessage("user", "hi"),))
+    for calls in range(1, 3):
+        assert complete(provider, request).text == "SELECT 1"
+        assert counting_server.wait_until_all_closed()
+        assert counting_server.opened == calls
+
+
+@pytest.mark.parametrize("counting_server", ["silent"], indirect=True)
+def test_pooled_connection_closed_unannounced_is_not_a_retry(counting_server):
+    url = f"http://127.0.0.1:{counting_server.server_port}"
+    pool = connection_pool(url)
+    provider = ProviderConfig(kind=KIND_HTTP, base_url=url, pool=pool)
+    request = CompletionRequest(model_id="m", messages=(ChatMessage("user", "hi"),))
+    try:
+        for calls in range(1, 4):
+            assert complete(provider, request).retries == 0
+            assert counting_server.wait_until_all_closed()
+            assert counting_server.opened == calls
+    finally:
+        pool.clear()
+
+
+def test_parallel_fanout_stays_within_the_pool(http_run_config, counting_server, caplog):
+    http_run_config.pipeline.parallel_subqueries = True
+    http_run_config.pipeline.subquery_fanout_width = 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # six threads share one pool: switch often to expose a race
+    try:
+        with caplog.at_level(logging.WARNING, logger="urllib3"):
+            records = run_benchmark(http_run_config, ARM_ROUTED)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(not r.error for r in records)
+    trace = json.loads(Path(records[0].trace_paths[1]).read_text())
+    assert len(trace["subquestions"]) == 3
+    assert counting_server.opened <= 6
+    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+    assert counting_server.wait_until_all_closed()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -229,14 +232,27 @@ def test_cache_keeps_every_reply_under_concurrent_puts(tmp_path):
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST from the class-level plan: the next status, or the
+    next raw 200 body, or a stall of stall_s seconds that sends nothing."""
+
     statuses: list[int] = []
+    raw_bodies: list[bytes] = []
+    stall_s: float = 0.0
     requests_seen: int = 0
+    seen: list[tuple[dict, dict]] = []  # (headers, JSON body) of each request
 
     def do_POST(self):
         cls = type(self)
         cls.requests_seen += 1
         status = cls.statuses.pop(0) if cls.statuses else 200
         body_bytes = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        cls.seen.append((dict(self.headers), json.loads(body_bytes)))
+        if cls.stall_s:
+            time.sleep(cls.stall_s)
+            return
+        if cls.raw_bodies:
+            self._reply(cls.raw_bodies.pop(0))
+            return
         if status != 200:
             self.send_response(status)
             self.end_headers()
@@ -248,7 +264,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             ],
             "usage": {"prompt_tokens": 7, "completion_tokens": 3},
         }
-        payload = json.dumps(reply).encode()
+        self._reply(json.dumps(reply).encode())
+
+    def _reply(self, payload: bytes):
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -262,21 +280,25 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def http_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     _ScriptedHandler.statuses = []
+    _ScriptedHandler.raw_bodies = []
+    _ScriptedHandler.stall_s = 0.0
     _ScriptedHandler.requests_seen = 0
+    _ScriptedHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
 
 
-def _http_provider(base_url: str, max_retries: int = 3) -> ProviderConfig:
+def _http_provider(base_url: str, max_retries: int = 3, **settings) -> ProviderConfig:
     return ProviderConfig(
         kind="http_openai_compatible",
         base_url=base_url,
         max_retries=max_retries,
         retry_backoff_ms=1,
+        **settings,
     )
 
 
@@ -310,9 +332,113 @@ def test_http_non_transient_4xx_fails_immediately(http_server):
     assert _ScriptedHandler.requests_seen == 1
 
 
+def test_http_redirect_is_not_followed_or_retried(http_server):
+    _ScriptedHandler.statuses = [302]
+    with pytest.raises(ProviderError) as excinfo:
+        complete(_http_provider(http_server, max_retries=5), _request("hi"))
+    assert excinfo.value.status == 302
+    assert _ScriptedHandler.requests_seen == 1
+
+
 def test_http_retries_exhausted_carries_last_status(http_server):
     _ScriptedHandler.statuses = [500, 503]
     with pytest.raises(ProviderError) as excinfo:
         complete(_http_provider(http_server, max_retries=1), _request("hi"))
     assert excinfo.value.status == 503
     assert _ScriptedHandler.requests_seen == 2
+
+
+@pytest.mark.parametrize("key, expected", [("sk-test", "Bearer sk-test"), ("", None)])
+def test_http_sends_the_bearer_key_only_when_set(http_server, monkeypatch, key, expected):
+    monkeypatch.setenv("SPLITSQL_TEST_API_KEY", key)
+    provider = _http_provider(http_server, api_key_env_var="SPLITSQL_TEST_API_KEY")
+    complete(provider, _request("hi"))
+    [(headers, _body)] = _ScriptedHandler.seen
+    assert headers.get("Authorization") == expected
+
+
+@pytest.mark.parametrize("stops", [(), ("\n\n", ";")])
+def test_http_sends_stop_only_for_stop_sequences(http_server, stops):
+    request = CompletionRequest(
+        model_id="m", messages=(ChatMessage("user", "hi"),), stop_sequences=stops
+    )
+    complete(_http_provider(http_server), request)
+    [(_headers, body)] = _ScriptedHandler.seen
+    assert body.get("stop") == (list(stops) if stops else None)
+    assert body["messages"] == [{"role": "user", "content": "hi"}]
+
+
+def test_http_non_json_reply_is_malformed(http_server):
+    _ScriptedHandler.raw_bodies = [b"<html>busy</html>"]
+    with pytest.raises(ProviderError, match="malformed completion response") as excinfo:
+        complete(_http_provider(http_server), _request("hi"))
+    assert excinfo.value.status is None
+    assert _ScriptedHandler.requests_seen == 1
+
+
+def test_http_stall_past_the_timeout_is_retried_then_fails(http_server):
+    _ScriptedHandler.stall_s = 0.5
+    provider = _http_provider(http_server, max_retries=1, request_timeout_ms=50)
+    with pytest.raises(ProviderError, match="retries exhausted after 2 attempts") as excinfo:
+        complete(provider, _request("hi"))
+    assert excinfo.value.status is None
+    assert _ScriptedHandler.requests_seen == 2
+
+
+def test_http_refused_connection_makes_every_attempt_then_fails():
+    with socket.socket() as probe:  # a port that nothing listens on once closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    provider = _http_provider(f"http://127.0.0.1:{port}", max_retries=2)
+    with pytest.raises(ProviderError, match="retries exhausted after 3 attempts") as excinfo:
+        complete(provider, _request("hi"))
+    assert excinfo.value.status is None
+
+
+class _ProxyHandler(BaseHTTPRequestHandler):
+    """A forward proxy that answers every request itself, keeping its target."""
+
+    targets: list[str] = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).targets.append(self.path)
+        payload = json.dumps({"choices": [{"message": {"content": "via proxy"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """Start a test proxy and name it in HTTP_PROXY, with no other proxy setting."""
+    for name in list(os.environ):
+        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ProxyHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    _ProxyHandler.targets = []
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{server.server_port}")
+    yield monkeypatch
+    server.shutdown()
+    server.server_close()
+
+
+def test_http_goes_through_the_environment_proxy(http_server, proxy_env):
+    response = complete(_http_provider(http_server), _request("hi"))
+    assert response.text == "via proxy"
+    assert _ProxyHandler.targets == [http_server + "/chat/completions"]
+    assert _ScriptedHandler.requests_seen == 0
+
+
+def test_http_no_proxy_host_goes_direct(http_server, proxy_env):
+    proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    response = complete(_http_provider(http_server), _request("hi"))
+    assert response.text == "echo:m"
+    assert _ProxyHandler.targets == []
+    assert _ScriptedHandler.requests_seen == 1
