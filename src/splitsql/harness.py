@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .dataset import (
     BenchmarkExample,
-    DatabaseSchema,
     extract_features,
     load_examples,
     load_schemas,
@@ -37,7 +36,6 @@ from .pipeline import (
     MERGE_LAST_SUBQUERY,
     MERGE_PLANNER_EXECUTOR,
     PipelineConfig,
-    PipelineTrace,
     run_baseline,
     run_divide_and_merge,
     write_trace,
@@ -51,6 +49,7 @@ from .router import (
     KIND_LOGISTIC,
     UndefinedAccuracyError,
     load_router_model,
+    oracle_branch,
     route_heuristic,
     route_judge,
     route_logistic,
@@ -61,6 +60,7 @@ ARM_MODULE = "module"
 ARM_BOTH = "both"
 ARM_ROUTED = "routed"
 ARMS = (ARM_BASELINE, ARM_MODULE, ARM_BOTH, ARM_ROUTED)
+_ARM_OF_BRANCH = {BRANCH_BASELINE: ARM_BASELINE, BRANCH_DIVIDE_AND_MERGE: ARM_MODULE}
 
 DEFAULT_SWEEP_POINTS = tuple(i / 10 for i in range(11))
 
@@ -245,22 +245,23 @@ def load_config(path: str | Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _bit(record: PerExampleRecord, which: str) -> int | None:
-    return record.baseline_correct if which == "baseline" else record.module_correct
-
-
 def _require_bits(records: list[PerExampleRecord], which: str) -> list[int]:
     if not records:
         raise EmptyRecordsError("no records")
     bits = []
     for record in records:
-        value = _bit(record, which)
+        value = record.baseline_correct if which == "baseline" else record.module_correct
         if value is None:
             raise ValueError(
                 f"record {record.example_id} is missing the {which} correctness bit"
             )
         bits.append(value)
     return bits
+
+
+def _paired_bits(records: list[PerExampleRecord]) -> list[tuple[int, int]]:
+    """(baseline bit, module bit) per record; both must be present."""
+    return list(zip(_require_bits(records, "baseline"), _require_bits(records, "module")))
 
 
 def compute_ex(records: list[PerExampleRecord], which: str = "module") -> Fraction:
@@ -272,19 +273,18 @@ def compute_ex(records: list[PerExampleRecord], which: str = "module") -> Fracti
 def disagreement(records: list[PerExampleRecord]) -> tuple[Fraction, Fraction]:
     """(pipeline-only percent, baseline-only percent): the proportions of
     examples where exactly one arm is correct."""
-    baseline = _require_bits(records, "baseline")
-    module = _require_bits(records, "module")
-    n = len(records)
-    module_only = sum(1 for b, m in zip(baseline, module) if m == 1 and b == 0)
-    baseline_only = sum(1 for b, m in zip(baseline, module) if b == 1 and m == 0)
-    return Fraction(100 * module_only, n), Fraction(100 * baseline_only, n)
+    branches = [oracle_branch(b, m) for b, m in _paired_bits(records)]
+    n = len(branches)
+    return (
+        Fraction(100 * branches.count(BRANCH_DIVIDE_AND_MERGE), n),
+        Fraction(100 * branches.count(BRANCH_BASELINE), n),
+    )
 
 
 def oracle_ex(records: list[PerExampleRecord]) -> Fraction:
     """EX of a perfect router: it picks a correct arm whenever one exists."""
-    baseline = _require_bits(records, "baseline")
-    module = _require_bits(records, "module")
-    return Fraction(100 * sum(max(b, m) for b, m in zip(baseline, module)), len(records))
+    pairs = _paired_bits(records)
+    return Fraction(100 * sum(max(b, m) for b, m in pairs), len(pairs))
 
 
 def router_sweep(
@@ -296,11 +296,10 @@ def router_sweep(
     one; on agreement examples the choice is irrelevant. Affine and
     non-decreasing in a, with EX(1) equal to the oracle EX.
     """
-    baseline = _require_bits(records, "baseline")
-    module = _require_bits(records, "module")
-    n = len(records)
-    best = sum(max(b, m) for b, m in zip(baseline, module))
-    worst = sum(min(b, m) for b, m in zip(baseline, module))
+    pairs = _paired_bits(records)
+    n = len(pairs)
+    best = sum(max(b, m) for b, m in pairs)
+    worst = sum(min(b, m) for b, m in pairs)
     points = []
     for accuracy in accuracies:
         if not 0.0 <= accuracy <= 1.0:
@@ -358,20 +357,19 @@ def complexity_correlation(records: list[PerExampleRecord]) -> tuple[float, floa
     Records are grouped by table_count; each group's delta is the pipeline
     EX minus the baseline EX, in percent.
     """
-    baseline = _require_bits(records, "baseline")
-    module = _require_bits(records, "module")
-    groups: dict[int, list[int]] = {}
-    for index, record in enumerate(records):
-        groups.setdefault(record.table_count, []).append(index)
+    pairs = _paired_bits(records)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for record, bits in zip(records, pairs):
+        groups.setdefault(record.table_count, []).append(bits)
     if len(groups) < 2:
         raise UndefinedCorrelationError("need records spanning >= 2 table counts")
     table_counts = []
     deltas = []
     for count in sorted(groups):
-        indices = groups[count]
-        size = len(indices)
-        module_pct = 100.0 * sum(module[i] for i in indices) / size
-        baseline_pct = 100.0 * sum(baseline[i] for i in indices) / size
+        group = groups[count]
+        size = len(group)
+        module_pct = 100.0 * sum(m for _, m in group) / size
+        baseline_pct = 100.0 * sum(b for b, _ in group) / size
         table_counts.append(float(count))
         deltas.append(module_pct - baseline_pct)
     return pearson(table_counts, deltas), spearman(table_counts, deltas)
@@ -383,12 +381,9 @@ def routed_ex(records: list[PerExampleRecord]) -> Fraction:
         raise EmptyRecordsError("no records")
     total = 0
     for record in records:
-        if record.route_taken == BRANCH_DIVIDE_AND_MERGE:
-            bit = record.module_correct
-        elif record.route_taken == BRANCH_BASELINE:
-            bit = record.baseline_correct
-        else:
+        if record.route_taken not in _ARM_OF_BRANCH:
             raise ValueError(f"record {record.example_id} has no route_taken")
+        bit = getattr(record, f"{_ARM_OF_BRANCH[record.route_taken]}_correct")
         if bit is None:
             raise ValueError(f"record {record.example_id} routed arm was not scored")
         total += bit
@@ -407,18 +402,10 @@ def realized_router_accuracy(
     reference = {r.example_id: r for r in reference_records}
     scored = []
     for record in routed_records:
-        if not record.route_taken:
-            continue
         ref = reference.get(record.example_id)
-        if ref is None or ref.baseline_correct is None or ref.module_correct is None:
-            continue
-        if ref.module_correct == 1 and ref.baseline_correct == 0:
-            oracle = BRANCH_DIVIDE_AND_MERGE
-        elif ref.baseline_correct == 1 and ref.module_correct == 0:
-            oracle = BRANCH_BASELINE
-        else:
-            continue
-        scored.append(record.route_taken == oracle)
+        oracle = None if ref is None else oracle_branch(ref.baseline_correct, ref.module_correct)
+        if record.route_taken and oracle is not None:
+            scored.append(record.route_taken == oracle)
     if not scored:
         raise UndefinedAccuracyError("no disagreement examples to score against")
     return sum(scored) / len(scored)
@@ -457,10 +444,11 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
-def _pct(value: Fraction | float | None) -> float | None:
+def _pct(value: Fraction | float | None, digits: int = 2) -> float | None:
+    """A report value rounded for emission; None stays None."""
     if value is None:
         return None
-    return round(float(value), 2)
+    return round(float(value), digits)
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -473,10 +461,8 @@ def report_to_dict(report: EvalReport) -> dict:
         "ex_oracle": _pct(report.ex_oracle),
         "ex_routed": _pct(report.ex_routed),
         "sweep": [[a, _pct(value)] for a, value in report.sweep],
-        "pearson_r": None if report.pearson_r is None else round(report.pearson_r, 4),
-        "spearman_rho": None
-        if report.spearman_rho is None
-        else round(report.spearman_rho, 4),
+        "pearson_r": _pct(report.pearson_r, digits=4),
+        "spearman_rho": _pct(report.spearman_rho, digits=4),
         "ablation": [
             {
                 "merge_strategy": label,
@@ -485,9 +471,7 @@ def report_to_dict(report: EvalReport) -> dict:
             }
             for label, without, with_cs in report.ablation_rows
         ],
-        "realized_router_accuracy": None
-        if report.realized_router_accuracy is None
-        else round(report.realized_router_accuracy, 4),
+        "realized_router_accuracy": _pct(report.realized_router_accuracy, digits=4),
     }
 
 
@@ -576,34 +560,17 @@ def emit_report(report: EvalReport, fmt: str, path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(PerExampleRecord))
+
+
 def record_to_dict(record: PerExampleRecord) -> dict:
-    return {
-        "example_id": record.example_id,
-        "db_id": record.db_id,
-        "table_count": record.table_count,
-        "baseline_correct": record.baseline_correct,
-        "module_correct": record.module_correct,
-        "route_taken": record.route_taken,
-        "final_sql_baseline": record.final_sql_baseline,
-        "final_sql_module": record.final_sql_module,
-        "trace_paths": list(record.trace_paths),
-        "error": record.error,
-    }
+    return {name: getattr(record, name) for name in _RECORD_FIELDS}
 
 
 def record_from_dict(data: dict) -> PerExampleRecord:
-    return PerExampleRecord(
-        example_id=data["example_id"],
-        db_id=data["db_id"],
-        table_count=data["table_count"],
-        baseline_correct=data.get("baseline_correct"),
-        module_correct=data.get("module_correct"),
-        route_taken=data.get("route_taken", ""),
-        final_sql_baseline=data.get("final_sql_baseline", ""),
-        final_sql_module=data.get("final_sql_module", ""),
-        trace_paths=tuple(data.get("trace_paths", ("", ""))),
-        error=data.get("error", ""),
-    )
+    record = PerExampleRecord(**{name: data[name] for name in _RECORD_FIELDS if name in data})
+    record.trace_paths = tuple(record.trace_paths)
+    return record
 
 
 def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
@@ -616,25 +583,6 @@ def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
 def load_records(path: str | Path) -> list[PerExampleRecord]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     return [record_from_dict(row) for row in data]
-
-
-def _score(
-    example: BenchmarkExample,
-    trace: PipelineTrace,
-    db_path: str,
-    config: RunConfig,
-) -> tuple[int, str]:
-    """(correctness bit, error note) for one arm's trace."""
-    if trace.error:
-        return 0, trace.error
-    outcome = execution_accuracy(
-        example,
-        trace.final_sql,
-        db_path,
-        timeout_ms=config.timeout_ms,
-        float_tolerance=config.float_tolerance,
-    )
-    return int(outcome.verdict.equal), ""
 
 
 def run_benchmark(
@@ -654,7 +602,8 @@ def run_benchmark(
 
     Each example runs inside its own execution_memo(), so every distinct
     query runs at most once per example and scoring reuses the outcomes
-    its refine loops already observed.
+    its refine loops already observed. Records come back, and records.json
+    lists them, in the examples file's order.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
@@ -667,11 +616,45 @@ def run_benchmark(
     templates = load_templates(config.prompts_dir)
     fewshot = load_fewshot(config.fewshot_file)
 
-    router_model = None
-    if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
-        if config.router_model_file is None:
-            raise ValueError("logistic routing requires router.model_file")
-        router_model = load_router_model(config.router_model_file)
+    # route(example, schema, pair, transcript) -> RouteDecision, for a routed run.
+    route = None
+    if arm == ARM_ROUTED:
+        router_model = None
+        if config.router_kind == KIND_LOGISTIC:
+            if config.router_model_file is None:
+                raise ValueError("logistic routing requires router.model_file")
+            router_model = load_router_model(config.router_model_file)
+        routers = {
+            KIND_HEURISTIC: lambda example, schema, pair, transcript: route_heuristic(
+                extract_features(example.question, schema), config.table_threshold
+            ),
+            KIND_LOGISTIC: lambda example, schema, pair, transcript: route_logistic(
+                router_model, extract_features(example.question, schema)
+            ),
+            KIND_JUDGE: lambda example, schema, pair, transcript: route_judge(
+                example.question, schema, pair.reasoning, templates=templates,
+                transcript=transcript,
+            ),
+        }
+        if config.router_kind not in routers:
+            raise ValueError(f"unknown router kind {config.router_kind!r}")
+        route = routers[config.router_kind]
+
+    # The two arms, keyed by the name their record fields and trace files carry.
+    arms = {
+        ARM_BASELINE: lambda example, schema, pair, example_id: run_baseline(
+            example, schema, pair.coding, fewshot, schema.db_file_path,
+            config.pipeline.max_refinements, example_id=example_id, templates=templates,
+            timeout_ms=config.timeout_ms,
+        ),
+        ARM_MODULE: lambda example, schema, pair, example_id: run_divide_and_merge(
+            example, schema, config.pipeline, pair, schema.db_file_path,
+            example_id=example_id, templates=templates, fewshot=fewshot,
+            timeout_ms=config.timeout_ms,
+        ),
+    }
+    # The arms every example runs; a routed example runs the one its route names.
+    arms_run = {ARM_BOTH: tuple(arms), ARM_ROUTED: ()}.get(arm, (arm,))
 
     pools = {}  # one keep-alive pool per base_url, enough for every concurrent call
     if endpoints_for is None:
@@ -695,37 +678,54 @@ def run_benchmark(
         index, example = item
         example_id = f"ex{index:04d}"
         schema = schemas.get(example.db_id)
-        if schema is None:
-            return PerExampleRecord(
-                example_id=example_id,
-                db_id=example.db_id,
-                table_count=0,
-                baseline_correct=0 if arm in (ARM_BASELINE, ARM_BOTH) else None,
-                module_correct=0 if arm in (ARM_MODULE, ARM_BOTH) else None,
-                error=f"unknown db_id {example.db_id!r}",
-            )
-
-        pair = endpoints_for(example_id, example)
-        if cache is not None:
-            pair = ModelPair(
-                reasoning=replace(pair.reasoning, cache=cache),
-                coding=replace(pair.coding, cache=cache),
-            )
         try:
-            with execution_memo(connections):
-                return _run_example(
-                    example_id, example, schema, arm, config, pair, templates,
-                    fewshot, router_model, traces_dir,
+            if schema is None:
+                raise DatasetIntegrityError(f"unknown db_id {example.db_id!r}")
+            pair = endpoints_for(example_id, example)
+            if cache is not None:
+                pair = ModelPair(
+                    reasoning=replace(pair.reasoning, cache=cache),
+                    coding=replace(pair.coding, cache=cache),
                 )
+            record = PerExampleRecord(example_id, example.db_id, schema.table_count)
+            which_arms = arms_run
+            router_transcript = []
+            notes = []
+            trace_paths = {ARM_BASELINE: "", ARM_MODULE: ""}
+            with execution_memo(connections):
+                if route is not None:
+                    record.route_taken = route(example, schema, pair, router_transcript).branch
+                    which_arms = (_ARM_OF_BRANCH[record.route_taken],)
+                for which in which_arms:
+                    trace = arms[which](example, schema, pair, example_id)
+                    if trace.error:
+                        bit = 0
+                        notes.append(f"{which}: {trace.error}")
+                    else:
+                        outcome = execution_accuracy(
+                            example,
+                            trace.final_sql,
+                            schema.db_file_path,
+                            timeout_ms=config.timeout_ms,
+                            float_tolerance=config.float_tolerance,
+                        )
+                        bit = int(outcome.verdict.equal)
+                    setattr(record, f"{which}_correct", bit)
+                    setattr(record, f"final_sql_{which}", trace.final_sql)
+                    # A routed example runs one arm; its trace lists the judge's call first.
+                    trace.transcript[:0] = router_transcript
+                    path = traces_dir / f"{example_id}_{which}.json"
+                    write_trace(path, trace)
+                    trace_paths[which] = str(path)
         except (DatasetIntegrityError, DatabaseOpenError) as exc:
-            return PerExampleRecord(
-                example_id=example_id,
-                db_id=example.db_id,
-                table_count=schema.table_count,
-                baseline_correct=0 if arm in (ARM_BASELINE, ARM_BOTH) else None,
-                module_correct=0 if arm in (ARM_MODULE, ARM_BOTH) else None,
-                error=str(exc),
-            )
+            table_count = 0 if schema is None else schema.table_count
+            failed = PerExampleRecord(example_id, example.db_id, table_count, error=str(exc))
+            for which in arms_run:
+                setattr(failed, f"{which}_correct", 0)
+            return failed
+        record.trace_paths = (trace_paths[ARM_BASELINE], trace_paths[ARM_MODULE])
+        record.error = "; ".join(notes)
+        return record
 
     try:
         if config.worker_count == 1:
@@ -741,97 +741,5 @@ def run_benchmark(
         if cache is not None:
             cache.close()
 
-    records.sort(key=lambda record: record.example_id)
     write_records(run_dir / "records.json", records)
     return records
-
-
-def _decide_route(example, schema, config, pair, templates, router_model, transcript):
-    if config.router_kind == KIND_HEURISTIC:
-        features = extract_features(example.question, schema)
-        return route_heuristic(features, config.table_threshold)
-    if config.router_kind == KIND_LOGISTIC:
-        features = extract_features(example.question, schema)
-        return route_logistic(router_model, features)
-    if config.router_kind == KIND_JUDGE:
-        return route_judge(
-            example.question,
-            schema,
-            pair.reasoning,
-            templates=templates,
-            transcript=transcript,
-        )
-    raise ValueError(f"unknown router kind {config.router_kind!r}")
-
-
-def _run_example(
-    example_id: str,
-    example: BenchmarkExample,
-    schema: DatabaseSchema,
-    arm: str,
-    config: RunConfig,
-    pair: ModelPair,
-    templates,
-    fewshot,
-    router_model,
-    traces_dir: Path,
-) -> PerExampleRecord:
-    db_path = schema.db_file_path
-    record = PerExampleRecord(
-        example_id=example_id, db_id=example.db_id, table_count=schema.table_count
-    )
-
-    run_arms = {ARM_BASELINE: ("baseline",), ARM_MODULE: ("module",)}.get(
-        arm, ("baseline", "module")
-    )
-    router_transcript = []
-    if arm == ARM_ROUTED:
-        decision = _decide_route(
-            example, schema, config, pair, templates, router_model, router_transcript
-        )
-        record.route_taken = decision.branch
-        run_arms = (
-            ("module",) if decision.branch == BRANCH_DIVIDE_AND_MERGE else ("baseline",)
-        )
-
-    notes = []
-    trace_paths = {"baseline": "", "module": ""}
-    for which in run_arms:
-        if which == "baseline":
-            trace = run_baseline(
-                example,
-                schema,
-                pair.coding,
-                fewshot,
-                db_path,
-                config.pipeline.max_refinements,
-                example_id=example_id,
-                templates=templates,
-                timeout_ms=config.timeout_ms,
-            )
-        else:
-            trace = run_divide_and_merge(
-                example,
-                schema,
-                config.pipeline,
-                pair,
-                db_path,
-                example_id=example_id,
-                templates=templates,
-                fewshot=fewshot,
-                timeout_ms=config.timeout_ms,
-            )
-        bit, note = _score(example, trace, db_path, config)
-        setattr(record, f"{which}_correct", bit)
-        setattr(record, f"final_sql_{which}", trace.final_sql)
-        if note:
-            notes.append(f"{which}: {note}")
-        # A routed example runs one arm; its trace lists the judge's call first.
-        trace.transcript[:0] = router_transcript
-        path = traces_dir / f"{example_id}_{which}.json"
-        write_trace(path, trace)
-        trace_paths[which] = str(path)
-
-    record.trace_paths = (trace_paths["baseline"], trace_paths["module"])
-    record.error = "; ".join(notes)
-    return record

@@ -320,6 +320,32 @@ def _timed(trace: PipelineTrace, stage: str):
         trace.stage_timings_ms[stage] = int((time.monotonic() - started) * 1000)
 
 
+@contextmanager
+def _arm_run(
+    example: BenchmarkExample,
+    example_id: str,
+    db_path: str | Path,
+    max_refinements: int,
+    timeout_ms: int,
+    templates: dict[str, PromptTemplate] | None,
+):
+    """Yield one arm's (trace, StageContext) and time the body as "total".
+
+    A provider failure inside the body ends the arm: the trace keeps the
+    stages done so far, an error annotation and empty final SQL.
+    """
+    trace = PipelineTrace(example_id=example_id or example.db_id)
+    ctx = StageContext(
+        db_path, max_refinements, timeout_ms, templates or default_templates(), trace.transcript
+    )
+    with _timed(trace, "total"):
+        try:
+            yield trace, ctx
+        except ProviderError as exc:
+            trace.error = f"provider error: {exc}"
+            trace.final_sql = ""
+
+
 def run_divide_and_merge(
     example: BenchmarkExample,
     schema: DatabaseSchema,
@@ -340,18 +366,9 @@ def run_divide_and_merge(
     error annotation instead of raising.
     """
     fewshot = list(fewshot) if fewshot is not None else list(_default_fewshot())
-    trace = PipelineTrace(example_id=example_id or example.db_id)
-    ctx = StageContext(
-        db_path,
-        config.max_refinements,
-        timeout_ms,
-        templates or default_templates(),
-        trace.transcript,
-    )
     question = example.question
-    total_started = time.monotonic()
-
-    try:
+    arm = _arm_run(example, example_id, db_path, config.max_refinements, timeout_ms, templates)
+    with arm as (trace, ctx):
         with _timed(trace, STAGE_TABLE_SELECTION):
             reduced = select_tables(ctx, question, schema, models.reasoning)
         trace.reduced_schema = reduced
@@ -382,11 +399,6 @@ def run_divide_and_merge(
                 )
         else:
             trace.final_sql = trace.merged_sql
-    except ProviderError as exc:
-        trace.error = f"provider error: {exc}"
-        trace.final_sql = ""
-
-    trace.stage_timings_ms["total"] = int((time.monotonic() - total_started) * 1000)
     return trace
 
 
@@ -436,29 +448,19 @@ def run_baseline(
 ) -> PipelineTrace:
     """One-step few-shot generation over the full schema, with the same
     execute-and-refine loop as the pipeline arm."""
-    trace = PipelineTrace(example_id=example_id or example.db_id)
-    ctx = StageContext(
-        db_path, max_refinements, timeout_ms, templates or default_templates(), trace.transcript
-    )
-    total_started = time.monotonic()
-
-    bindings = {
-        "question": example.question,
-        "schema": ctx.schema_text(schema),
-        "examples": format_fewshot(fewshot),
-    }
-    try:
+    arm = _arm_run(example, example_id, db_path, max_refinements, timeout_ms, templates)
+    with arm as (trace, ctx):
+        bindings = {
+            "question": example.question,
+            "schema": ctx.schema_text(schema),
+            "examples": format_fewshot(fewshot),
+        }
         with _timed(trace, STAGE_BASELINE):
             sql, _attempts, _valid = ctx.refine(
                 coding_model, STAGE_BASELINE, bindings, example.question
             )
         trace.merged_sql = sql
         trace.final_sql = sql
-    except ProviderError as exc:
-        trace.error = f"provider error: {exc}"
-        trace.final_sql = ""
-
-    trace.stage_timings_ms["total"] = int((time.monotonic() - total_started) * 1000)
     return trace
 
 

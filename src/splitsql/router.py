@@ -71,6 +71,16 @@ class RoutingDataset:
     rows: list[tuple[FeatureVector, int]]
 
 
+def oracle_branch(baseline_bit: int | None, module_bit: int | None) -> str | None:
+    """The branch that alone was correct, or None when both arms were, neither
+    was, or a bit is missing; only such disagreement examples carry a label."""
+    if module_bit == 1 and baseline_bit == 0:
+        return BRANCH_DIVIDE_AND_MERGE
+    if baseline_bit == 1 and module_bit == 0:
+        return BRANCH_BASELINE
+    return None
+
+
 def dataset_from_outcomes(
     outcomes: list[tuple[FeatureVector, int, int]],
 ) -> RoutingDataset:
@@ -82,10 +92,9 @@ def dataset_from_outcomes(
     """
     rows = []
     for features, baseline_bit, module_bit in outcomes:
-        if module_bit == 1 and baseline_bit == 0:
-            rows.append((features, 1))
-        elif baseline_bit == 1 and module_bit == 0:
-            rows.append((features, 0))
+        branch = oracle_branch(baseline_bit, module_bit)
+        if branch is not None:
+            rows.append((features, int(branch == BRANCH_DIVIDE_AND_MERGE)))
     return RoutingDataset(rows=rows)
 
 

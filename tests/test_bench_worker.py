@@ -1,0 +1,49 @@
+"""The benchmark's measuring process (bench/worker.py) still runs against this
+checkout's src/: a refactor that breaks a name it or bench/tracing.py uses
+fails here, not only when the benchmark runs."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+EXAMPLES = 12
+
+
+@pytest.fixture(scope="module")
+def bench_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("bench") / "corpus"
+    script = (
+        "import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); import gen; "
+        "gen.write_corpus(gen.generate(7, 'cold'), Path(sys.argv[2]), int(sys.argv[3]))"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script, str(BENCH), str(corpus), str(EXAMPLES)],
+        check=True, timeout=120,
+    )
+    return corpus
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_worker_passes_its_correctness_gate(bench_corpus, tmp_path, trace):
+    spec = dict(
+        root=str(ROOT), corpus=str(bench_corpus), work=str(tmp_path / "work"), arm="both",
+        router="heuristic", workers=1, url="", cache="cold", cache_dir=str(tmp_path / "cache"),
+        seconds=0.01, trace=trace, latency_ms=0.0, mode="measure",
+    )
+    spec_path, result_path = tmp_path / "spec.json", tmp_path / "result.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), str(spec_path), str(result_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(result_path.read_text(encoding="utf-8"))
+    assert result["errors"] == []
+    assert len(result["traced"]) == (2 if trace else 0)

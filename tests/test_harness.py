@@ -17,6 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import scripted_pair
 from splitsql import executor, harness
@@ -918,6 +919,72 @@ def test_records_round_trip(tmp_path):
     path = tmp_path / "records.json"
     write_records(path, records)
     assert load_records(path) == records
+
+
+def _reference_record_dict(record: PerExampleRecord) -> dict:
+    """One records.json row, written out field by field."""
+    return {
+        "example_id": record.example_id,
+        "db_id": record.db_id,
+        "table_count": record.table_count,
+        "baseline_correct": record.baseline_correct,
+        "module_correct": record.module_correct,
+        "route_taken": record.route_taken,
+        "final_sql_baseline": record.final_sql_baseline,
+        "final_sql_module": record.final_sql_module,
+        "trace_paths": list(record.trace_paths),
+        "error": record.error,
+    }
+
+
+_BITS = st.sampled_from([None, 0, 1])
+_RECORDS = st.builds(
+    PerExampleRecord,
+    example_id=st.text(max_size=12),
+    db_id=st.text(max_size=12),
+    table_count=st.integers(0, 60),
+    baseline_correct=_BITS,
+    module_correct=_BITS,
+    route_taken=st.sampled_from(["", BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE]),
+    final_sql_baseline=st.text(max_size=30),
+    final_sql_module=st.text(max_size=30),
+    trace_paths=st.tuples(st.text(max_size=12), st.text(max_size=12)),
+    error=st.text(max_size=20),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(_RECORDS, min_size=1, max_size=4))
+def test_records_file_matches_the_reference_serializer(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("records") / "records.json"
+    write_records(path, records)
+    reference = json.dumps([_reference_record_dict(r) for r in records], indent=2, sort_keys=True)
+    assert path.read_bytes() == (reference + "\n").encode("utf-8")
+    assert load_records(path) == records
+
+    for name in ("example_id", "db_id", "table_count"):
+        row = _reference_record_dict(records[0])
+        del row[name]
+        path.write_text(json.dumps([row]), encoding="utf-8")
+        with pytest.raises((KeyError, TypeError), match=name):
+            load_records(path)
+
+
+def test_records_keep_the_examples_file_order_past_ten_thousand(run_config, tmp_path):
+    # ex10000 sorts before ex1001 as text; records follow the file instead.
+    # No database matches, so every example is an error record and no model runs.
+    examples_file = tmp_path / "examples.json"
+    rows = [{"question": f"q{i}", "query": "SELECT 1", "db_id": "no_such_db"} for i in range(10001)]
+    examples_file.write_text(json.dumps(rows), encoding="utf-8")
+    run_config.examples_file = examples_file
+    run_config.limit = None
+    records = run_benchmark(run_config, ARM_BOTH, endpoints_for=_scripted_factory())
+    expected = [f"ex{i:04d}" for i in range(10001)]
+    assert [r.example_id for r in records] == expected
+    assert [r.example_id for r in load_records(run_config.run_dir / "records.json")] == expected
+    assert records[-1] == PerExampleRecord(
+        "ex10000", "no_such_db", 0, 0, 0, error="unknown db_id 'no_such_db'"
+    )
 
 
 def test_realized_router_accuracy_against_reference():

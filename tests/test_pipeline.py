@@ -576,6 +576,31 @@ def test_provider_failure_yields_error_trace(orders_schema, orders_db, avg_examp
     assert "provider error" in trace.error
 
 
+def test_stage_timing_keys_per_arm(orders_schema, orders_db, avg_example):
+    baseline = run_baseline(
+        avg_example, orders_schema, scripted_pair(baseline_wrong_avg_script()).coding, [],
+        orders_db, 3,
+    )
+    assert set(baseline.stage_timings_ms) == {"baseline", "total"}
+
+    config = PipelineConfig(merge_strategy=MERGE_PLANNER_EXECUTOR, column_selection_enabled=True)
+    module = run_divide_and_merge(
+        avg_example, orders_schema, config, scripted_pair(avg_ordered_products_script()), orders_db
+    )
+    assert module.error == ""
+    assert set(module.stage_timings_ms) == {
+        "table_selection", "decomposition", "subquery_generation", "merge",
+        "column_selection", "total",
+    }
+
+    # The script covers only table selection; decomposition exhausts it.
+    failed = run_divide_and_merge(
+        avg_example, orders_schema, config, scripted_pair([("table names", "Products")]), orders_db
+    )
+    assert "provider error" in failed.error
+    assert set(failed.stage_timings_ms) == {"table_selection", "decomposition", "total"}
+
+
 def test_run_baseline_wrong_answer_traced(avg_example, orders_schema, orders_db):
     pair = scripted_pair(baseline_wrong_avg_script())
     trace = run_baseline(avg_example, orders_schema, pair.coding, [], orders_db, 3)

@@ -3,9 +3,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import scripted_endpoint
 from splitsql.dataset import FeatureVector
+from splitsql.harness import PerExampleRecord, realized_router_accuracy
 from splitsql.router import (
     BRANCH_BASELINE,
     BRANCH_DIVIDE_AND_MERGE,
@@ -17,6 +19,7 @@ from splitsql.router import (
     dataset_from_outcomes,
     load_router_model,
     logistic_loss,
+    oracle_branch,
     route_heuristic,
     route_judge,
     route_logistic,
@@ -306,3 +309,54 @@ def test_dataset_from_outcomes_labels_disagreements_only():
         [(fv, 0, 1), (fv, 1, 0), (fv, 1, 1), (fv, 0, 0)]
     )
     assert [label for _, label in dataset.rows] == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "baseline_bit, module_bit, branch",
+    [
+        (0, 0, None),
+        (0, 1, BRANCH_DIVIDE_AND_MERGE),
+        (0, None, None),
+        (1, 0, BRANCH_BASELINE),
+        (1, 1, None),
+        (1, None, None),
+        (None, 0, None),
+        (None, 1, None),
+        (None, None, None),
+    ],
+)
+def test_oracle_branch_truth_table(baseline_bit, module_bit, branch):
+    assert oracle_branch(baseline_bit, module_bit) == branch
+
+
+_BIT = st.sampled_from([0, 1, None])
+_ROUTE = st.sampled_from([BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_BIT, _BIT, _ROUTE), max_size=20))
+def test_only_oracle_examples_are_labelled_and_scored(rows):
+    oracles = [oracle_branch(b, m) for b, m, _ in rows]
+    dataset = dataset_from_outcomes(
+        [(_features(table_count=i), b, m) for i, (b, m, _) in enumerate(rows)]
+    )
+    assert [(fv.table_count, label) for fv, label in dataset.rows] == [
+        (i, int(oracle == BRANCH_DIVIDE_AND_MERGE))
+        for i, oracle in enumerate(oracles)
+        if oracle is not None
+    ]
+
+    reference = [PerExampleRecord(f"ex{i:04d}", "db", 3, b, m) for i, (b, m, _) in enumerate(rows)]
+    routed = [
+        PerExampleRecord(f"ex{i:04d}", "db", 3, route_taken=route)
+        for i, (_, _, route) in enumerate(rows)
+    ]
+    for record, oracle in zip(routed, oracles):
+        if oracle is None:
+            with pytest.raises(UndefinedAccuracyError):
+                realized_router_accuracy([record], reference)
+        else:
+            assert realized_router_accuracy([record], reference) == (record.route_taken == oracle)
+    hits = [route == oracle for (_, _, route), oracle in zip(rows, oracles) if oracle is not None]
+    if hits:
+        assert realized_router_accuracy(routed, reference) == sum(hits) / len(hits)
