@@ -7,7 +7,6 @@ from .dataset import (
     BenchmarkExample,
     DatabaseSchema,
     FeatureVector,
-    ReducedSchema,
     extract_features,
     load_examples,
     load_schemas,

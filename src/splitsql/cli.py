@@ -27,6 +27,7 @@ from .router import (
     RouterTrainingError,
     UndefinedAccuracyError,
     dataset_from_outcomes,
+    oracle_branch,
     route_logistic,
     save_router_model,
     train_logistic,
@@ -118,7 +119,16 @@ def _cmd_route_train(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        schema = schemas[example.db_id]
+        if oracle_branch(record.baseline_correct, record.module_correct) is None:
+            continue  # only disagreement rows train
+        schema = schemas.get(example.db_id)
+        if schema is None:
+            print(
+                f"record {record.example_id!r}: db_id {example.db_id!r} has no schema"
+                f" in {config.tables_file}",
+                file=sys.stderr,
+            )
+            return 1
         features = extract_features(example.question, schema)
         outcomes.append((features, record.baseline_correct, record.module_correct))
 

@@ -80,15 +80,6 @@ class DatabaseSchema:
 
 
 @dataclass(frozen=True)
-class ReducedSchema:
-    """A schema view restricted to a subset of tables, source order preserved."""
-
-    source_db_id: str
-    kept_table_names: tuple[str, ...]
-    view: DatabaseSchema
-
-
-@dataclass(frozen=True)
 class BenchmarkExample:
     question: str
     gold_sql: str
@@ -245,8 +236,9 @@ def load_examples(path: str | Path) -> list[BenchmarkExample]:
     return examples
 
 
-def reduce_schema(schema: DatabaseSchema, keep: list[str]) -> ReducedSchema:
-    """Restrict a schema to the named tables (case-insensitive match).
+def reduce_schema(schema: DatabaseSchema, keep: list[str]) -> DatabaseSchema:
+    """Restrict a schema to the named tables (case-insensitive match),
+    keeping the source order, db_id and database file.
 
     Names that match no table are dropped silently; the reduction never
     invents tables. An empty intersection raises SchemaReductionError.
@@ -275,32 +267,20 @@ def reduce_schema(schema: DatabaseSchema, keep: list[str]) -> ReducedSchema:
         for ft, fc, tt, tc in schema.foreign_keys
         if ft in old_to_new and tt in old_to_new
     )
-    view = DatabaseSchema(
+    return DatabaseSchema(
         db_id=schema.db_id,
         tables=tables,
         foreign_keys=foreign_keys,
         db_file_path=schema.db_file_path,
     )
-    return ReducedSchema(
-        source_db_id=schema.db_id,
-        kept_table_names=tuple(t.name for t in tables),
-        view=view,
-    )
 
 
-def full_reduction(schema: DatabaseSchema) -> ReducedSchema:
-    """The identity reduction: every table kept."""
-    return reduce_schema(schema, [t.name for t in schema.tables])
-
-
-def serialize_schema(schema: DatabaseSchema | ReducedSchema) -> str:
+def serialize_schema(schema: DatabaseSchema) -> str:
     """Render a schema as deterministic prompt text.
 
     One ``Table (col1, col2, ...)`` line per table, followed by a
     ``Foreign keys:`` block when the schema has any.
     """
-    if isinstance(schema, ReducedSchema):
-        schema = schema.view
     lines = [
         f"{table.name} ({', '.join(c.name for c in table.columns)})"
         for table in schema.tables

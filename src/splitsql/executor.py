@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sqlite3
 import threading
 import time
@@ -37,6 +38,17 @@ _MEMO: ContextVar[tuple | None] = ContextVar("splitsql_execution_memo", default=
 _READS = {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
           sqlite3.SQLITE_RECURSIVE}
 _WRITES = {sqlite3.SQLITE_INSERT, sqlite3.SQLITE_UPDATE, sqlite3.SQLITE_DELETE}
+
+# One token of SQL text, tried in order: a string literal or quoted identifier ('...', "...",
+# `...` with doubled-quote escapes, or [...]); a comment (-- through its newline, or /*...*/,
+# where /*/ does not close); a word; any other non-space character. A quoted token or comment
+# left open runs to the end of the text. For str patterns \w and \s match exactly the
+# characters for which isalnum() (or "_") and isspace() hold.
+_TOKEN_RE = re.compile(
+    r"""'(?:[^']|'')*'?|"(?:[^"]|"")*"?|`(?:[^`]|``)*`?|\[[^\]]*\]?"""
+    r"|(?P<comment>--[^\n]*\n?|/\*.*?(?:\*/|\Z))|(?P<word>\w+)|(?P<code>\S)",
+    re.DOTALL,
+)
 
 # A pooled connection lives for a whole run: cap its page cache (KiB); the OS caches the file.
 _PAGE_CACHE_PRAGMA = "PRAGMA cache_size = -64"
@@ -189,87 +201,20 @@ def has_top_level_order_by(sql: str) -> bool:
     best-effort.
     """
     depth = 0
-    for i in _code_indices(sql):
-        ch = sql[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(depth - 1, 0)
-        elif (
-            depth == 0
-            and _word_at(sql, i, "ORDER")
-            and _word_at(sql, _skip_separators(sql, i + 5), "BY")
-        ):
+    after_order = False  # the last token outside comments was ORDER, at depth 0
+    for token in _TOKEN_RE.finditer(sql):
+        kind, text = token.lastgroup, token.group()
+        if kind == "comment":
+            continue
+        word = text.upper() if kind == "word" and depth == 0 else ""
+        if after_order and word == "BY":
             return True
+        after_order = word == "ORDER"
+        if text == "(":  # only a code token is a lone paren
+            depth += 1
+        elif text == ")":
+            depth = max(depth - 1, 0)
     return False
-
-
-def _skip_quoted(sql: str, start: int, quote: str) -> int:
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        if sql[i] == quote:
-            if i + 1 < n and sql[i + 1] == quote:  # doubled quote escape
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    return n
-
-
-# The other openers of a quoted identifier or comment, each with its closer.
-_DELIMITERS = (("[", "]"), ("--", "\n"), ("/*", "*/"))
-
-
-def _skip_inert(sql: str, i: int) -> int:
-    """The index just past the string literal, quoted identifier ("...",
-    `...` or [...]) or comment that starts at i, or i when none starts
-    there. One left open runs to the end of the text."""
-    ch = sql[i]
-    if ch == "'" or ch == '"' or ch == "`":
-        return _skip_quoted(sql, i, ch)
-    for opener, closer in _DELIMITERS:
-        if ch == opener[0] and sql.startswith(opener, i):
-            end = sql.find(closer, i + len(opener))
-            return len(sql) if end == -1 else end + len(closer)
-    return i
-
-
-def _code_indices(sql: str):
-    """Yield, in order, the index of every character of sql outside string
-    literals, quoted identifiers and comments."""
-    i, n = 0, len(sql)
-    while i < n:
-        end = _skip_inert(sql, i)
-        if end == i:
-            yield i
-            end += 1
-        i = end
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def _word_at(sql: str, i: int, word: str) -> bool:
-    end = i + len(word)
-    if sql[i:end].upper() != word:
-        return False
-    before_ok = i == 0 or not _is_word_char(sql[i - 1])
-    after_ok = end >= len(sql) or not _is_word_char(sql[end])
-    return before_ok and after_ok
-
-
-def _skip_separators(sql: str, i: int) -> int:
-    n = len(sql)
-    while i < n:
-        if sql[i].isspace():
-            i += 1
-        elif sql.startswith(("--", "/*"), i):
-            i = _skip_inert(sql, i)
-        else:
-            break
-    return i
 
 
 def _cell_sort_key(cell):

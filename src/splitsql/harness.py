@@ -376,11 +376,16 @@ def complexity_correlation(records: list[PerExampleRecord]) -> tuple[float, floa
 
 
 def routed_ex(records: list[PerExampleRecord]) -> Fraction:
-    """EX achieved by the routed arm: each record scored on its chosen branch."""
+    """EX achieved by the routed arm: each record scored on its chosen branch.
+
+    A failed example (an error note and no route) counts as wrong.
+    """
     if not records:
         raise EmptyRecordsError("no records")
     total = 0
     for record in records:
+        if record.error and not record.route_taken:
+            continue
         if record.route_taken not in _ARM_OF_BRANCH:
             raise ValueError(f"record {record.example_id} has no route_taken")
         bit = getattr(record, f"{_ARM_OF_BRANCH[record.route_taken]}_correct")
@@ -434,7 +439,8 @@ def build_report(
             report.pearson_r, report.spearman_rho = complexity_correlation(records)
         except UndefinedCorrelationError:
             pass
-    if all(r.route_taken for r in records):
+    # A routed run: every example was routed or failed before its route.
+    if any(r.route_taken for r in records) and all(r.route_taken or r.error for r in records):
         report.ex_routed = routed_ex(records)
     return report
 
@@ -475,55 +481,34 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
+def _table(title: str, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
+    """The markdown lines of a titled table, ending with a blank line."""
+    lines = [f"## {title}", "", f"| {' | '.join(header)} |", "|" + "---|" * len(header)]
+    return lines + [f"| {' | '.join(row)} |" for row in rows] + [""]
+
+
 def report_to_markdown(report: EvalReport) -> str:
     lines = ["# Benchmark report", "", f"Examples: {report.n}", ""]
 
-    arm_rows = []
-    if report.ex_baseline is not None:
-        arm_rows.append(("Baseline", report.ex_baseline))
-    if report.ex_module is not None:
-        arm_rows.append(("Divide-and-merge", report.ex_module))
-    if report.ex_routed is not None:
-        arm_rows.append(("Routed", report.ex_routed))
-    if report.ex_oracle is not None:
-        arm_rows.append(("Oracle routing", report.ex_oracle))
+    arms = (("Baseline", report.ex_baseline), ("Divide-and-merge", report.ex_module),
+            ("Routed", report.ex_routed), ("Oracle routing", report.ex_oracle))
+    arm_rows = [(name, f"{_pct(value):.2f}") for name, value in arms if value is not None]
     if arm_rows:
-        lines += ["## Execution accuracy", "", "| Arm | EX (%) |", "|---|---|"]
-        lines += [f"| {name} | {_pct(value):.2f} |" for name, value in arm_rows]
-        lines.append("")
+        lines += _table("Execution accuracy", ("Arm", "EX (%)"), arm_rows)
 
     if report.ablation_rows:
-        lines += [
-            "## Column selection and merge strategy",
-            "",
-            "| Merge strategy | EX w/o CS (%) | EX with CS (%) |",
-            "|---|---|---|",
-        ]
-        lines += [
-            f"| {label} | {_pct(without):.2f} | {_pct(with_cs):.2f} |"
-            for label, without, with_cs in report.ablation_rows
-        ]
-        lines.append("")
+        header = ("Merge strategy", "EX w/o CS (%)", "EX with CS (%)")
+        rows = [(label, f"{_pct(without):.2f}", f"{_pct(with_cs):.2f}")
+                for label, without, with_cs in report.ablation_rows]
+        lines += _table("Column selection and merge strategy", header, rows)
 
     if report.module_only is not None and report.baseline_only is not None:
-        lines += [
-            "## Disagreement",
-            "",
-            "| Pipeline only (%) | Baseline only (%) |",
-            "|---|---|",
-            f"| {_pct(report.module_only):.2f} | {_pct(report.baseline_only):.2f} |",
-            "",
-        ]
+        row = (f"{_pct(report.module_only):.2f}", f"{_pct(report.baseline_only):.2f}")
+        lines += _table("Disagreement", ("Pipeline only (%)", "Baseline only (%)"), [row])
 
     if report.sweep:
-        lines += [
-            "## Router-accuracy sweep",
-            "",
-            "| Router accuracy | Expected EX (%) |",
-            "|---|---|",
-        ]
-        lines += [f"| {a:.2f} | {_pct(value):.2f} |" for a, value in report.sweep]
-        lines.append("")
+        rows = [(f"{a:.2f}", f"{_pct(value):.2f}") for a, value in report.sweep]
+        lines += _table("Router-accuracy sweep", ("Router accuracy", "Expected EX (%)"), rows)
 
     if report.realized_router_accuracy is not None:
         lines.append(

@@ -15,9 +15,7 @@ from pathlib import Path
 from .dataset import (
     BenchmarkExample,
     DatabaseSchema,
-    ReducedSchema,
     SchemaReductionError,
-    full_reduction,
     reduce_schema,
     serialize_schema,
 )
@@ -96,7 +94,7 @@ class PipelineTrace:
     """Full record of one question's journey through a pipeline arm."""
 
     example_id: str
-    reduced_schema: ReducedSchema | None = None
+    reduced_schema: DatabaseSchema | None = None
     subquestions: list[SubQuestion] = field(default_factory=list)
     subqueries: list[SubQuery] = field(default_factory=list)
     merge_plan_text: str = ""
@@ -126,7 +124,7 @@ class StageContext:
     transcript: list[TranscriptEntry] = field(default_factory=list)
     schema_texts: dict[int, tuple] = field(default_factory=dict, repr=False)
 
-    def schema_text(self, schema: DatabaseSchema | ReducedSchema) -> str:
+    def schema_text(self, schema: DatabaseSchema) -> str:
         """serialize_schema(schema), rendered once per schema object."""
         entry = self.schema_texts.get(id(schema))
         if entry is None:  # the entry holds schema, so its id stays unique
@@ -180,7 +178,7 @@ def select_tables(
     question: str,
     schema: DatabaseSchema,
     reasoning_model: ModelEndpoint,
-) -> ReducedSchema:
+) -> DatabaseSchema:
     """Ask the reasoning model which tables the question needs.
 
     Falls back to the full schema when the reply names no known table; the
@@ -194,13 +192,13 @@ def select_tables(
     try:
         return reduce_schema(schema, parse_table_list(reply))
     except SchemaReductionError:
-        return full_reduction(schema)
+        return schema
 
 
 def decompose(
     ctx: StageContext,
     question: str,
-    reduced_schema: ReducedSchema,
+    reduced_schema: DatabaseSchema,
     reasoning_model: ModelEndpoint,
 ) -> list[SubQuestion]:
     """Split the question into ordered sub-questions (at least one)."""
@@ -222,7 +220,7 @@ def _format_prior(prior: list[SubQuery]) -> str:
 def generate_subquery(
     ctx: StageContext,
     subquestion: SubQuestion,
-    reduced_schema: ReducedSchema,
+    reduced_schema: DatabaseSchema,
     coding_model: ModelEndpoint,
     fewshot: list[FewShotExample],
     *,
@@ -263,7 +261,7 @@ def merge_plan_execute(
     subquestions: list[SubQuestion],
     subqueries: list[SubQuery],
     models: ModelPair,
-    reduced_schema: ReducedSchema,
+    reduced_schema: DatabaseSchema,
 ) -> tuple[str, str, bool]:
     """Merge strategy 2: a reasoning model plans the merge, a coding model
     emits the final SQL, refined against the database.
@@ -292,7 +290,7 @@ def merge_plan_execute(
 def column_select(
     ctx: StageContext,
     question: str,
-    schema_context: ReducedSchema,
+    schema_context: DatabaseSchema,
     merged_sql: str,
     reasoning_model: ModelEndpoint,
 ) -> str:
@@ -405,7 +403,7 @@ def run_divide_and_merge(
 def _generate_all(
     ctx: StageContext,
     subquestions: list[SubQuestion],
-    reduced: ReducedSchema,
+    reduced: DatabaseSchema,
     coding_model: ModelEndpoint,
     fewshot: list[FewShotExample],
     config: PipelineConfig,
@@ -469,8 +467,8 @@ def trace_to_dict(trace: PipelineTrace, include_timings: bool = True) -> dict:
     reduced = None
     if trace.reduced_schema is not None:
         reduced = {
-            "source_db_id": trace.reduced_schema.source_db_id,
-            "kept_table_names": list(trace.reduced_schema.kept_table_names),
+            "source_db_id": trace.reduced_schema.db_id,
+            "kept_table_names": [t.name for t in trace.reduced_schema.tables],
         }
     data = {
         "example_id": trace.example_id,

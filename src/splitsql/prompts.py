@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .executor import _code_indices
+from .executor import _TOKEN_RE
 
 PLACEHOLDER_NAMES = (
     "question",
@@ -148,9 +148,9 @@ def extract_sql(text: str) -> str:
     if not match:
         raise SqlExtractionError("no SQL found in model output")
     sql = text[match.start() :]
-    for i in _code_indices(sql):
-        if sql[i] == ";":
-            return sql[: i + 1].strip()
+    for token in _TOKEN_RE.finditer(sql):
+        if token.lastgroup == "code" and token.group() == ";":
+            return sql[: token.end()].strip()
     return sql.strip()
 
 

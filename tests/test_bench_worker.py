@@ -30,11 +30,21 @@ def bench_corpus(tmp_path_factory):
     return corpus
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_worker_passes_its_correctness_gate(bench_corpus, tmp_path, trace):
+# scripted_both's program path, and http_routed's (judge-routed, 2 workers) with the
+# in-process responder in place of the loopback server; each traced and untraced.
+@pytest.mark.parametrize(
+    "arm, router, workers, trace",
+    [
+        pytest.param("both", "heuristic", 1, 0, id="0"),
+        pytest.param("both", "heuristic", 1, 1, id="1"),
+        pytest.param("routed", "judge", 2, 0, id="routed-judge-0"),
+        pytest.param("routed", "judge", 2, 1, id="routed-judge-1"),
+    ],
+)
+def test_worker_passes_its_correctness_gate(bench_corpus, tmp_path, arm, router, workers, trace):
     spec = dict(
-        root=str(ROOT), corpus=str(bench_corpus), work=str(tmp_path / "work"), arm="both",
-        router="heuristic", workers=1, url="", cache="cold", cache_dir=str(tmp_path / "cache"),
+        root=str(ROOT), corpus=str(bench_corpus), work=str(tmp_path / "work"), arm=arm,
+        router=router, workers=workers, url="", cache="cold", cache_dir=str(tmp_path / "cache"),
         seconds=0.01, trace=trace, latency_ms=0.0, mode="measure",
     )
     spec_path, result_path = tmp_path / "spec.json", tmp_path / "result.json"
@@ -47,3 +57,4 @@ def test_worker_passes_its_correctness_gate(bench_corpus, tmp_path, trace):
     result = json.loads(result_path.read_text(encoding="utf-8"))
     assert result["errors"] == []
     assert len(result["traced"]) == (2 if trace else 0)
+    assert all(p["failed"] == 0 for p in result["passes"] + result["traced"])

@@ -157,3 +157,34 @@ def test_route_train_rejects_a_record_naming_no_example(
     assert code == 1
     assert repr(example_id) in capsys.readouterr().err
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "bits, code", [((0, 0), 0), ((1, 0), 1)], ids=["agreement", "disagreement"]
+)
+def test_route_train_looks_up_a_schema_only_for_a_training_row(
+    tmp_path, corpus_root, capsys, bits, code
+):
+    # A both run writes an example with an unknown db_id as an error record.
+    examples = json.loads((corpus_root / "examples.json").read_text())
+    examples.append({"question": "q", "query": "SELECT 1", "db_id": "no_such_db"})
+    (tmp_path / "examples.json").write_text(json.dumps(examples))
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    payload = json.loads(config.read_text())
+    payload["dataset"]["examples"] = str(tmp_path / "examples.json")
+    config.write_text(json.dumps(payload))
+    records = _both_arm_records()
+    records.append(PerExampleRecord("ex0020", "no_such_db", 0, *bits, error="unknown db_id"))
+    records_path = tmp_path / "records.json"
+    write_records(records_path, records)
+    model_path = tmp_path / "router.json"
+    assert main(
+        ["route-train", "--records", str(records_path), "--config", str(config),
+         "--out", str(model_path), "--epochs", "400"]
+    ) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "trained on 14 disagreement rows" in out
+    else:
+        assert "'ex0020'" in err and "'no_such_db'" in err
+        assert not model_path.exists()

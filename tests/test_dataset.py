@@ -13,7 +13,6 @@ from splitsql.dataset import (
     SchemaReductionError,
     TableDef,
     extract_features,
-    full_reduction,
     load_examples,
     load_schemas,
     reduce_schema,
@@ -131,11 +130,11 @@ def test_load_examples_rejects_empty_fields(tmp_path):
 def test_reduce_keeps_requested_tables_in_source_order(schemas):
     schema = schemas["customer_orders"]
     reduced = reduce_schema(schema, ["Order_Items", "Products"])
-    assert reduced.kept_table_names == ("Products", "Order_Items")
-    assert reduced.view.table_count == 2
+    assert [t.name for t in reduced.tables] == ["Products", "Order_Items"]
+    assert reduced.table_count == 2
     # Column lists are unchanged apart from the re-based owning index.
     source = schema.table_named("Order_Items")
-    kept = reduced.view.table_named("Order_Items")
+    kept = reduced.table_named("Order_Items")
     assert [(c.name, c.declared_type) for c in kept.columns] == [
         (c.name, c.declared_type) for c in source.columns
     ]
@@ -144,13 +143,13 @@ def test_reduce_keeps_requested_tables_in_source_order(schemas):
 def test_reduce_with_all_names_is_identity(schemas):
     for schema in schemas.values():
         reduced = reduce_schema(schema, [t.name for t in schema.tables])
-        assert reduced.view == schema
+        assert reduced == schema
 
 
 def test_reduce_is_case_insensitive_and_drops_unknown(schemas):
     schema = schemas["region_buildings"]
     reduced = reduce_schema(schema, ["BUILDING", "NoSuchTable"])
-    assert reduced.kept_table_names == ("building",)
+    assert [t.name for t in reduced.tables] == ["building"]
 
 
 def test_reduce_empty_intersection_raises(schemas):
@@ -162,12 +161,11 @@ def test_reduce_drops_foreign_keys_with_removed_endpoint(schemas):
     schema = schemas["customer_orders"]
     reduced = reduce_schema(schema, ["Orders", "Customers"])
     # Only Orders.customer_id -> Customers.customer_id survives.
-    assert len(reduced.view.foreign_keys) == 1
-    ft, fc, tt, tc = reduced.view.foreign_keys[0]
-    view = reduced.view
-    assert view.tables[ft].name == "Orders"
-    assert view.tables[ft].columns[fc].name == "customer_id"
-    assert view.tables[tt].name == "Customers"
+    assert len(reduced.foreign_keys) == 1
+    ft, fc, tt, tc = reduced.foreign_keys[0]
+    assert reduced.tables[ft].name == "Orders"
+    assert reduced.tables[ft].columns[fc].name == "customer_id"
+    assert reduced.tables[tt].name == "Customers"
 
 
 def test_serialize_matches_expected_layout(schemas):
@@ -193,7 +191,8 @@ def test_serialize_omits_foreign_key_block_when_none():
 def test_serialize_is_deterministic(schemas):
     for schema in schemas.values():
         assert serialize_schema(schema) == serialize_schema(schema)
-        assert serialize_schema(full_reduction(schema)) == serialize_schema(schema)
+        everything = reduce_schema(schema, [t.name for t in schema.tables])
+        assert serialize_schema(everything) == serialize_schema(schema)
 
 
 def _synthetic_schema(index: int) -> DatabaseSchema:

@@ -285,6 +285,8 @@ def test_outside_a_pool_each_query_opens_and_closes_its_own_connection(lab_db, c
         ("SELECT a FROM t ORDER\n  BY a", True),
         ("SELECT a FROM t ORDERBY a", False),
         ("select a from t order by a desc", True),
+        ("SELECT a FROM t ORDER\x1cBY a", True),
+        ("SELECT a FROM t ORDERé BY a", False),
     ],
 )
 def test_order_by_detection(sql, expected):
@@ -370,6 +372,9 @@ SCANNER_TOKENS = (
     + ["''", '""', "``", "[]", "()", "--\n", "/*", "*/", "/**/"]
     + ["ORDER", "BY", "ORDER BY", "order\nby", "ORDER/**/BY"]
     + list("ab_")
+    # Non-ASCII letters and separators: word characters are those of
+    # isalnum() or "_", and separators those of isspace().
+    + ["é", "ß", "ı", "\x1c", "\u00a0"]
 )
 
 
@@ -377,6 +382,8 @@ SCANNER_TOKENS = (
 @given(st.lists(st.sampled_from(SCANNER_TOKENS), max_size=40).map("".join))
 @example("SELECT a FROM t ORDER 'x' BY a")
 @example("SELECT a FROM t ORDER [x] BY a")
+@example("SELECT a FROM t ORDER\x1cBY a")
+@example("SELECT a FROM t ORDERé BY a")
 def test_order_by_detection_matches_the_reference_scanner(sql):
     assert has_top_level_order_by(sql) is _reference_has_top_level_order_by(sql)
 

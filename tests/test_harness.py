@@ -388,6 +388,103 @@ def test_emit_report_rejects_unknown_format(tmp_path):
         emit_report(EvalReport(n=1), "yaml", tmp_path / "r.yaml")
 
 
+def _reference_report_to_markdown(report: EvalReport) -> str:
+    """report_to_markdown as it stood with each table written out by hand."""
+    _pct = harness._pct
+    lines = ["# Benchmark report", "", f"Examples: {report.n}", ""]
+
+    arm_rows = []
+    if report.ex_baseline is not None:
+        arm_rows.append(("Baseline", report.ex_baseline))
+    if report.ex_module is not None:
+        arm_rows.append(("Divide-and-merge", report.ex_module))
+    if report.ex_routed is not None:
+        arm_rows.append(("Routed", report.ex_routed))
+    if report.ex_oracle is not None:
+        arm_rows.append(("Oracle routing", report.ex_oracle))
+    if arm_rows:
+        lines += ["## Execution accuracy", "", "| Arm | EX (%) |", "|---|---|"]
+        lines += [f"| {name} | {_pct(value):.2f} |" for name, value in arm_rows]
+        lines.append("")
+
+    if report.ablation_rows:
+        lines += [
+            "## Column selection and merge strategy",
+            "",
+            "| Merge strategy | EX w/o CS (%) | EX with CS (%) |",
+            "|---|---|---|",
+        ]
+        lines += [
+            f"| {label} | {_pct(without):.2f} | {_pct(with_cs):.2f} |"
+            for label, without, with_cs in report.ablation_rows
+        ]
+        lines.append("")
+
+    if report.module_only is not None and report.baseline_only is not None:
+        lines += [
+            "## Disagreement",
+            "",
+            "| Pipeline only (%) | Baseline only (%) |",
+            "|---|---|",
+            f"| {_pct(report.module_only):.2f} | {_pct(report.baseline_only):.2f} |",
+            "",
+        ]
+
+    if report.sweep:
+        lines += [
+            "## Router-accuracy sweep",
+            "",
+            "| Router accuracy | Expected EX (%) |",
+            "|---|---|",
+        ]
+        lines += [f"| {a:.2f} | {_pct(value):.2f} |" for a, value in report.sweep]
+        lines.append("")
+
+    if report.realized_router_accuracy is not None:
+        lines.append(
+            f"Realized router accuracy: {report.realized_router_accuracy:.4f}"
+        )
+        lines.append("")
+
+    if report.pearson_r is not None and report.spearman_rho is not None:
+        lines += [
+            "## Schema-complexity correlation",
+            "",
+            f"Pearson r = {report.pearson_r:.2f}, Spearman rho = {report.spearman_rho:.2f}",
+            "",
+        ]
+    return "\n".join(lines)
+
+
+_PERCENTS = st.none() | st.fractions(min_value=0, max_value=100, max_denominator=1000)
+_UNIT = st.floats(min_value=-1.0, max_value=1.0)
+_ACCURACY = st.floats(min_value=0.0, max_value=1.0)
+_REPORTS = st.builds(
+    EvalReport,
+    n=st.integers(min_value=1, max_value=10_000),
+    ex_baseline=_PERCENTS,
+    ex_module=_PERCENTS,
+    module_only=_PERCENTS,
+    baseline_only=_PERCENTS,
+    ex_oracle=_PERCENTS,
+    ex_routed=_PERCENTS,
+    sweep=st.lists(st.tuples(_ACCURACY, st.fractions(min_value=0, max_value=100)), max_size=4),
+    pearson_r=st.none() | _UNIT,
+    spearman_rho=st.none() | _UNIT,
+    ablation_rows=st.lists(st.tuples(
+        st.sampled_from(("Last Sub-query", "Planner&Executor")),
+        st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=0.0, max_value=100.0),
+    ), max_size=3),
+    realized_router_accuracy=st.none() | _ACCURACY,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_REPORTS)
+def test_markdown_matches_the_hand_written_tables(report):
+    assert harness.report_to_markdown(report) == _reference_report_to_markdown(report)
+
+
 # ---------------------------------------------------------------------------
 # benchmark runner on the scripted mini corpus
 # ---------------------------------------------------------------------------
@@ -877,6 +974,34 @@ def test_routed_arm_heuristic_runs_one_arm(run_config):
     assert all(r.baseline_correct is None for r in records)
     assert [r.module_correct for r in records] == [1, 0, 1]
     assert routed_ex(records) == Fraction(200, 3)
+
+
+def test_a_failed_example_counts_zero_in_routed_ex(run_config, corpus_root, tmp_path):
+    rows = json.loads((corpus_root / "examples.json").read_text(encoding="utf-8"))[:3]
+    rows.append({"question": "q", "query": "SELECT 1", "db_id": "no_such_db"})
+    run_config.examples_file = tmp_path / "examples.json"
+    run_config.examples_file.write_text(json.dumps(rows), encoding="utf-8")
+    run_config.limit = None
+    run_config.router_kind = "heuristic"
+    records = run_benchmark(run_config, ARM_ROUTED, endpoints_for=_scripted_factory())
+    assert [r.module_correct for r in records] == [1, 0, 1, None]
+    assert records[3].route_taken == "" and "unknown db_id" in records[3].error
+    assert build_report(records).ex_routed == Fraction(50)
+    assert report_to_dict(build_report(records[:3]))["ex_routed"] == 66.67
+
+
+def test_routed_ex_needs_a_route_or_an_error_note():
+    routed = PerExampleRecord(
+        "ex0000", "db", 3, module_correct=1, route_taken=BRANCH_DIVIDE_AND_MERGE
+    )
+    failed = PerExampleRecord("ex0001", "db", 0, error="unknown db_id 'x'")
+    assert routed_ex([routed, failed]) == Fraction(50)
+    with pytest.raises(ValueError, match="ex0002 has no route_taken"):
+        routed_ex([routed, PerExampleRecord("ex0002", "db", 3)])
+    # A both run routes nothing, whatever its failure records say.
+    both = records_from_bits([1, 0], [1, 0])
+    both[1].error = "unknown db_id 'x'"
+    assert build_report(both).ex_routed is None
 
 
 def test_routed_arm_judge_uses_one_call(run_config):

@@ -13,7 +13,7 @@ from helpers import (
     scripted_pair,
 )
 from splitsql import pipeline
-from splitsql.dataset import full_reduction, serialize_schema
+from splitsql.dataset import serialize_schema
 from splitsql.executor import execute_sql, execution_accuracy
 from splitsql.llm import KIND_SCRIPTED, ModelEndpoint, ModelPair, ProviderConfig, ScriptState
 from splitsql.minicorpus import db_path
@@ -69,22 +69,20 @@ def test_select_tables_reduces(ctx, orders_schema):
         [("table names", "Order_Items, Products, Orders")]
     )
     reduced = select_tables(ctx, "q", orders_schema, endpoint)
-    assert reduced.kept_table_names == ("Products", "Orders", "Order_Items")
-    assert reduced.view.table_count == 3
+    assert [t.name for t in reduced.tables] == ["Products", "Orders", "Order_Items"]
+    assert reduced.table_count == 3
 
 
 def test_select_tables_full_list_is_identity(ctx, orders_schema):
     reply = ", ".join(t.name for t in orders_schema.tables)
     endpoint = scripted_endpoint([("table names", reply)])
     reduced = select_tables(ctx, "q", orders_schema, endpoint)
-    assert reduced.view == orders_schema
+    assert reduced == orders_schema
 
 
 def test_select_tables_unmatched_reply_falls_back_to_full(ctx, orders_schema):
     endpoint = scripted_endpoint([("table names", "none of these")])
-    reduced = select_tables(ctx, "q", orders_schema, endpoint)
-    assert reduced.view == orders_schema
-    assert len(reduced.kept_table_names) == orders_schema.table_count
+    assert select_tables(ctx, "q", orders_schema, endpoint) is orders_schema
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +94,14 @@ def test_decompose_four_items(ctx, orders_schema):
     endpoint = scripted_endpoint(
         [("sub-questions", "1. Find the price of each product.\n2. B\n3. C\n4. D")]
     )
-    subqs = decompose(ctx, "q", full_reduction(orders_schema), endpoint)
+    subqs = decompose(ctx, "q", orders_schema, endpoint)
     assert [sq.index for sq in subqs] == [1, 2, 3, 4]
     assert subqs[0].text == "Find the price of each product."
 
 
 def test_decompose_verbatim_reply_is_single_subquestion(ctx, orders_schema):
     endpoint = scripted_endpoint([("sub-questions", "how many products are there")])
-    subqs = decompose(ctx, "how many products are there", full_reduction(orders_schema), endpoint)
+    subqs = decompose(ctx, "how many products are there", orders_schema, endpoint)
     assert len(subqs) == 1
     assert subqs[0].index == 1
 
@@ -111,7 +109,7 @@ def test_decompose_verbatim_reply_is_single_subquestion(ctx, orders_schema):
 def test_decompose_ten_items(ctx, orders_schema):
     reply = "\n".join(f"Sub-question {i}: task {i}" for i in range(1, 11))
     endpoint = scripted_endpoint([("sub-questions", reply)])
-    subqs = decompose(ctx, "q", full_reduction(orders_schema), endpoint)
+    subqs = decompose(ctx, "q", orders_schema, endpoint)
     assert len(subqs) == 10
     assert subqs[9].text == "task 10"
 
@@ -130,7 +128,7 @@ def test_generate_first_try_success(orders_schema, orders_db):
     result = generate_subquery(
         StageContext(orders_db, 3),
         _subq("count the products"),
-        full_reduction(orders_schema),
+        orders_schema,
         endpoint,
         [],
     )
@@ -150,7 +148,7 @@ def test_generate_recovers_after_one_error(orders_schema, orders_db):
     result = generate_subquery(
         StageContext(orders_db, 3, transcript=transcript),
         _subq("count the products"),
-        full_reduction(orders_schema),
+        orders_schema,
         endpoint,
         [],
     )
@@ -175,7 +173,7 @@ def test_generate_exhausts_refinements(orders_schema, orders_db):
     result = generate_subquery(
         StageContext(orders_db, 3),
         _subq("count the products"),
-        full_reduction(orders_schema),
+        orders_schema,
         endpoint,
         [],
     )
@@ -194,7 +192,7 @@ def test_generate_extraction_failure_counts_as_attempt(orders_schema, orders_db)
     result = generate_subquery(
         StageContext(orders_db, 3),
         _subq("count the products"),
-        full_reduction(orders_schema),
+        orders_schema,
         endpoint,
         [],
     )
@@ -207,7 +205,7 @@ def test_generate_zero_refinements_allowed(orders_schema, orders_db):
     result = generate_subquery(
         StageContext(orders_db, 0),
         _subq("count the products"),
-        full_reduction(orders_schema),
+        orders_schema,
         endpoint,
         [],
     )
@@ -222,7 +220,7 @@ def test_generate_serial_prompt_includes_prior_subqueries(orders_schema, orders_
     generate_subquery(
         StageContext(orders_db, 0, transcript=transcript),
         _subq("second step", index=2),
-        full_reduction(orders_schema),
+        orders_schema,
         endpoint,
         [],
         prior=prior,
@@ -255,7 +253,7 @@ def test_merge_plan_execute_happy_path(ctx, orders_schema):
     queries = [SubQuery(1, "SELECT product_price FROM Products", valid=True),
                SubQuery(2, AVG_ORDERED_SQL, valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        ctx, "q", subqs, queries, pair, full_reduction(orders_schema)
+        ctx, "q", subqs, queries, pair, orders_schema
     )
     assert plan == "Keep the final aggregate only."
     assert sql == AVG_ORDERED_SQL
@@ -271,7 +269,7 @@ def test_merge_plan_execute_single_subquery(ctx, orders_schema):
     )
     queries = [SubQuery(1, "SELECT COUNT(*) FROM Products", valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        ctx, "q", [_subq("count")], queries, pair, full_reduction(orders_schema)
+        ctx, "q", [_subq("count")], queries, pair, orders_schema
     )
     assert sql == queries[0].sql
     assert not fell_back
@@ -289,7 +287,7 @@ def test_merge_plan_execute_falls_back_when_no_sql_ever(ctx, orders_schema):
     )
     queries = [SubQuery(1, "SELECT COUNT(*) FROM Products", valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        ctx, "q", [_subq("count")], queries, pair, full_reduction(orders_schema)
+        ctx, "q", [_subq("count")], queries, pair, orders_schema
     )
     assert fell_back
     assert sql == "SELECT COUNT(*) FROM Products"
@@ -315,7 +313,7 @@ def test_column_select_narrows_output(schemas, corpus_root):
     out = column_select(
         StageContext(db_path(corpus_root, "city_channels"), 3),
         "Please show the most common affiliation for city channels.",
-        full_reduction(schema),
+        schema,
         merged,
         endpoint,
     )
@@ -328,7 +326,7 @@ def test_column_select_echo_keeps_query(ctx, orders_schema):
     merged = "SELECT COUNT(*) FROM Products"
     endpoint = scripted_endpoint([("returns exactly the columns", merged)])
     assert (
-        column_select(ctx, "q", full_reduction(orders_schema), merged, endpoint) == merged
+        column_select(ctx, "q", orders_schema, merged, endpoint) == merged
     )
 
 
@@ -344,7 +342,7 @@ def test_column_select_may_keep_wrong_but_runnable_output(schemas, corpus_root, 
     )
     endpoint = scripted_endpoint([("returns exactly the columns", merged)])
     final = column_select(
-        StageContext(db_file, 3), example.question, full_reduction(schema), merged, endpoint
+        StageContext(db_file, 3), example.question, schema, merged, endpoint
     )
     assert final == merged
     assert not execution_accuracy(example, final, db_file).verdict.equal
@@ -360,7 +358,7 @@ def test_column_select_never_breaks_runnable_query(ctx, orders_schema, orders_db
             ("failed when executed", "SELECT nope FROM missing"),
         ]
     )
-    out = column_select(ctx, "q", full_reduction(orders_schema), merged, endpoint)
+    out = column_select(ctx, "q", orders_schema, merged, endpoint)
     assert out == merged
     assert execute_sql(orders_db, out).ok
 
@@ -389,7 +387,7 @@ def test_full_run_planner_with_cs(avg_example, orders_schema, orders_db, schemas
     assert trace.error == ""
     assert len(trace.subquestions) == 4
     assert len(trace.subqueries) == len(trace.subquestions)
-    assert trace.reduced_schema.kept_table_names == ("Products", "Orders", "Order_Items")
+    assert [t.name for t in trace.reduced_schema.tables] == ["Products", "Orders", "Order_Items"]
     assert trace.merge_plan_text
     assert trace.final_sql == AVG_ORDERED_SQL
     outcome = execution_accuracy(avg_example, trace.final_sql, orders_db)

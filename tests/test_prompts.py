@@ -209,6 +209,7 @@ SCANNER_TOKENS = (
     + ["''", '""', "``", "()", "--\n", "/*", "*/", "/**/"]
     + ["ORDER", "BY", "SELECT", "with", "SELECT a;"]
     + list("ab_")
+    + ["é", "ß", "ı", "\x1c", "\u00a0"]
 )
 
 
