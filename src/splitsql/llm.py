@@ -13,8 +13,10 @@ import time
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import urllib3
+if TYPE_CHECKING:
+    import urllib3
 
 ROLES = ("system", "user", "assistant")
 
@@ -139,6 +141,7 @@ class ProviderConfig:
 def connection_pool(url: str, maxsize: int = 1) -> urllib3.PoolManager:
     """A keep-alive pool keeping up to maxsize idle connections per host, through
     the environment's proxy for url's scheme unless the host bypasses it."""
+    import urllib3
     parts = urllib3.util.parse_url(url)
     proxy = urllib.request.getproxies().get(parts.scheme)
     if proxy and not urllib.request.proxy_bypass(parts.host):
@@ -199,6 +202,7 @@ def complete(
 
 
 def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> CompletionResponse:
+    import urllib3
     url = provider.base_url.rstrip("/") + "/chat/completions"
     payload = {
         "model": request.model_id,

@@ -7,12 +7,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES, serialize_schema
 from .llm import ModelEndpoint, TranscriptEntry
 from .prompts import STAGE_JUDGE, PromptTemplate, default_templates, render
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRANCH_BASELINE = "baseline"
 BRANCH_DIVIDE_AND_MERGE = "divide_and_merge"
@@ -60,6 +62,10 @@ class RouterModel:
         ):
             if len(values) != _FEATURE_COUNT:
                 raise ValueError(f"{name} must have length {_FEATURE_COUNT}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {list(values)}")
+        if not math.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
         if any(std <= 0 for std in self.feature_stds):
             raise ValueError("feature stds must be positive")
 
@@ -106,6 +112,7 @@ def route_heuristic(features: FeatureVector, table_threshold: int) -> RouteDecis
 
 
 def _matrix(rows: list[tuple[FeatureVector, int]]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     features = np.array([fv.as_tuple() for fv, _ in rows], dtype=np.float64)
     labels = np.array([label for _, label in rows], dtype=np.float64)
     return features, labels
@@ -122,6 +129,7 @@ def train_logistic(
     Features are standardized per coordinate over the training data (std
     floored at 1e-9); the standardization parameters are stored on the model.
     """
+    import numpy as np
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
     if epochs < 1:
@@ -149,6 +157,8 @@ def train_logistic(
         grad_bias = residual.mean()
         weights = weights - learning_rate * grad_weights
         bias = bias - learning_rate * grad_bias
+    if not (np.isfinite(weights).all() and math.isfinite(bias)):
+        raise RouterTrainingError("training diverged; lower the learning rate or l2")
 
     return RouterModel(
         weights=tuple(float(w) for w in weights),
@@ -160,6 +170,7 @@ def train_logistic(
 
 def logistic_loss(model: RouterModel, data: RoutingDataset, l2: float = 0.0) -> float:
     """Mean cross-entropy plus the L2 penalty, for a model on a dataset."""
+    import numpy as np
     features, labels = _matrix(data.rows)
     standardized = (features - np.array(model.feature_means)) / np.array(model.feature_stds)
     logits = standardized @ np.array(model.weights) + model.bias
@@ -170,10 +181,14 @@ def logistic_loss(model: RouterModel, data: RoutingDataset, l2: float = 0.0) -> 
 
 
 def route_logistic(model: RouterModel, features: FeatureVector) -> RouteDecision:
+    import numpy as np
     raw = np.array(features.as_tuple())
     standardized = (raw - np.array(model.feature_means)) / np.array(model.feature_stds)
     logit = float(standardized @ np.array(model.weights) + model.bias)
-    score = 1.0 / (1.0 + math.exp(-logit))
+    try:
+        score = 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:  # a logit below about -709: the true score is under 1e-307
+        score = 0.0
     branch = BRANCH_DIVIDE_AND_MERGE if score >= 0.5 else BRANCH_BASELINE
     return RouteDecision(branch, score, KIND_LOGISTIC)
 

@@ -7,8 +7,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from splitsql.cli import main
+from splitsql.dataset import extract_features
 from splitsql.harness import PerExampleRecord, write_records
-from splitsql.router import load_router_model
+from splitsql.router import load_router_model, route_logistic
 
 
 class _ConstantSqlHandler(BaseHTTPRequestHandler):
@@ -188,3 +189,99 @@ def test_route_train_looks_up_a_schema_only_for_a_training_row(
     else:
         assert "'ex0020'" in err and "'no_such_db'" in err
         assert not model_path.exists()
+
+
+# The model file route-train writes for _both_arm_records() over the bundled
+# corpus at the default settings, and each bundled example's logistic route
+# under it (branch, score as float.hex), both as numpy-backed training first
+# produced them.
+ROUTE_TRAIN_MODEL = """{
+  "bias": 0.4998743387935595,
+  "feature_means": [
+    5.428571428571429,
+    27.571428571428573,
+    5.0,
+    11.428571428571429,
+    0.42857142857142855,
+    0.14285714285714285
+  ],
+  "feature_names": [
+    "table_count",
+    "column_count",
+    "foreign_key_count",
+    "question_token_count",
+    "question_has_aggregation_keyword",
+    "question_has_superlative_keyword"
+  ],
+  "feature_stds": [
+    2.9692299558323607,
+    14.35127811985641,
+    3.4641016151377544,
+    4.8064582403602065,
+    0.49487165930539345,
+    0.3499271061118826
+  ],
+  "weights": [
+    1.6241545292528667,
+    1.6241545292528667,
+    1.6241545292528667,
+    0.18593185540033652,
+    -0.08104331052496618,
+    0.2643979958630889
+  ]
+}"""
+ROUTE_TRAIN_DECISIONS = [
+    ("divide_and_merge", "0x1.f9fd79db3b0c3p-1"),
+    ("divide_and_merge", "0x1.fb096c478da5fp-1"),
+    ("divide_and_merge", "0x1.fa61fc6fba981p-1"),
+    ("divide_and_merge", "0x1.febc3fcb9e550p-1"),
+    ("divide_and_merge", "0x1.fb392f72c1c47p-1"),
+    ("divide_and_merge", "0x1.fafe023f2e754p-1"),
+    ("divide_and_merge", "0x1.fd90875040d7dp-1"),
+    ("divide_and_merge", "0x1.fafe023f2e754p-1"),
+    ("divide_and_merge", "0x1.0215ccba227e9p-1"),
+    ("baseline", "0x1.3179253ec2a8ap-2"),
+    ("baseline", "0x1.424f9e41187bdp-2"),
+    ("baseline", "0x1.39d43fc1d2174p-2"),
+    ("baseline", "0x1.424f9e41187bdp-2"),
+    ("baseline", "0x1.53a360adbe4adp-2"),
+    ("baseline", "0x1.50566ffa16d83p-8"),
+    ("baseline", "0x1.22eff57a3e37dp-8"),
+    ("baseline", "0x1.6e84f4c92511fp-8"),
+    ("baseline", "0x1.60afc49295df1p-8"),
+    ("baseline", "0x1.2ba74b1c215d8p-8"),
+    ("baseline", "0x1.376a8a806b6dap-8"),
+]
+
+
+def test_route_train_output_is_pinned(tmp_path, corpus_root, schemas, examples):
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    model_path = tmp_path / "router.json"
+    assert main(
+        ["route-train", "--records", str(records_path), "--config", str(config),
+         "--out", str(model_path)]
+    ) == 0
+    assert model_path.read_bytes() == ROUTE_TRAIN_MODEL.encode()
+    model = load_router_model(model_path)
+    decisions = [
+        route_logistic(model, extract_features(example.question, schemas[example.db_id]))
+        for example in examples
+    ]
+    assert [(d.branch, d.score.hex()) for d in decisions] == ROUTE_TRAIN_DECISIONS
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_route_train_reports_a_diverged_model_and_writes_no_file(tmp_path, corpus_root, capsys):
+    # With lr * l2 = 5, each step multiplies the weights by -4 until they overflow.
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    model_path = tmp_path / "router.json"
+    assert main(
+        ["route-train", "--records", str(records_path), "--config", str(config),
+         "--out", str(model_path), "--lr", "1", "--l2", "5", "--epochs", "700"]
+    ) == 1
+    assert "cannot train router: training diverged" in capsys.readouterr().err
+    assert not model_path.exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -194,6 +195,61 @@ def test_score_is_monotone_in_weighted_feature():
     ]
     assert scores == sorted(scores)
     assert scores[-1] > 0.999
+
+
+def _bias_only_model(bias: float) -> RouterModel:
+    """A model whose logit is exactly its bias, whatever the features."""
+    return RouterModel(
+        weights=(0.0,) * 6, bias=bias, feature_means=(0.0,) * 6, feature_stds=(1.0,) * 6
+    )
+
+
+def test_a_very_negative_logit_routes_to_the_baseline():
+    # A weight of -1000 on table_count gives the logit -1000; math.exp(1000) overflows.
+    model = RouterModel(
+        weights=(-1000.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        bias=0.0,
+        feature_means=(0.0,) * 6,
+        feature_stds=(1.0,) * 6,
+    )
+    decision = route_logistic(model, _features(table_count=1))
+    assert (decision.branch, decision.score) == (BRANCH_BASELINE, 0.0)
+    for logit in (-709.79, -745.2, -1e300):
+        assert route_logistic(_bias_only_model(logit), _features()).score == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-1e6, max_value=1e6))
+def test_logistic_score_is_the_sigmoid_wherever_it_is_representable(logit):
+    decision = route_logistic(_bias_only_model(logit), _features())
+    if -logit <= 709.0:
+        assert decision.score == 1.0 / (1.0 + math.exp(-logit))
+    else:
+        assert decision.score == 0.0
+    assert decision.branch == (
+        BRANCH_DIVIDE_AND_MERGE if decision.score >= 0.5 else BRANCH_BASELINE
+    )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["weights", "bias", "feature_means", "feature_stds"])
+def test_a_non_finite_model_is_rejected(name, value):
+    fields = {
+        "weights": (0.5,) * 6, "bias": 0.0, "feature_means": (0.0,) * 6, "feature_stds": (1.0,) * 6
+    }
+    fields[name] = value if name == "bias" else (1.0,) * 5 + (value,)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        RouterModel(**fields)
+
+
+def test_a_model_file_holding_nan_fails_when_it_loads(tmp_path):
+    path = tmp_path / "router.json"
+    save_router_model(train_logistic(_separable_dataset(), epochs=10), path)
+    payload = json.loads(path.read_text())
+    payload["weights"][0] = math.nan
+    path.write_text(json.dumps(payload))  # json writes NaN, and reads it back
+    with pytest.raises(ValueError, match="^weights must be finite"):
+        load_router_model(path)
 
 
 def test_decisions_invariant_under_feature_rescaling():
