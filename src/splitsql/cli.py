@@ -24,7 +24,6 @@ from .harness import (
 )
 from .pipeline import MERGE_LAST_SUBQUERY, MERGE_PLANNER_EXECUTOR
 from .router import (
-    RouterTrainingError,
     UndefinedAccuracyError,
     dataset_from_outcomes,
     oracle_branch,
@@ -138,7 +137,7 @@ def _cmd_route_train(args) -> int:
         return 1
     try:
         model = train_logistic(dataset, args.lr, args.epochs, args.l2)
-    except RouterTrainingError as exc:
+    except ValueError as exc:  # a RouterTrainingError, or a hyper-parameter out of range
         print(f"cannot train router: {exc}", file=sys.stderr)
         return 1
     save_router_model(model, args.out)

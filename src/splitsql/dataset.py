@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 COLUMN_TYPES = ("text", "number", "time", "boolean", "others")
@@ -13,15 +13,6 @@ COLUMN_TYPES = ("text", "number", "time", "boolean", "others")
 # word boundaries; "number of" is matched as a phrase.
 AGGREGATION_KEYWORDS = ("average", "count", "sum", "total", "number of")
 SUPERLATIVE_KEYWORDS = ("most", "least", "highest", "lowest", "maximum", "minimum")
-
-FEATURE_NAMES = (
-    "table_count",
-    "column_count",
-    "foreign_key_count",
-    "question_token_count",
-    "question_has_aggregation_keyword",
-    "question_has_superlative_keyword",
-)
 
 
 class CorpusParseError(ValueError):
@@ -71,13 +62,6 @@ class DatabaseSchema:
     def column_count(self) -> int:
         return sum(len(t.columns) for t in self.tables)
 
-    def table_named(self, name: str) -> TableDef | None:
-        wanted = name.lower()
-        for table in self.tables:
-            if table.name.lower() == wanted:
-                return table
-        return None
-
 
 @dataclass(frozen=True)
 class BenchmarkExample:
@@ -96,14 +80,10 @@ class FeatureVector:
     question_has_superlative_keyword: int
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            float(self.table_count),
-            float(self.column_count),
-            float(self.foreign_key_count),
-            float(self.question_token_count),
-            float(self.question_has_aggregation_keyword),
-            float(self.question_has_superlative_keyword),
-        )
+        return tuple(map(float, astuple(self)))
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def _read_json_array(path: Path) -> list:

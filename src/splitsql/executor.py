@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import re
 import sqlite3
-import threading
 import time
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
@@ -103,10 +102,12 @@ def execution_memo(connections: dict | None = None):
     execute_sql returns the stored outcome for a (db path, sql, timeout_ms)
     it has already run here. ok and sql_error outcomes are stored; timeouts
     depend on wall time and are always run again. The memo is local to the
-    current context (one thread, one example) and is dropped on exit. With a
-    connections pool, which the caller owns and closes, a query here runs on
-    its connection for (this thread, db path), opened on first use; database
-    files must not change while the pool is open.
+    current context (one example, and the threads it copies its context to)
+    and is dropped on exit. With a connections pool, which the caller owns and
+    closes, a query here takes an idle connection to its database from the
+    pool, or opens one, and puts it back after the query; threads may share
+    the pool, but never a connection at once. Database files must not change
+    while the pool is open.
     """
     token = _MEMO.set(({}, connections))
     try:
@@ -154,10 +155,13 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
             return 1
         return 0
 
-    pool_key = (threading.get_ident(), str(db_path))
-    connection = None if pool is None else pool.get(pool_key)
+    connection = idle = None
+    if pool is not None:
+        idle = pool.setdefault(str(db_path), [])
+        with suppress(IndexError):  # list.pop is atomic: no two threads take one connection
+            connection = idle.pop()
     if connection is None:
-        try:  # the owner of a pool closes its connections, from its own thread
+        try:  # pooled connections move between threads; their owner closes them
             connection = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True,
                                          isolation_level=None, check_same_thread=pool is None)
         except sqlite3.Error as exc:
@@ -165,8 +169,6 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
         with suppress(sqlite3.Error):  # a file that is no database fails at the query
             connection.execute(_PAGE_CACHE_PRAGMA)
         connection.set_authorizer(_authorize)
-        if pool is not None:
-            pool[pool_key] = connection
 
     try:
         connection.set_progress_handler(check_deadline, _PROGRESS_INTERVAL)
@@ -189,8 +191,10 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
             )
         return ExecOutcome(status=STATUS_SQL_ERROR, error_message=str(exc), elapsed_ms=elapsed)
     finally:
-        if pool is None:
+        if idle is None:
             connection.close()
+        else:
+            idle.append(connection)
 
 
 def has_top_level_order_by(sql: str) -> bool:

@@ -31,7 +31,7 @@ from .executor import (
     execution_memo,
 )
 from .llm import (KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig,
-                  connection_pool)
+                  _fields, connection_pool)
 from .pipeline import (
     MERGE_LAST_SUBQUERY,
     MERGE_PLANNER_EXECUTOR,
@@ -126,7 +126,6 @@ class EndpointSpec:
     request_timeout_ms: int = 60000
     max_retries: int = 2
     retry_backoff_ms: int = 250
-    stage_temperatures: dict[str, float] = field(default_factory=dict)
 
     def build(self, pool=None) -> ModelEndpoint:
         provider = ProviderConfig(
@@ -143,7 +142,6 @@ class EndpointSpec:
             model_id=self.model_id,
             temperature=self.temperature,
             max_tokens=self.max_tokens,
-            stage_temperatures=dict(self.stage_temperatures),
         )
 
 
@@ -193,13 +191,35 @@ _RUN_KEYS = (
     ("prompts", "fewshot_file", "fewshot_file"),
 )
 _PATH_FIELDS = frozenset({"router_model_file", "cache_dir", "prompts_dir", "fewshot_file"})
-_ENDPOINT_FIELDS = tuple(f.name for f in fields(EndpointSpec))
+_ROLES = ("reasoning_model", "coding_model")
+# Every setting a config file may give, by dotted name; harness.run_seed is retired and ignored.
+_CONFIG_KEYS = frozenset(
+    [f"{section}.{key}" for section, key, _ in _PIPELINE_KEYS + _RUN_KEYS]
+    + "dataset.root dataset.tables dataset.examples harness.run_dir harness.run_seed".split()
+    + [f"llm.{role}" for role in _ROLES]
+    + [f"llm.{role}.{field.name}" for role in _ROLES for field in fields(EndpointSpec)]
+)
+
+
+def _unknown_keys(raw: dict, prefix: str = "") -> list[str]:
+    """The dotted name of each section or key of a config file that no setting reads."""
+    unknown = []
+    for key, value in raw.items():
+        name = prefix + key
+        if isinstance(value, dict) and any(known.startswith(name + ".") for known in _CONFIG_KEYS):
+            unknown += _unknown_keys(value, name + ".")
+        elif name not in _CONFIG_KEYS:
+            unknown.append(name)
+    return unknown
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Load the JSON run configuration (paths resolve relative to the file)."""
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
+    unknown = _unknown_keys(raw)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     base = path.parent
 
     def resolve(value: str | None) -> Path | None:
@@ -227,7 +247,7 @@ def load_config(path: str | Path) -> RunConfig:
         section = llm_section.get(section_name)
         if not section:
             return None
-        return EndpointSpec(**{name: section[name] for name in _ENDPOINT_FIELDS if name in section})
+        return EndpointSpec(**section)
 
     return RunConfig(
         tables_file=tables_file,
@@ -548,10 +568,6 @@ def emit_report(report: EvalReport, fmt: str, path: str | Path) -> Path:
 _RECORD_FIELDS = tuple(f.name for f in fields(PerExampleRecord))
 
 
-def record_to_dict(record: PerExampleRecord) -> dict:
-    return {name: getattr(record, name) for name in _RECORD_FIELDS}
-
-
 def record_from_dict(data: dict) -> PerExampleRecord:
     record = PerExampleRecord(**{name: data[name] for name in _RECORD_FIELDS if name in data})
     record.trace_paths = tuple(record.trace_paths)
@@ -561,7 +577,7 @@ def record_from_dict(data: dict) -> PerExampleRecord:
 def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps([record_to_dict(r) for r in records], indent=2, sort_keys=True)
+    payload = json.dumps(records, indent=2, sort_keys=True, default=_fields)
     path.write_text(payload + "\n", encoding="utf-8")
 
 
@@ -657,7 +673,7 @@ def run_benchmark(
     run_dir = Path(config.run_dir)
     traces_dir = run_dir / "traces"
     cache = None if config.cache_dir is None else CompletionCache(config.cache_dir)
-    connections: dict = {}  # execution_memo's pool: one per (worker thread, database)
+    connections: dict = {}  # execution_memo's pool: idle connections per database
 
     def process(item: tuple[int, BenchmarkExample]) -> PerExampleRecord:
         index, example = item
@@ -719,8 +735,9 @@ def run_benchmark(
             with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
                 records = list(pool.map(process, enumerate(examples)))
     finally:
-        for connection in connections.values():
-            connection.close()
+        for idle in connections.values():
+            for connection in idle:
+                connection.close()
         for http_pool in pools.values():
             http_pool.clear()
         if cache is not None:

@@ -11,7 +11,7 @@ import tempfile
 import threading
 import time
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,6 +24,17 @@ KIND_HTTP = "http_openai_compatible"
 KIND_SCRIPTED = "scripted"
 
 _RETRYABLE_STATUS = frozenset({429}) | frozenset(range(500, 600))
+
+
+def _fields(value) -> dict:
+    """json.dumps' default hook: a dataclass instance as a dict of its fields.
+
+    That dict is the instance's own attribute dict, read-only to callers: no
+    dataclass written to JSON sets attributes other than its fields.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 class ProviderError(RuntimeError):
@@ -190,14 +201,7 @@ def complete(
         response = _complete_http(provider, request)
 
     if transcript is not None:
-        transcript.append(
-            TranscriptEntry(
-                stage_label=stage_label,
-                request=request,
-                response=response,
-                attempt_index=attempt_index,
-            )
-        )
+        transcript.append(TranscriptEntry(stage_label, request, response, attempt_index))
     return response
 
 
@@ -297,7 +301,7 @@ class CompletionCache:
         return self._replies.get(key)
 
     def put(self, key: str, response: CompletionResponse) -> None:
-        line = json.dumps({"key": key, "response": dict(vars(response))}, sort_keys=True)
+        line = json.dumps({"key": key, "response": response}, sort_keys=True, default=_fields)
         with self._lock:
             if self._handle is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
@@ -317,16 +321,14 @@ class CompletionCache:
 class ModelEndpoint:
     """A provider plus the request defaults for one logical model role.
 
-    temperature applies to every stage unless stage_temperatures overrides
-    it for a specific stage label. With a cache, a request it holds is
-    answered from it without calling the provider.
+    With a cache, a request it holds is answered from it without calling the
+    provider.
     """
 
     provider: ProviderConfig
     model_id: str
     temperature: float = 0.0
     max_tokens: int = 1024
-    stage_temperatures: dict[str, float] = field(default_factory=dict)
     cache: CompletionCache | None = None
 
     def ask(
@@ -340,32 +342,26 @@ class ModelEndpoint:
         request = CompletionRequest(
             model_id=self.model_id,
             messages=(ChatMessage("user", prompt),),
-            temperature=self.stage_temperatures.get(stage_label, self.temperature),
+            temperature=self.temperature,
             max_tokens=self.max_tokens,
         )
-        if self.cache is not None:
-            key = self._request_key(request, stage_label, attempt_index)
-            response = self.cache.get(key)
-            if response is not None:
-                if transcript is not None:
-                    entry = TranscriptEntry(stage_label, request, response, attempt_index)
-                    transcript.append(entry)
-                return response.text
-        response = complete(
-            self.provider,
-            request,
-            transcript=transcript,
-            stage_label=stage_label,
-            attempt_index=attempt_index,
-        )
-        if self.cache is not None:
-            self.cache.put(key, response)
+        key = None if self.cache is None else self._request_key(request, stage_label, attempt_index)
+        response = None if key is None else self.cache.get(key)
+        if response is None:
+            response = complete(
+                self.provider, request, stage_label=stage_label, attempt_index=attempt_index
+            )
+            if key is not None:
+                self.cache.put(key, response)
+        if transcript is not None:
+            transcript.append(TranscriptEntry(stage_label, request, response, attempt_index))
         return response.text
 
     def _request_key(self, request: CompletionRequest, stage_label: str, attempt: int) -> str:
         identity = [self.provider.kind, self.provider.base_url, self.model_id]
-        payload = [identity, _request_to_dict(request), stage_label, attempt]
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        payload = json.dumps([identity, request, stage_label, attempt], sort_keys=True,
+                             default=_fields)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -375,21 +371,3 @@ class ModelPair:
     reasoning: ModelEndpoint
     coding: ModelEndpoint
 
-
-def _request_to_dict(request: CompletionRequest) -> dict:
-    return {
-        "model_id": request.model_id,
-        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-        "stop_sequences": list(request.stop_sequences),
-    }
-
-
-def transcript_entry_to_dict(entry: TranscriptEntry) -> dict:
-    return {
-        "stage_label": entry.stage_label,
-        "attempt_index": entry.attempt_index,
-        "request": _request_to_dict(entry.request),
-        "response": dict(vars(entry.response)),
-    }

@@ -4,6 +4,7 @@ selection. Also the one-step few-shot baseline parser."""
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import time
@@ -25,7 +26,7 @@ from .llm import (
     ModelPair,
     ProviderError,
     TranscriptEntry,
-    transcript_entry_to_dict,
+    _fields,
 )
 from .prompts import (
     STAGE_BASELINE,
@@ -249,10 +250,10 @@ def merge_last(subqueries: list[SubQuery]) -> str:
 
 
 def _format_pairs(subquestions: list[SubQuestion], subqueries: list[SubQuery]) -> str:
-    blocks = []
-    for sq, query in zip(subquestions, subqueries):
-        blocks.append(f"Sub-question {sq.index}: {sq.text}\nSub-query {sq.index}:\n{query.sql}")
-    return "\n\n".join(blocks)
+    return "\n\n".join(
+        f"Sub-question {sq.index}: {sq.text}\nSub-query {sq.index}:\n{query.sql}"
+        for sq, query in zip(subquestions, subqueries)
+    )
 
 
 def merge_plan_execute(
@@ -417,9 +418,12 @@ def _generate_all(
         def task(i: int) -> SubQuery:
             return generate_subquery(sides[i], subquestions[i], reduced, coding_model, fewshot)
 
+        # Each task runs in a copy of this context, so in the example's execution_memo().
         width = min(config.subquery_fanout_width, len(subquestions))
         with ThreadPoolExecutor(max_workers=width) as pool:
-            results = list(pool.map(task, range(len(subquestions))))
+            futures = [pool.submit(contextvars.copy_context().run, task, i)
+                       for i in range(len(subquestions))]
+            results = [future.result() for future in futures]
         for side in sides:
             ctx.transcript.extend(side.transcript)
         return results
@@ -462,50 +466,28 @@ def run_baseline(
     return trace
 
 
-def trace_to_dict(trace: PipelineTrace, include_timings: bool = True) -> dict:
-    """JSON-serializable form of the trace (documented in the README)."""
-    reduced = None
+def trace_to_dict(trace: PipelineTrace) -> dict:
+    """The trace's fields, for json.dumps(default=_fields) (documented in the
+    README); the reduced schema is given by its source and kept table names."""
+    data = dict(_fields(trace))
     if trace.reduced_schema is not None:
-        reduced = {
+        data["reduced_schema"] = {
             "source_db_id": trace.reduced_schema.db_id,
             "kept_table_names": [t.name for t in trace.reduced_schema.tables],
         }
-    data = {
-        "example_id": trace.example_id,
-        "reduced_schema": reduced,
-        "subquestions": [
-            {"index": sq.index, "text": sq.text} for sq in trace.subquestions
-        ],
-        "subqueries": [
-            {
-                "for_index": sq.for_index,
-                "sql": sq.sql,
-                "refinement_attempts": sq.refinement_attempts,
-                "valid": sq.valid,
-            }
-            for sq in trace.subqueries
-        ],
-        "merge_plan_text": trace.merge_plan_text,
-        "merged_sql": trace.merged_sql,
-        "final_sql": trace.final_sql,
-        "merge_fell_back": trace.merge_fell_back,
-        "error": trace.error,
-        "transcript": [transcript_entry_to_dict(e) for e in trace.transcript],
-    }
-    if include_timings:
-        data["stage_timings_ms"] = dict(trace.stage_timings_ms)
-    else:
-        # Latency fields vary run to run; strip them from the canonical form.
-        for entry in data["transcript"]:
-            entry["response"]["latency_ms"] = 0
     return data
 
 
 def canonical_trace_bytes(trace: PipelineTrace) -> bytes:
-    """Deterministic serialization used for byte-level trace comparison."""
-    return json.dumps(
-        trace_to_dict(trace, include_timings=False), sort_keys=True, indent=2
-    ).encode("utf-8")
+    """Deterministic serialization used for byte-level trace comparison: stage
+    timings and reply latencies, which vary run to run, are left out or zeroed."""
+    data = trace_to_dict(trace)
+    del data["stage_timings_ms"]
+    data["transcript"] = [
+        replace(entry, response=replace(entry.response, latency_ms=0))
+        for entry in trace.transcript
+    ]
+    return json.dumps(data, sort_keys=True, indent=2, default=_fields).encode("utf-8")
 
 
 def write_trace(path: str | Path, trace: PipelineTrace) -> None:
@@ -513,4 +495,5 @@ def write_trace(path: str | Path, trace: PipelineTrace) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # Compact, so that json uses its C encoder; canonical_trace_bytes keeps
     # the indented form for byte comparison.
-    path.write_text(json.dumps(trace_to_dict(trace), sort_keys=True), encoding="utf-8")
+    text = json.dumps(trace_to_dict(trace), sort_keys=True, default=_fields)
+    path.write_text(text, encoding="utf-8")

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES, serialize_schema
-from .llm import ModelEndpoint, TranscriptEntry
+from .llm import ModelEndpoint, TranscriptEntry, _fields
 from .prompts import STAGE_JUDGE, PromptTemplate, default_templates, render
 
 if TYPE_CHECKING:
@@ -136,6 +136,11 @@ def train_logistic(
         raise ValueError("epochs must be positive")
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
+    if learning_rate * l2 >= 2:  # no such run converges
+        raise RouterTrainingError(
+            f"training diverged: with learning_rate * l2 = {learning_rate * l2:g}, each step"
+            f" scales the weights by {1 - learning_rate * l2:g}; keep the product below 2"
+        )
     if len(data.rows) < 2:
         raise RouterTrainingError("need at least 2 rows to train")
     features, labels = _matrix(data.rows)
@@ -239,13 +244,7 @@ def router_accuracy(
 
 
 def save_router_model(model: RouterModel, path: str | Path) -> None:
-    payload = {
-        "weights": list(model.weights),
-        "bias": model.bias,
-        "feature_means": list(model.feature_means),
-        "feature_stds": list(model.feature_stds),
-        "feature_names": list(FEATURE_NAMES),
-    }
+    payload = {**_fields(model), "feature_names": FEATURE_NAMES}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 

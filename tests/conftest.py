@@ -62,15 +62,40 @@ def opened(monkeypatch):
     return log
 
 
+class _GuardedConnection:
+    """A real connection that runs each statement to its last row inside
+    execute, and notes when a statement starts while another one runs."""
+
+    def __init__(self, connection):
+        self._connection = connection
+        self._running = threading.Lock()
+        self.overlapped = False
+
+    def execute(self, sql):
+        if not self._running.acquire(blocking=False):
+            self.overlapped = True
+            self._running.acquire()
+        try:
+            cursor = self._connection.execute(sql)
+            rows = cursor.fetchall()
+            return SimpleNamespace(fetchall=lambda: rows, description=cursor.description)
+        finally:
+            self._running.release()
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
 @pytest.fixture()
 def connections(monkeypatch):
     """(thread id, database URI, connection) for every connection the
-    executor opens, in order."""
+    executor opens, in order. Each connection is a _GuardedConnection."""
     made = []
 
     def record(target, connection):
-        made.append((threading.get_ident(), target, connection))
-        return connection
+        guarded = _GuardedConnection(connection)
+        made.append((threading.get_ident(), target, guarded))
+        return guarded
 
     _wrap_connect(monkeypatch, record)
     return made

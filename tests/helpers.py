@@ -1,8 +1,17 @@
-"""Shared test helpers: scripted endpoints and canned pipeline scenarios."""
+"""Shared test helpers: scripted endpoints, canned pipeline scenarios, and
+the hand-written serializers that JSON output is checked against."""
 
 from __future__ import annotations
 
-from splitsql.llm import ModelEndpoint, ModelPair, scripted_provider
+import json
+
+from splitsql.llm import (
+    CompletionRequest,
+    ModelEndpoint,
+    ModelPair,
+    TranscriptEntry,
+    scripted_provider,
+)
 
 
 def scripted_endpoint(script: list[tuple[str, str]], model_id: str = "scripted-model") -> ModelEndpoint:
@@ -63,3 +72,90 @@ def avg_ordered_products_script() -> list[tuple[str, str]]:
 def baseline_wrong_avg_script() -> list[tuple[str, str]]:
     # The one-step parser averages every product, ignoring orders.
     return [("in one step", "SELECT AVG(product_price) FROM Products")]
+
+
+def gold_answer_script(example, schema) -> list[tuple[str, str]]:
+    """Every stage of both arms for one example, answering with its gold SQL.
+
+    The baseline's first reply fails and is refined; the pipeline splits the
+    question into two sub-questions, so parallel_subqueries fans out.
+    """
+    question, gold = example.question, example.gold_sql
+    return [
+        ("in one step", "SELECT nope FROM nowhere"),
+        ("failed when executed", gold),
+        ("table names", ", ".join(table.name for table in schema.tables)),
+        ("numbered list of sub-questions", f"1. {question}\n2. Again: {question}"),
+        ("answers the sub-question below", gold),
+        ("answers the sub-question below", gold),
+        ("Work out how the sub-queries", "Keep the last sub-query."),
+        ("Combine the sub-queries below", f"```sql\n{gold}\n```"),
+        ("returns exactly the columns", gold),
+    ]
+
+
+# The JSON forms of requests, transcript entries and traces as hand-written
+# serializers gave them before each was written from its dataclass fields.
+
+
+def _reference_request_to_dict(request: CompletionRequest) -> dict:
+    return {
+        "model_id": request.model_id,
+        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+        "temperature": request.temperature,
+        "max_tokens": request.max_tokens,
+        "stop_sequences": list(request.stop_sequences),
+    }
+
+
+def _reference_transcript_entry_to_dict(entry: TranscriptEntry) -> dict:
+    return {
+        "stage_label": entry.stage_label,
+        "attempt_index": entry.attempt_index,
+        "request": _reference_request_to_dict(entry.request),
+        "response": dict(vars(entry.response)),
+    }
+
+
+def _reference_trace_to_dict(trace, include_timings: bool = True) -> dict:
+    reduced = None
+    if trace.reduced_schema is not None:
+        reduced = {
+            "source_db_id": trace.reduced_schema.db_id,
+            "kept_table_names": [t.name for t in trace.reduced_schema.tables],
+        }
+    data = {
+        "example_id": trace.example_id,
+        "reduced_schema": reduced,
+        "subquestions": [{"index": sq.index, "text": sq.text} for sq in trace.subquestions],
+        "subqueries": [
+            {
+                "for_index": sq.for_index,
+                "sql": sq.sql,
+                "refinement_attempts": sq.refinement_attempts,
+                "valid": sq.valid,
+            }
+            for sq in trace.subqueries
+        ],
+        "merge_plan_text": trace.merge_plan_text,
+        "merged_sql": trace.merged_sql,
+        "final_sql": trace.final_sql,
+        "merge_fell_back": trace.merge_fell_back,
+        "error": trace.error,
+        "transcript": [_reference_transcript_entry_to_dict(e) for e in trace.transcript],
+    }
+    if include_timings:
+        data["stage_timings_ms"] = dict(trace.stage_timings_ms)
+    else:
+        for entry in data["transcript"]:
+            entry["response"]["latency_ms"] = 0
+    return data
+
+
+def _reference_trace_file_bytes(trace) -> bytes:
+    return json.dumps(_reference_trace_to_dict(trace), sort_keys=True).encode("utf-8")
+
+
+def _reference_canonical_trace_bytes(trace) -> bytes:
+    data = _reference_trace_to_dict(trace, include_timings=False)
+    return json.dumps(data, sort_keys=True, indent=2).encode("utf-8")

@@ -285,3 +285,31 @@ def test_route_train_reports_a_diverged_model_and_writes_no_file(tmp_path, corpu
     ) == 1
     assert "cannot train router: training diverged" in capsys.readouterr().err
     assert not model_path.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--lr", "1", "--l2", "5"], "training diverged: with learning_rate * l2 = 5"),
+        (["--lr", "0.5", "--l2", "4"], "each step scales the weights by -1"),
+        (["--lr", "0"], "learning_rate must be positive"),
+        (["--epochs", "0"], "epochs must be positive"),
+        (["--l2", "-1"], "l2 must be >= 0"),
+    ],
+    ids=["lr-l2-5", "lr-l2-2", "lr-0", "epochs-0", "l2-negative"],
+)
+def test_route_train_rejects_hyper_parameters_that_cannot_train(
+    tmp_path, corpus_root, capsys, options, message
+):
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    model_path = tmp_path / "router.json"
+    assert main(
+        ["route-train", "--records", str(records_path), "--config", str(config),
+         "--out", str(model_path), *options]
+    ) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("cannot train router: ") and message in err and not out
+    assert not model_path.exists()

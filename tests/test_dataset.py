@@ -133,8 +133,8 @@ def test_reduce_keeps_requested_tables_in_source_order(schemas):
     assert [t.name for t in reduced.tables] == ["Products", "Order_Items"]
     assert reduced.table_count == 2
     # Column lists are unchanged apart from the re-based owning index.
-    source = schema.table_named("Order_Items")
-    kept = reduced.table_named("Order_Items")
+    source = next(t for t in schema.tables if t.name == "Order_Items")
+    kept = reduced.tables[1]
     assert [(c.name, c.declared_type) for c in kept.columns] == [
         (c.name, c.declared_type) for c in source.columns
     ]

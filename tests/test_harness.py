@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+import re
 import shutil
 import sqlite3
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scripted_pair
+from helpers import gold_answer_script, scripted_pair
 from splitsql import executor, harness
 from splitsql.harness import (
     ARM_BASELINE,
@@ -624,26 +625,73 @@ def _assert_all_closed(connections):
             connection.execute("SELECT 1")
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_run_opens_one_connection_per_thread_and_database(run_config, connections, workers):
-    run_config.limit = None
-    run_config.worker_count = workers
+def _stressed_run(run_config, arm, endpoints_for):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, to expose a shared-pool race
     try:
-        records = run_benchmark(run_config, ARM_BASELINE, endpoints_for=_gold_baseline_factory)
+        return run_benchmark(run_config, arm, endpoints_for=endpoints_for)
     finally:
         sys.setswitchinterval(interval)
-    assert all(r.baseline_correct == 1 for r in records)
-    opened = Counter((thread, target) for thread, target, _ in connections)
-    assert set(opened.values()) == {1}
-    databases = {target for _thread, target in opened}
-    assert len(databases) == len({r.db_id for r in records}) > 1
-    threads = {thread for thread, _target in opened}
-    assert len(threads) <= workers
-    if workers == 1:
-        assert len(connections) == len(databases)
+
+
+def _assert_pool_bound(connections, records, bound):
+    """At most bound connections opened per database, none of them ever
+    running two statements at once, and all closed after the run."""
+    opened = Counter(target for _thread, target, _connection in connections)
+    assert len(opened) == len({r.db_id for r in records}) > 1
+    assert max(opened.values()) <= bound, opened
+    assert not [c for _thread, _target, c in connections if c.overlapped]
     _assert_all_closed(connections)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_opens_one_connection_per_thread_and_database(run_config, connections, workers):
+    # The run's pool keeps idle connections per database, shared by its
+    # worker threads: at most one per worker is ever open for a database.
+    run_config.limit = None
+    run_config.worker_count = workers
+    records = _stressed_run(run_config, ARM_BASELINE, _gold_baseline_factory)
+    assert all(r.baseline_correct == 1 for r in records)
+    assert len({thread for thread, _target, _c in connections}) <= workers
+    _assert_pool_bound(connections, records, workers)
+    if workers == 1:
+        assert len(connections) == len({r.db_id for r in records})
+
+
+@pytest.mark.parametrize("workers, width", [(1, 2), (2, 2), (3, 4)])
+def test_fanout_run_opens_at_most_workers_times_one_plus_width_connections(
+    run_config, schemas, connections, workers, width
+):
+    run_config.limit = None
+    run_config.worker_count = workers
+    run_config.pipeline = PipelineConfig(parallel_subqueries=True, subquery_fanout_width=width)
+
+    def endpoints_for(example_id, example):
+        return scripted_pair(gold_answer_script(example, schemas[example.db_id]))
+
+    records = _stressed_run(run_config, ARM_BOTH, endpoints_for)
+    assert all(r.baseline_correct == r.module_correct == 1 and not r.error for r in records)
+    _assert_pool_bound(connections, records, workers * (1 + width))
+
+
+def test_fanout_scoring_reuses_the_fanout_threads_outcomes(run_config, schemas, opened):
+    # merge_last makes the final SQL the last sub-query's, which only a fan-out
+    # thread executed; scoring finds it, and the gold query, in the memo.
+    run_config.limit = None
+    run_config.pipeline.parallel_subqueries = True
+
+    def endpoints_for(example_id, example):
+        return scripted_pair([
+            ("table names", ", ".join(t.name for t in schemas[example.db_id].tables)),
+            ("numbered list of sub-questions", f"1. Warm up first.\n2. {example.question}"),
+            ("Warm up first", f"SELECT '{example_id}' AS warm_up"),
+            ("answers the sub-question below", example.gold_sql),
+        ])
+
+    records = run_benchmark(run_config, ARM_MODULE, endpoints_for=endpoints_for)
+    assert all(r.module_correct == 1 and not r.error for r in records)
+    assert all(r.final_sql_module in opened for r in records)
+    assert set(Counter(opened).values()) == {1}
 
 
 def test_run_closes_its_connections_after_a_gold_failure(
@@ -851,8 +899,8 @@ def test_warm_cache_misses_when_a_setting_changes(run_config, tmp_path, change):
 
 @pytest.mark.parametrize(
     "setting",
-    [{"temperature": 0.7}, {"stage_temperatures": {"baseline": 0.7}}, {"max_tokens": 64}],
-    ids=["temperature", "stage_temperatures", "max_tokens"],
+    [{"temperature": 0.7}, {"max_tokens": 64}],
+    ids=["temperature", "max_tokens"],
 )
 def test_warm_cache_calls_again_when_a_request_setting_changes(run_config, tmp_path, setting):
     def changed(created):
@@ -869,8 +917,7 @@ def test_warm_cache_calls_again_when_a_request_setting_changes(run_config, tmp_p
     assert _calls(run_config, ARM_BOTH)[1] == 0
     warm, calls = _calls(run_config, ARM_BOTH, changed)
     assert warm == cold
-    # stage_temperatures changes only the baseline request: one per example.
-    assert calls == (3 if "stage_temperatures" in setting else 12)
+    assert calls == 12
 
 
 def test_warm_cache_follows_the_router_model_file(run_config, tmp_path):
@@ -1189,6 +1236,32 @@ def test_load_config_round_trip(tmp_path, corpus_root):
             run_dir=tmp_path / "runs" / "latest",
         )
         assert config.pipeline == PipelineConfig()
+
+
+_ENDPOINT = {"base_url": "http://localhost:8000/v1", "model_id": "r"}
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"pipeline": {"colum_selection": False, "max_refinement": 0}},
+         "pipeline.colum_selection, pipeline.max_refinement"),
+        ({"harness": {"workers": 4, "run_dir": "out"}}, "harness.workers"),
+        ({"llm": {"reasoning_model": {**_ENDPOINT, "temprature": 0.7}}},
+         "llm.reasoning_model.temprature"),
+        ({"llm": {"coding_model": {**_ENDPOINT, "stage_temperatures": {"baseline": 0.7}}}},
+         "llm.coding_model.stage_temperatures"),
+        ({"llm": {"reasoning": _ENDPOINT}}, "llm.reasoning"),
+        ({"piepline": {"max_refinements": 0}}, "piepline"),
+        ({"executor": {"timeout": 5}}, "executor.timeout"),
+    ],
+    ids=["pipeline", "harness", "endpoint", "stage-temperatures", "role", "section", "executor"],
+)
+def test_load_config_names_every_key_it_does_not_know(tmp_path, corpus_root, extra, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": {"root": str(corpus_root)}, **extra}))
+    with pytest.raises(ValueError, match=f"unknown config key\\(s\\): {re.escape(named)}$"):
+        load_config(path)
 
 
 def test_both_run_scores_the_gold_order_mode_once_per_example(run_config, monkeypatch):

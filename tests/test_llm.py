@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
 import sys
 import threading
 import time
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import _reference_request_to_dict, _reference_transcript_entry_to_dict
+from splitsql.harness import PerExampleRecord
 from splitsql.llm import (
+    ROLES,
     ChatMessage,
     CompletionCache,
     CompletionRequest,
@@ -19,10 +27,13 @@ from splitsql.llm import (
     ProviderConfig,
     ProviderError,
     ScriptExhaustedError,
+    TranscriptEntry,
     complete,
+    _fields,
     scripted_provider,
-    transcript_entry_to_dict,
 )
+from splitsql.pipeline import PipelineTrace, SubQuery, SubQuestion
+from splitsql.router import RouterModel
 
 
 def _request(content: str) -> CompletionRequest:
@@ -50,20 +61,6 @@ def test_empty_content_only_for_assistant():
     assert ChatMessage("assistant", "").content == ""
     with pytest.raises(ValueError):
         ChatMessage("user", "")
-
-
-def test_stage_temperature_override_applies():
-    endpoint = ModelEndpoint(
-        provider=scripted_provider([("a", "x"), ("b", "y")]),
-        model_id="m",
-        temperature=0.0,
-        stage_temperatures={"decomposition": 0.3},
-    )
-    transcript = []
-    endpoint.ask("a", transcript=transcript, stage_label="decomposition")
-    endpoint.ask("b", transcript=transcript, stage_label="baseline")
-    assert transcript[0].request.temperature == 0.3
-    assert transcript[1].request.temperature == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,7 @@ def test_cache_replays_a_reply_from_an_earlier_run(tmp_path):
     warm = []
     assert warm_endpoint.ask("q", transcript=warm, stage_label="s") == "a1"
     assert warm_provider.script.call_count == 0
-    assert [transcript_entry_to_dict(e) for e in warm] == [transcript_entry_to_dict(cold[0])]
+    assert warm == [cold[0]]
 
 
 @pytest.mark.parametrize(
@@ -167,14 +164,13 @@ def test_cache_replays_a_reply_from_an_earlier_run(tmp_path):
         ({"model_id": "other"}, {}),
         ({"base_url": "http://localhost:8000/v1"}, {}),
         ({"temperature": 0.5}, {}),
-        ({"stage_temperatures": {"s": 0.5}}, {}),
         ({"max_tokens": 7}, {}),
         ({}, {"prompt": "q, again"}),
         ({}, {"stage_label": "t"}),
         ({}, {"attempt_index": 1}),
     ],
     ids=[
-        "model_id", "base_url", "temperature", "stage_temperatures", "max_tokens",
+        "model_id", "base_url", "temperature", "max_tokens",
         "prompt", "stage_label", "attempt_index",
     ],
 )
@@ -224,6 +220,92 @@ def test_cache_keeps_every_reply_under_concurrent_puts(tmp_path):
     for worker in range(threads):
         for index in range(puts):
             assert reopened.get(f"{worker}-{index}").text == f"reply {worker} {index}"
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind_and_url=st.sampled_from([("scripted", ""), ("http_openai_compatible", "http://h/v1")]),
+    model_id=_TEXT,
+    messages=st.lists(st.tuples(st.sampled_from(ROLES), _TEXT), max_size=3),
+    last=_TEXT,
+    temperature=st.floats(0, 2) | st.integers(0, 2),
+    max_tokens=st.integers(1, 4096),
+    stop=st.lists(_TEXT, max_size=2),
+    stage_label=_TEXT,
+    attempt=st.integers(0, 10),
+)
+def test_cache_key_is_the_hash_of_the_hand_written_payload(
+    kind_and_url, model_id, messages, last, temperature, max_tokens, stop, stage_label, attempt
+):
+    kind, base_url = kind_and_url
+    provider = ProviderConfig(kind=kind, base_url=base_url)
+    endpoint = ModelEndpoint(provider, model_id)
+    request = CompletionRequest(
+        model_id=model_id,
+        messages=tuple(ChatMessage(*m) for m in messages) + (ChatMessage("user", last),),
+        temperature=temperature,
+        max_tokens=max_tokens,
+        stop_sequences=tuple(stop),
+    )
+    payload = [[kind, base_url, model_id], _reference_request_to_dict(request), stage_label, attempt]
+    expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    assert endpoint._request_key(request, stage_label, attempt) == expected
+    entry = TranscriptEntry(stage_label, request, CompletionResponse("x", 1, 2, 3, 4), attempt)
+    assert json.dumps(entry, sort_keys=True, default=_fields) == json.dumps(
+        _reference_transcript_entry_to_dict(entry), sort_keys=True
+    )
+
+
+# Written by a run before cache lines were serialized from their dataclasses:
+# ModelEndpoint(scripted_provider(...), "coder", temperature=0.5, max_tokens=7)
+# asking CACHED_PROMPT at stage subquery_generation, attempt 1.
+CACHED_PROMPT = 'Which café has ≥ 2 "orders"?\n'
+CACHED_LINE = (
+    '{"key": "39262de0aa7a8cd13ba8a9f67deb1aab00871dee46c0e12d7a4a37db790a9fd4", "response": '
+    '{"completion_tokens": 0, "latency_ms": 0, "prompt_tokens": 0, "retries": 0, '
+    '"text": "SELECT 1"}}\n'
+)
+
+
+def test_a_cache_line_written_before_stays_a_hit(tmp_path):
+    (tmp_path / "run-old.jsonl").write_text(CACHED_LINE, encoding="utf-8")
+    provider = scripted_provider([("never", "x")])
+    cache = CompletionCache(tmp_path)
+    endpoint = ModelEndpoint(provider, "coder", temperature=0.5, max_tokens=7, cache=cache)
+    try:
+        reply = endpoint.ask(CACHED_PROMPT, stage_label="subquery_generation", attempt_index=1)
+        assert reply == "SELECT 1"
+        assert provider.script.call_count == 0
+        # A put of that reply writes the same line again.
+        cache.put(json.loads(CACHED_LINE)["key"], CompletionResponse("SELECT 1"))
+    finally:
+        cache.close()
+    written = [p for p in tmp_path.glob("*.jsonl") if p.name != "run-old.jsonl"]
+    assert [p.read_text(encoding="utf-8") for p in written] == [CACHED_LINE]
+
+
+def test_the_json_hook_gives_exactly_the_fields_of_each_dataclass_written():
+    request = CompletionRequest("m", (ChatMessage("user", "q"),), stop_sequences=(";",))
+    response = CompletionResponse("a", 1, 2, 3, 4)
+    trace = PipelineTrace("ex", subquestions=[SubQuestion(1, "q")], subqueries=[SubQuery(1, "s")])
+    trace.transcript.append(TranscriptEntry("s", request, response, 1))
+    trace.stage_timings_ms["total"] = 5
+    record = PerExampleRecord("ex", "db", 1, 0, 1, "baseline", "a", "b", ("x", "y"), "e")
+    model = RouterModel((0.5,) * 6, 0.1, (0.0,) * 6, (1.0,) * 6)
+    for value in (request, request.messages[0], response, trace.transcript[0], trace,
+                  trace.subquestions[0], trace.subqueries[0], record, model):
+        assert _fields(value) == {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+@pytest.mark.parametrize("value", [Path("x"), CompletionResponse, {1, 2}, object()])
+def test_the_json_hook_refuses_what_is_not_a_dataclass_instance(value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _fields(value)
+    with pytest.raises(TypeError):
+        json.dumps({"value": value}, default=_fields)
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,42 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     AVG_ORDERED_SQL,
+    _reference_canonical_trace_bytes,
+    _reference_trace_file_bytes,
+    _reference_trace_to_dict,
     avg_ordered_products_script,
     baseline_wrong_avg_script,
+    gold_answer_script,
     scripted_endpoint,
     scripted_pair,
 )
-from splitsql import pipeline
-from splitsql.dataset import serialize_schema
+from splitsql import harness, pipeline
+from splitsql.dataset import DatabaseSchema, TableDef, serialize_schema
 from splitsql.executor import execute_sql, execution_accuracy
-from splitsql.llm import KIND_SCRIPTED, ModelEndpoint, ModelPair, ProviderConfig, ScriptState
+from splitsql.harness import ARM_BOTH, RunConfig, run_benchmark
+from splitsql.llm import (
+    KIND_SCRIPTED,
+    ROLES,
+    ChatMessage,
+    CompletionRequest,
+    CompletionResponse,
+    ModelEndpoint,
+    ModelPair,
+    ProviderConfig,
+    ScriptState,
+    TranscriptEntry,
+)
 from splitsql.minicorpus import db_path
 from splitsql.pipeline import (
     MERGE_LAST_SUBQUERY,
     MERGE_PLANNER_EXECUTOR,
     PipelineConfig,
+    PipelineTrace,
     StageContext,
     SubQuery,
     SubQuestion,
@@ -33,7 +52,6 @@ from splitsql.pipeline import (
     run_baseline,
     run_divide_and_merge,
     select_tables,
-    trace_to_dict,
     write_trace,
 )
 
@@ -439,11 +457,96 @@ def test_trace_file_round_trips_as_one_line(avg_example, orders_schema, orders_d
     path = tmp_path / "traces" / "ex0000_module.json"
     write_trace(path, trace)
     text = path.read_text(encoding="utf-8")
-    assert json.loads(text) == trace_to_dict(trace)
+    assert json.loads(text) == _reference_trace_to_dict(trace)
     assert "\n" not in text
-    assert canonical_trace_bytes(trace) == json.dumps(
-        trace_to_dict(trace, include_timings=False), sort_keys=True, indent=2
-    ).encode("utf-8")
+    assert canonical_trace_bytes(trace) == _reference_canonical_trace_bytes(trace)
+
+
+_TEXT = st.text(max_size=8)
+_NAME = st.text(min_size=1, max_size=8)
+_MESSAGES = st.tuples(
+    st.lists(st.builds(ChatMessage, st.sampled_from(ROLES), _NAME), max_size=2),
+    st.builds(ChatMessage, st.just("user"), _NAME),
+).map(lambda parts: (*parts[0], parts[1]))
+_ENTRIES = st.builds(
+    TranscriptEntry,
+    stage_label=_NAME,
+    request=st.builds(
+        CompletionRequest,
+        model_id=_TEXT,
+        messages=_MESSAGES,
+        temperature=st.floats(0, 2) | st.integers(0, 2),
+        max_tokens=st.integers(1, 4096),
+        stop_sequences=st.lists(_TEXT, max_size=2).map(tuple),
+    ),
+    response=st.builds(
+        CompletionResponse, _TEXT, *[st.integers(0, 10**6)] * 4
+    ),
+    attempt_index=st.integers(0, 10),
+)
+_SCHEMAS = st.builds(
+    DatabaseSchema,
+    db_id=_NAME,
+    tables=st.lists(st.builds(TableDef, name=_NAME, columns=st.just(())), max_size=3).map(tuple),
+)
+_TRACES = st.builds(
+    PipelineTrace,
+    example_id=_TEXT,
+    reduced_schema=st.none() | _SCHEMAS,
+    subquestions=st.lists(st.builds(SubQuestion, st.integers(1, 9), _TEXT), max_size=3),
+    subqueries=st.lists(
+        st.builds(SubQuery, st.integers(1, 9), _TEXT, st.integers(0, 3), st.booleans()), max_size=3
+    ),
+    merge_plan_text=_TEXT,
+    merged_sql=_TEXT,
+    final_sql=_TEXT,
+    transcript=st.lists(_ENTRIES, max_size=4),
+    stage_timings_ms=st.dictionaries(_NAME, st.integers(0, 10**5), max_size=3),
+    merge_fell_back=st.booleans(),
+    error=_TEXT,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=_TRACES)
+def test_trace_json_matches_the_reference_serializer(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("trace") / "trace.json"
+    write_trace(path, trace)
+    assert path.read_bytes() == _reference_trace_file_bytes(trace)
+    assert canonical_trace_bytes(trace) == _reference_canonical_trace_bytes(trace)
+
+
+@pytest.mark.parametrize("parallel_subqueries", [False, True], ids=["fanout-off", "fanout-on"])
+def test_bundled_corpus_traces_match_the_reference_serializer(
+    corpus_root, schemas, tmp_path, monkeypatch, parallel_subqueries
+):
+    config = RunConfig(
+        tables_file=corpus_root / "tables.json",
+        examples_file=corpus_root / "examples.json",
+        run_dir=tmp_path / "run",
+        pipeline=PipelineConfig(parallel_subqueries=parallel_subqueries),
+    )
+    kept = []
+    write = harness.write_trace
+
+    def keep(path, trace):
+        write(path, trace)
+        kept.append((path, trace))
+
+    def endpoints_for(example_id, example):
+        return scripted_pair(gold_answer_script(example, schemas[example.db_id]))
+
+    monkeypatch.setattr(harness, "write_trace", keep)
+    records = run_benchmark(config, ARM_BOTH, endpoints_for=endpoints_for)
+    assert len(kept) == 2 * len(records) == 40
+    assert all(r.baseline_correct == r.module_correct == 1 and not r.error for r in records)
+    for path, trace in kept:
+        assert path.read_bytes() == _reference_trace_file_bytes(trace), path.name
+        assert canonical_trace_bytes(trace) == _reference_canonical_trace_bytes(trace), path.name
+    module = [trace for path, trace in kept if path.name.endswith("_module.json")]
+    assert all(len(trace.subqueries) == 2 and trace.reduced_schema for trace in module)
+    baseline = [trace for path, trace in kept if path.name.endswith("_baseline.json")]
+    assert all(trace.transcript[-1].attempt_index == 1 for trace in baseline)
 
 
 @pytest.mark.parametrize("parallel_subqueries", [False, True])

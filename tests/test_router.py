@@ -153,6 +153,15 @@ def test_single_class_data_is_training_error():
         train_logistic(RoutingDataset(rows))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("learning_rate, l2", [(1.0, 2.0), (0.5, 6.0), (40.0, 0.05)])
+def test_training_refuses_a_step_that_cannot_converge(learning_rate, l2):
+    with pytest.raises(RouterTrainingError, match="keep the product below 2"):
+        train_logistic(_separable_dataset(), learning_rate=learning_rate, epochs=5, l2=l2)
+    model = train_logistic(_separable_dataset(), learning_rate=learning_rate, epochs=5, l2=l2 / 2)
+    assert all(map(math.isfinite, model.weights))
+
+
 def test_loss_non_increasing_per_epoch_at_small_lr():
     data = _separable_dataset()
     # Add label noise so the loss cannot just race to zero.
