@@ -33,8 +33,20 @@ from .router import (
 )
 
 
+def _load_config(path: str):
+    """The run configuration, or None after printing why the file cannot serve
+    as one. Errors of the run itself are not caught here: they stay loud."""
+    try:
+        return load_config(path)
+    except (OSError, ValueError) as exc:
+        print(f"splitsql: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args.config)
+    if config is None:
+        return 2
     if args.merge:
         config.pipeline.merge_strategy = (
             MERGE_LAST_SUBQUERY if args.merge == "last" else MERGE_PLANNER_EXECUTOR
@@ -101,7 +113,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_route_train(args) -> int:
     records = load_records(args.records)
-    config = load_config(args.config)
+    config = _load_config(args.config)
+    if config is None:
+        return 2
     schemas = load_schemas(config.tables_file)
     examples = load_examples(config.examples_file)
 

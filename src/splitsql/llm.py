@@ -7,16 +7,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import select
 import tempfile
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
+from urllib.parse import unquote, urlsplit
 
 if TYPE_CHECKING:
-    import urllib3
+    import http.client
 
 ROLES = ("system", "user", "assistant")
 
@@ -136,7 +137,7 @@ class ProviderConfig:
     retry_backoff_ms: int = 250
     script: ScriptState | None = None
     # The run's keep-alive pool for base_url; without one, each call opens its own.
-    pool: urllib3.PoolManager | None = field(default=None, compare=False, repr=False)
+    pool: ConnectionPool | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_HTTP, KIND_SCRIPTED):
@@ -149,16 +150,69 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-def connection_pool(url: str, maxsize: int = 1) -> urllib3.PoolManager:
-    """A keep-alive pool keeping up to maxsize idle connections per host, through
-    the environment's proxy for url's scheme unless the host bypasses it."""
-    import urllib3
-    parts = urllib3.util.parse_url(url)
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if proxy and not urllib.request.proxy_bypass(parts.host):
-        auth = urllib3.make_headers(proxy_basic_auth=urllib3.util.parse_url(proxy).auth)
-        return urllib3.ProxyManager(proxy, proxy_headers=auth, maxsize=maxsize)
-    return urllib3.PoolManager(maxsize=maxsize)
+@dataclass
+class ConnectionPool:
+    """Idle keep-alive connections to one origin. list.pop and list.append are
+    atomic, so threads share the pool and never share a connection."""
+
+    connect: Callable[[], http.client.HTTPConnection]
+    maxsize: int
+    forward_headers: dict | None = None  # set when requests go to an HTTP proxy in absolute form
+    idle: list = field(default_factory=list)
+
+    def get(self, timeout_s: float) -> http.client.HTTPConnection:
+        """An idle connection, or a new one, timing out after timeout_s."""
+        try:
+            connection = self.idle.pop()
+            if select.select([connection.sock], [], [], 0)[0]:  # readable idle: server closed it
+                connection.close()  # the next request reconnects
+        except IndexError:
+            connection = self.connect()
+        connection.timeout = timeout_s
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout_s)
+        return connection
+
+    def put(self, connection: http.client.HTTPConnection, reusable: bool) -> None:
+        """Keep a connection whose reply was read in full, unless it closes or the pool is full."""
+        if reusable and len(self.idle) < self.maxsize:
+            self.idle.append(connection)
+        else:
+            connection.close()
+
+    def clear(self) -> None:
+        while self.idle:
+            self.idle.pop().close()
+
+
+def connection_pool(url: str, maxsize: int = 1) -> ConnectionPool:
+    """A keep-alive pool keeping up to maxsize idle connections to url's origin,
+    through the environment's proxy for url's scheme unless the host bypasses it.
+    An https target is tunnelled through the proxy with CONNECT."""
+    import base64
+    import http.client
+    import urllib.request
+    target = urlsplit(url)
+    kind = http.client.HTTPSConnection if target.scheme == "https" else http.client.HTTPConnection
+    proxy = urllib.request.getproxies().get(target.scheme)
+    if not proxy or urllib.request.proxy_bypass(target.hostname):
+        return ConnectionPool(lambda: kind(target.hostname, target.port), maxsize)
+    via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if via.scheme != "http":
+        raise ValueError(f"proxy {via.scheme}://{via.hostname} for {target.scheme}://"
+                         f"{target.hostname}: only http:// proxy URLs are supported")
+    auth = {}
+    if via.username is not None:
+        credentials = f"{unquote(via.username)}:{unquote(via.password or '')}".encode()
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
+    tunnel = target.scheme == "https"
+
+    def connect() -> http.client.HTTPConnection:
+        connection = kind(via.hostname, via.port)
+        if tunnel:
+            connection.set_tunnel(target.hostname, target.port, headers=auth)
+        return connection
+    return ConnectionPool(connect, maxsize, None if tunnel else auth)
 
 
 def scripted_provider(script: list[tuple[str, str]]) -> ProviderConfig:
@@ -206,7 +260,7 @@ def complete(
 
 
 def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> CompletionResponse:
-    import urllib3
+    import http.client
     url = provider.base_url.rstrip("/") + "/chat/completions"
     payload = {
         "model": request.model_id,
@@ -225,24 +279,28 @@ def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> Comp
 
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     pool = provider.pool or connection_pool(url)
+    path = urlsplit(url).path if pool.forward_headers is None else url
+    headers.update(pool.forward_headers or {})
     started = time.monotonic()
     attempt = 0
     try:
         while True:
             status: int | None = None
-            try:  # retries=False: this loop is the only one, so retries counts every attempt
-                http_response = pool.request(
-                    "POST", url, body=body, headers=headers, redirect=False, retries=False,
-                    timeout=provider.request_timeout_ms / 1000.0,
-                )
-                status = http_response.status
+            connection = pool.get(provider.request_timeout_ms / 1000.0)
+            try:  # redirects are not followed: http.client returns them as they are
+                connection.request("POST", path, body, headers)
+                reply = connection.getresponse()
+                data, status = reply.read(), reply.status
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                failure = f"request failed: {exc}"
+            else:
+                pool.put(connection, reusable=not reply.will_close)
                 if status == 200:
-                    return _parse_http_response(http_response.data, started, retries=attempt)
+                    return _parse_http_response(data, started, retries=attempt)
                 failure = f"HTTP {status}"
                 if status not in _RETRYABLE_STATUS:
                     raise ProviderError(f"provider returned {failure}", status=status)
-            except urllib3.exceptions.HTTPError as exc:
-                failure = f"request failed: {exc}"
 
             if attempt >= provider.max_retries:
                 raise ProviderError(

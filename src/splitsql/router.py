@@ -152,6 +152,17 @@ def train_logistic(
     standardized = (features - means) / stds
 
     n = len(labels)
+    # Steps converge when learning_rate * (L + l2) < 2, where L bounds the
+    # logistic loss's curvature: the largest eigenvalue of Z'Z / (4n) for the
+    # standardized features Z with a ones column for the bias.
+    design = np.column_stack([standardized, np.ones(n)])
+    smoothness = float(np.linalg.eigvalsh(design.T @ design)[-1]) / (4 * n)
+    if learning_rate * (smoothness + l2) >= 2:
+        raise RouterTrainingError(
+            f"training cannot converge: learning_rate * (L + l2) = "
+            f"{learning_rate * (smoothness + l2):g}, where L = {smoothness:g} is the"
+            f" curvature bound of this data's loss; keep the product below 2"
+        )
     weights = np.zeros(_FEATURE_COUNT)
     bias = 0.0
     for _ in range(epochs):

@@ -296,8 +296,9 @@ def test_route_train_reports_a_diverged_model_and_writes_no_file(tmp_path, corpu
         (["--lr", "0"], "learning_rate must be positive"),
         (["--epochs", "0"], "epochs must be positive"),
         (["--l2", "-1"], "l2 must be >= 0"),
+        (["--lr", "1", "--l2", "1.99", "--epochs", "700"], "training cannot converge"),
     ],
-    ids=["lr-l2-5", "lr-l2-2", "lr-0", "epochs-0", "l2-negative"],
+    ids=["lr-l2-5", "lr-l2-2", "lr-0", "epochs-0", "l2-negative", "lr-1-l2-1.99"],
 )
 def test_route_train_rejects_hyper_parameters_that_cannot_train(
     tmp_path, corpus_root, capsys, options, message
@@ -313,3 +314,39 @@ def test_route_train_rejects_hyper_parameters_that_cannot_train(
     out, err = capsys.readouterr()
     assert err.startswith("cannot train router: ") and message in err and not out
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "route-train"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"pipeline": {"colum_selection": false}}',
+         "bad.json: unknown config key(s): pipeline.colum_selection"),
+        ('{"pipeline": {"merge_strategy": "vote"}}', "unknown merge strategy 'vote'"),
+        ("{not json", "Expecting property name"),
+        (None, "No such file or directory"),
+    ],
+    ids=["unknown-key", "unknown-merge", "not-json", "missing"],
+)
+def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command, content, message):
+    config = tmp_path / "bad.json"
+    if content is not None:
+        config.write_text(content)
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    model_path = tmp_path / "router.json"
+    options = ["--records", str(records_path), "--out", str(model_path)]
+    options = options if command == "route-train" else []
+    assert main([command, "--config", str(config), *options]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("splitsql: ") and message in err and err.count("\n") == 1
+    assert not out and not model_path.exists()
+
+
+def test_an_error_inside_the_run_stays_loud(tmp_path, corpus_root):
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    payload = json.loads(config.read_text())
+    del payload["llm"]
+    config.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="config must define reasoning_model and coding_model"):
+        main(["run", "--config", str(config)])

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import math
 import random
 import re
@@ -1309,11 +1308,14 @@ class _CountingServer(ThreadingHTTPServer):
         with self.lock:
             self.open_now -= 1
 
-    def wait_until_all_closed(self, timeout_s: float = 5.0) -> bool:
+    def wait_until_open(self, count: int, timeout_s: float = 5.0) -> bool:
         deadline = time.monotonic() + timeout_s
-        while self.open_now and time.monotonic() < deadline:
+        while self.open_now != count and time.monotonic() < deadline:
             time.sleep(0.01)
-        return self.open_now == 0
+        return self.open_now == count
+
+    def wait_until_all_closed(self, timeout_s: float = 5.0) -> bool:
+        return self.wait_until_open(0, timeout_s)
 
 
 class _CountingHandler(BaseHTTPRequestHandler):
@@ -1361,14 +1363,22 @@ def counting_server(request):
 
 @pytest.fixture()
 def kept_pools(monkeypatch):
-    """The connection pools run_benchmark builds, kept alive after the run:
-    a pool that is garbage collected closes its connections, so with this
-    only clearing it does."""
+    """The connection pools run_benchmark builds, kept alive after the run, so
+    only clearing one closes its connections. Each notes in idle_when_cleared
+    how many idle connections it held when it was cleared."""
     pools = []
 
     def keep(url, maxsize):
-        pools.append(connection_pool(url, maxsize))
-        return pools[-1]
+        pool = connection_pool(url, maxsize)
+        clear = pool.clear
+
+        def count_and_clear():
+            pool.idle_when_cleared = len(pool.idle)
+            clear()
+
+        pool.clear = count_and_clear
+        pools.append(pool)
+        return pool
 
     monkeypatch.setattr(harness, "connection_pool", keep)
     return pools
@@ -1458,19 +1468,42 @@ def test_pooled_connection_closed_unannounced_is_not_a_retry(counting_server):
         pool.clear()
 
 
-def test_parallel_fanout_stays_within_the_pool(http_run_config, counting_server, caplog):
+def test_parallel_fanout_stays_within_the_pool(http_run_config, counting_server, kept_pools):
     http_run_config.pipeline.parallel_subqueries = True
     http_run_config.pipeline.subquery_fanout_width = 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # six threads share one pool: switch often to expose a race
     try:
-        with caplog.at_level(logging.WARNING, logger="urllib3"):
-            records = run_benchmark(http_run_config, ARM_ROUTED)
+        records = run_benchmark(http_run_config, ARM_ROUTED)
     finally:
         sys.setswitchinterval(interval)
     assert all(not r.error for r in records)
     trace = json.loads(Path(records[0].trace_paths[1]).read_text())
     assert len(trace["subquestions"]) == 3
     assert counting_server.opened <= 6
-    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+    # Every connection went back to the pool: none was closed for want of room.
+    [pool] = kept_pools
+    assert pool.idle_when_cleared == counting_server.opened
     assert counting_server.wait_until_all_closed()
+
+
+def test_idle_connections_beyond_maxsize_are_closed_at_once(counting_server):
+    url = f"http://127.0.0.1:{counting_server.server_port}"
+    body = json.dumps({"messages": [{"role": "user", "content": "hi"}]}).encode()
+    pool = connection_pool(url, maxsize=1)
+    try:
+        first, second = pool.get(5.0), pool.get(5.0)
+        for connection in (first, second):
+            connection.request("POST", "/chat/completions", body)
+            assert connection.getresponse().read()
+        assert counting_server.wait_until_open(2)
+        pool.put(first, reusable=True)
+        pool.put(second, reusable=True)
+        assert pool.idle == [first]
+        assert counting_server.wait_until_open(1)
+        assert pool.get(5.0) is first  # and it is reused
+        pool.put(first, reusable=True)
+    finally:
+        pool.clear()
+    assert counting_server.wait_until_all_closed()
+    assert counting_server.opened == 2

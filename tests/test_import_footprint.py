@@ -1,16 +1,22 @@
-"""numpy and urllib3 load only when logistic routing or an HTTP call needs them.
+"""numpy loads only for logistic routing, and http.client and ssl only for an
+HTTP call; urllib3 never loads. The package imports nothing that
+pyproject.toml does not declare.
 
-The check runs in a fresh interpreter: other test modules load both
-dependencies into this one.
+The footprint checks run in a fresh interpreter: other test modules load
+these modules into this one.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = TESTS_DIR.parent / "src"
@@ -54,7 +60,7 @@ for arm in (ARM_BOTH, ARM_ROUTED):
     report = build_report(records)
     emit_report(report, "json", out / arm / "report.json")
     emit_report(report, "markdown", out / arm / "report.md")
-loaded = sorted({"numpy", "urllib3"} & set(sys.modules))
+loaded = sorted({"numpy", "urllib3", "http.client", "ssl"} & set(sys.modules))
 
 from splitsql.dataset import FeatureVector
 from splitsql.router import RouterModel, route_logistic
@@ -65,14 +71,91 @@ print(json.dumps({"errors": errors, "loaded": loaded, "numpy_after": "numpy" in 
 """
 
 
-def test_a_heuristic_scripted_run_loads_neither_numpy_nor_urllib3(corpus_root, tmp_path):
+_HTTP_PROBE = """
+import json
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+from splitsql.harness import ARM_ROUTED, EndpointSpec, RunConfig, run_benchmark
+from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig
+
+
+class Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        text = "COMPLEX" if "SIMPLE or COMPLEX" in prompt["messages"][-1]["content"] else "SELECT 1"
+        payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+url = f"http://127.0.0.1:{server.server_port}"
+corpus, out = Path(sys.argv[1]), Path(sys.argv[2])
+config = RunConfig(
+    tables_file=corpus / "tables.json",
+    examples_file=corpus / "examples.json",
+    run_dir=out,
+    reasoning=EndpointSpec(base_url=url, model_id="reasoner"),
+    coding=EndpointSpec(base_url=url, model_id="coder"),
+    pipeline=PipelineConfig(merge_strategy=MERGE_LAST_SUBQUERY, column_selection_enabled=False),
+    router_kind="judge",
+    worker_count=2,
+    limit=4,
+)
+records = run_benchmark(config, ARM_ROUTED)
+server.shutdown()
+server.server_close()
+print(json.dumps({
+    "routes": [record.route_taken for record in records],
+    "errors": [record.error for record in records if record.error],
+    "loaded": sorted({"numpy", "urllib3"} & set(sys.modules)),
+}))
+"""
+
+
+def _probe(source: str, *args) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), str(TESTS_DIR)])}
     completed = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(corpus_root), str(tmp_path)],
+        [sys.executable, "-c", source, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert completed.returncode == 0, completed.stderr
-    result = json.loads(completed.stdout)
+    return json.loads(completed.stdout)
+
+
+def test_a_heuristic_scripted_run_loads_neither_numpy_nor_urllib3(corpus_root, tmp_path):
+    result = _probe(_PROBE, corpus_root, tmp_path)
     assert result["errors"] == {"both": [], "routed": []}
     assert result["loaded"] == []
     assert result["numpy_after"] is True
+
+
+def test_a_judge_routed_http_run_never_imports_urllib3(corpus_root, tmp_path):
+    result = _probe(_HTTP_PROBE, corpus_root, tmp_path)
+    assert result == {"routes": ["divide_and_merge"] * 4, "errors": [], "loaded": []}
+
+
+def test_the_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in (SRC_DIR / "splitsql").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"splitsql"}
+    pyproject = tomllib.loads((SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[\w.-]+", spec).group() for spec in pyproject["project"]["dependencies"]}
+    assert third_party == declared

@@ -158,8 +158,38 @@ def test_single_class_data_is_training_error():
 def test_training_refuses_a_step_that_cannot_converge(learning_rate, l2):
     with pytest.raises(RouterTrainingError, match="keep the product below 2"):
         train_logistic(_separable_dataset(), learning_rate=learning_rate, epochs=5, l2=l2)
-    model = train_logistic(_separable_dataset(), learning_rate=learning_rate, epochs=5, l2=l2 / 2)
+    # The separable set's loss has curvature bound L = 0.25: a step is stable
+    # while learning_rate * (0.25 + l2) < 2.
+    stable = min(learning_rate, 1.9 / (0.25 + l2 / 2))
+    model = train_logistic(_separable_dataset(), learning_rate=stable, epochs=5, l2=l2 / 2)
     assert all(map(math.isfinite, model.weights))
+
+
+@pytest.mark.parametrize("learning_rate, l2", [(4.0, 0.3), (8.0, 0.0), (7.8, 0.01)])
+def test_training_refuses_a_step_the_loss_curvature_makes_unstable(learning_rate, l2):
+    # learning_rate * l2 < 2, but learning_rate * (0.25 + l2) >= 2.
+    with pytest.raises(RouterTrainingError, match=r"learning_rate \* \(L \+ l2\) = .*L = 0.25"):
+        train_logistic(_separable_dataset(), learning_rate=learning_rate, epochs=5, l2=l2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    learning_rate=st.floats(0.05, 12.0),
+    l2=st.sampled_from([0.0, 0.01, 0.3]),
+    noisy=st.booleans(),
+)
+def test_every_accepted_step_never_raises_the_loss(learning_rate, l2, noisy):
+    data = _separable_dataset()
+    if noisy:
+        data = RoutingDataset(data.rows[:80] + [(_features(table_count=10), 0)])
+    try:
+        train_logistic(data, learning_rate=learning_rate, epochs=1, l2=l2)
+    except RouterTrainingError:
+        assert learning_rate * (0.25 + l2) >= 2 * (1 - 1e-9)  # the bound is exact here
+        return
+    models = [train_logistic(data, learning_rate, epochs, l2) for epochs in range(1, 13)]
+    losses = [_reference_loss(model, data, l2) for model in models]
+    assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
 def test_loss_non_increasing_per_epoch_at_small_lr():
