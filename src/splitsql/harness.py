@@ -47,6 +47,7 @@ from .router import (
     KIND_HEURISTIC,
     KIND_JUDGE,
     KIND_LOGISTIC,
+    ROUTER_KINDS,
     UndefinedAccuracyError,
     load_router_model,
     oracle_branch,
@@ -167,6 +168,8 @@ class RunConfig:
     def __post_init__(self):
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
+        if self.router_kind not in ROUTER_KINDS:
+            raise ValueError(f"unknown router kind {self.router_kind!r}")
 
 
 # The settings a config file may give, as (section, JSON key, field name);
@@ -216,7 +219,10 @@ def _unknown_keys(raw: dict, prefix: str = "") -> list[str]:
 def load_config(path: str | Path) -> RunConfig:
     """Load the JSON run configuration (paths resolve relative to the file)."""
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a valid JSON config file: {exc}") from exc
     unknown = _unknown_keys(raw)
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
@@ -637,8 +643,6 @@ def run_benchmark(
                 transcript=transcript,
             ),
         }
-        if config.router_kind not in routers:
-            raise ValueError(f"unknown router kind {config.router_kind!r}")
         route = routers[config.router_kind]
 
     # The two arms, keyed by the name their record fields and trace files carry.

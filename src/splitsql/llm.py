@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import select
 import tempfile
 import threading
@@ -18,6 +19,7 @@ from urllib.parse import unquote, urlsplit
 
 if TYPE_CHECKING:
     import http.client
+    import socket
 
 ROLES = ("system", "user", "assistant")
 
@@ -25,6 +27,10 @@ KIND_HTTP = "http_openai_compatible"
 KIND_SCRIPTED = "scripted"
 
 _RETRYABLE_STATUS = frozenset({429}) | frozenset(range(500, 600))
+# http.client's limits on a reply line and on a reply's headers, and what it refuses in a target.
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+_BAD_TARGET_CHAR = re.compile("[\x00-\x20\x7f]")
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d+)[ \t]+([1-9]\d\d)\s")
 
 
 def _fields(value) -> dict:
@@ -156,6 +162,7 @@ class ConnectionPool:
     atomic, so threads share the pool and never share a connection."""
 
     connect: Callable[[], http.client.HTTPConnection]
+    host: str  # the Host header: the target's host and port, never the proxy's
     maxsize: int
     forward_headers: dict | None = None  # set when requests go to an HTTP proxy in absolute form
     idle: list = field(default_factory=list)
@@ -194,9 +201,14 @@ def connection_pool(url: str, maxsize: int = 1) -> ConnectionPool:
     import urllib.request
     target = urlsplit(url)
     kind = http.client.HTTPSConnection if target.scheme == "https" else http.client.HTTPConnection
+    host = target.hostname
+    if ":" in host:  # an IPv6 address, without its zone
+        host = f"[{host.partition('%')[0]}]"
+    if target.port not in (None, kind.default_port):
+        host += f":{target.port}"
     proxy = urllib.request.getproxies().get(target.scheme)
     if not proxy or urllib.request.proxy_bypass(target.hostname):
-        return ConnectionPool(lambda: kind(target.hostname, target.port), maxsize)
+        return ConnectionPool(lambda: kind(target.hostname, target.port), host, maxsize)
     via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
     if via.scheme != "http":
         raise ValueError(f"proxy {via.scheme}://{via.hostname} for {target.scheme}://"
@@ -212,7 +224,7 @@ def connection_pool(url: str, maxsize: int = 1) -> ConnectionPool:
         if tunnel:
             connection.set_tunnel(target.hostname, target.port, headers=auth)
         return connection
-    return ConnectionPool(connect, maxsize, None if tunnel else auth)
+    return ConnectionPool(connect, host, maxsize, None if tunnel else auth)
 
 
 def scripted_provider(script: list[tuple[str, str]]) -> ProviderConfig:
@@ -270,32 +282,40 @@ def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> Comp
     }
     if request.stop_sequences:
         payload["stop"] = list(request.stop_sequences)
-
-    headers = {"Content-Type": "application/json"}
-    if provider.api_key_env_var:
-        api_key = os.environ.get(provider.api_key_env_var, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     pool = provider.pool or connection_pool(url)
+
+    # The request, framed once as http.client frames it: the same headers in the same order.
     path = urlsplit(url).path if pool.forward_headers is None else url
+    refused = _BAD_TARGET_CHAR.search(path) is not None
+    headers = {"Host": pool.host, "Accept-Encoding": "identity", "Content-Length": str(len(body)),
+               "Content-Type": "application/json"}
+    if api_key := os.environ.get(provider.api_key_env_var, ""):  # no variable is named ""
+        headers["Authorization"] = f"Bearer {api_key}"
     headers.update(pool.forward_headers or {})
+    for name, value in headers.items():
+        if "\r" in value or "\n" in value:
+            raise ValueError(f"the {name} header value contains CR or LF")
+    head = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+    message = f"POST {path} HTTP/1.1\r\n".encode("ascii") + head.encode("latin-1") + b"\r\n" + body
     started = time.monotonic()
     attempt = 0
     try:
         while True:
             status: int | None = None
             connection = pool.get(provider.request_timeout_ms / 1000.0)
-            try:  # redirects are not followed: http.client returns them as they are
-                connection.request("POST", path, body, headers)
-                reply = connection.getresponse()
-                data, status = reply.read(), reply.status
+            try:  # redirects are not followed: a 3xx is returned as it is
+                if refused:  # as http.client refuses it: on every attempt, before connecting
+                    raise http.client.InvalidURL(f"URL can't contain control characters: {path!r}")
+                if connection.sock is None:
+                    connection.connect()
+                connection.sock.sendall(message)
+                status, data, reusable = _read_reply(connection.sock)
             except (OSError, http.client.HTTPException) as exc:
                 connection.close()
                 failure = f"request failed: {exc}"
             else:
-                pool.put(connection, reusable=not reply.will_close)
+                pool.put(connection, reusable)
                 if status == 200:
                     return _parse_http_response(data, started, retries=attempt)
                 failure = f"HTTP {status}"
@@ -312,6 +332,59 @@ def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> Comp
     finally:
         if pool is not provider.pool:
             pool.clear()
+
+
+def _read_reply(sock: socket.socket) -> tuple[int, bytes, bool]:
+    """One reply's status and body, and whether its connection can carry another request.
+    The reader is the reply's own, so no byte past the reply is taken for the next one."""
+    import http.client
+
+    def line() -> bytes:
+        text = reader.readline(_MAX_LINE + 1)
+        if len(text) > _MAX_LINE or not text.endswith(b"\n"):
+            raise http.client.HTTPException(f"reply line cut short or over {_MAX_LINE} bytes")
+        return text
+
+    def exactly(size: bytes, base: int = 10) -> bytes:
+        try:
+            wanted = int(size, base)
+        except ValueError:
+            wanted = -1
+        data = reader.read(max(wanted, 0))
+        if len(data) != wanted:
+            raise http.client.HTTPException(f"length {size!r}: {len(data)} bytes read")
+        return data
+
+    with sock.makefile("rb") as reader:
+        status = 100
+        while status == 100:  # an interim 100 Continue is skipped, as http.client does
+            match = _STATUS_LINE.match(status_line := line())
+            if match is None:
+                raise http.client.BadStatusLine(repr(status_line))
+            status, headers = int(match[2]), {}
+            for _ in range(_MAX_HEADERS + 1):
+                if (header := line()) in (b"\r\n", b"\n"):
+                    break
+                name, _, value = header.partition(b":")
+                headers.setdefault(name.strip().lower(), value.strip())
+            else:
+                raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+        connection = headers.get(b"connection", b"").lower()
+        reusable = (b"keep-alive" in connection or b"keep-alive" in headers if match[1] == b"0"
+                    else b"close" not in connection)  # HTTP/1.0 keeps a connection only if told
+        if status < 200 or status in (204, 304):
+            return status, b"", reusable
+        if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+            chunks = []
+            while chunk := exactly(line().partition(b";")[0], 16):
+                chunks.append(chunk)
+                reader.read(2)  # the CRLF ending the chunk
+            while line() not in (b"\r\n", b"\n"):  # the trailer
+                pass
+            return status, b"".join(chunks), reusable
+        if b"content-length" in headers:
+            return status, exactly(headers[b"content-length"]), reusable
+        return status, reader.read(), False  # no length: the close ends the body
 
 
 def _parse_http_response(body: bytes, started: float, retries: int) -> CompletionResponse:

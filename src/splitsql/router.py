@@ -22,6 +22,7 @@ BRANCH_DIVIDE_AND_MERGE = "divide_and_merge"
 KIND_HEURISTIC = "heuristic"
 KIND_LOGISTIC = "logistic"
 KIND_JUDGE = "judge"
+ROUTER_KINDS = (KIND_HEURISTIC, KIND_LOGISTIC, KIND_JUDGE)
 
 _STD_FLOOR = 1e-9
 _FEATURE_COUNT = len(FEATURE_NAMES)

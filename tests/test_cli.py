@@ -323,10 +323,11 @@ def test_route_train_rejects_hyper_parameters_that_cannot_train(
         ('{"pipeline": {"colum_selection": false}}',
          "bad.json: unknown config key(s): pipeline.colum_selection"),
         ('{"pipeline": {"merge_strategy": "vote"}}', "unknown merge strategy 'vote'"),
-        ("{not json", "Expecting property name"),
+        ("{not json", "bad.json: not a valid JSON config file: Expecting property name"),
+        ('{"router": {"kind": "logstic"}}', "unknown router kind 'logstic'"),
         (None, "No such file or directory"),
     ],
-    ids=["unknown-key", "unknown-merge", "not-json", "missing"],
+    ids=["unknown-key", "unknown-merge", "not-json", "unknown-router", "missing"],
 )
 def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command, content, message):
     config = tmp_path / "bad.json"
@@ -341,6 +342,18 @@ def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command
     out, err = capsys.readouterr()
     assert err.startswith("splitsql: ") and message in err and err.count("\n") == 1
     assert not out and not model_path.exists()
+
+
+@pytest.mark.parametrize("arm", ["baseline", "module", "both", "routed"])
+def test_an_unknown_router_kind_is_a_config_error_for_every_arm(tmp_path, corpus_root, capsys, arm):
+    config = _write_config(tmp_path, corpus_root, "http://127.0.0.1:9")
+    payload = json.loads(config.read_text())
+    payload["router"] = {"kind": "logstic"}
+    config.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config), "--arm", arm]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "splitsql: unknown router kind 'logstic'\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_an_error_inside_the_run_stays_loud(tmp_path, corpus_root):

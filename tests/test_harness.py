@@ -768,9 +768,8 @@ def test_warm_rerun_after_a_gold_edit_gives_the_fresh_verdict(run_config, corpus
 
 
 def test_mistyped_router_kind_fails_the_run(run_config):
-    run_config.router_kind = "heurstic"
-    with pytest.raises(ValueError, match="unknown router kind"):
-        run_benchmark(run_config, ARM_ROUTED, endpoints_for=_scripted_factory())
+    with pytest.raises(ValueError, match="unknown router kind 'heurstic'"):
+        replace(run_config, router_kind="heurstic")
 
 
 def test_failing_gold_query_is_an_example_error_note(run_config, corpus_root, tmp_path):
