@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import minicorpus
@@ -13,6 +14,7 @@ from .dataset import extract_features, load_examples, load_schemas
 from .harness import (
     ARM_BOTH,
     ARMS,
+    EXAMPLE_ID,
     build_report,
     emit_report,
     load_config,
@@ -24,6 +26,7 @@ from .harness import (
 )
 from .pipeline import MERGE_LAST_SUBQUERY, MERGE_PLANNER_EXECUTOR
 from .router import (
+    BRANCH_DIVIDE_AND_MERGE,
     UndefinedAccuracyError,
     dataset_from_outcomes,
     oracle_branch,
@@ -33,32 +36,33 @@ from .router import (
 )
 
 
-def _load_config(path: str):
-    """The run configuration, or None after printing why the file cannot serve
-    as one. Errors of the run itself are not caught here: they stay loud."""
+_MERGE_STRATEGIES = {"last": MERGE_LAST_SUBQUERY, "planner": MERGE_PLANNER_EXECUTOR}
+
+
+def _load_config(path: str, pipeline: dict | None = None, run: dict | None = None):
+    """The run configuration, with each pipeline or run setting given here that is
+    not None in place of the file's and checked as the file's are; or None after
+    printing why the file or a setting cannot serve. Errors of the run stay loud."""
+    def given(settings: dict | None) -> dict:
+        return {name: value for name, value in (settings or {}).items() if value is not None}
+
     try:
-        return load_config(path)
+        config = load_config(path)
+        return replace(config, pipeline=replace(config.pipeline, **given(pipeline)), **given(run))
     except (OSError, ValueError) as exc:
         print(f"splitsql: {exc}", file=sys.stderr)
         return None
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    cs = None if args.cs is None else args.cs == "on"
+    config = _load_config(
+        args.config,
+        {"merge_strategy": _MERGE_STRATEGIES.get(args.merge), "column_selection_enabled": cs},
+        {"worker_count": args.workers, "limit": args.limit, "run_dir": args.run_dir},
+    )
     if config is None:
         return 2
-    if args.merge:
-        config.pipeline.merge_strategy = (
-            MERGE_LAST_SUBQUERY if args.merge == "last" else MERGE_PLANNER_EXECUTOR
-        )
-    if args.cs:
-        config.pipeline.column_selection_enabled = args.cs == "on"
-    if args.workers:
-        config.worker_count = args.workers
-    if args.limit is not None:
-        config.limit = args.limit
-    if args.run_dir:
-        config.run_dir = Path(args.run_dir)
 
     records = run_benchmark(config, args.arm)
     report = build_report(records)
@@ -119,8 +123,7 @@ def _cmd_route_train(args) -> int:
     schemas = load_schemas(config.tables_file)
     examples = load_examples(config.examples_file)
 
-    # Example ids as run_benchmark assigns them.
-    by_id = {f"ex{index:04d}": example for index, example in enumerate(examples)}
+    by_id = {EXAMPLE_ID.format(index): example for index, example in enumerate(examples)}
     outcomes = []
     for record in records:
         if record.baseline_correct is None or record.module_correct is None:
@@ -159,7 +162,7 @@ def _cmd_route_train(args) -> int:
     hits = sum(
         1
         for features, label in dataset.rows
-        if (route_logistic(model, features).branch == "divide_and_merge") == bool(label)
+        if (route_logistic(model, features).branch == BRANCH_DIVIDE_AND_MERGE) == bool(label)
     )
     print(f"trained on {len(dataset.rows)} disagreement rows")
     print(f"training accuracy: {hits / len(dataset.rows):.4f}")
@@ -216,11 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a benchmark over the configured dataset")
     run.add_argument("--config", required=True, help="JSON run configuration")
     run.add_argument("--arm", choices=ARMS, default=ARM_BOTH)
-    run.add_argument("--merge", choices=("last", "planner"))
+    run.add_argument("--merge", choices=_MERGE_STRATEGIES)
     run.add_argument("--cs", choices=("on", "off"))
     run.add_argument("--workers", type=int)
     run.add_argument("--limit", type=int)
-    run.add_argument("--run-dir")
+    run.add_argument("--run-dir", type=Path)
     run.set_defaults(func=_cmd_run)
 
     report = sub.add_parser("report", help="build a report from cached records")

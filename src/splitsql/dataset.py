@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 COLUMN_TYPES = ("text", "number", "time", "boolean", "others")
@@ -61,6 +62,12 @@ class DatabaseSchema:
     @property
     def column_count(self) -> int:
         return sum(len(t.columns) for t in self.tables)
+
+    @cached_property
+    def prompt_text(self) -> str:
+        """serialize_schema(self), rendered once per schema object and kept in
+        its vars(): write no schema to JSON through them."""
+        return serialize_schema(self)
 
 
 @dataclass(frozen=True)

@@ -252,55 +252,33 @@ def _cells_equal(a, b, float_tolerance: float) -> bool:
     return a == b
 
 
-def _column_types(table: ResultTable) -> list[set[type]] | None:
-    """The set of cell types in each column, or None if a row has another
-    length than column_count."""
-    rows = table.rows
-    if not set(map(len, rows)) <= {table.column_count}:
-        return None
-    return [set(map(type, map(itemgetter(i), rows))) for i in range(table.column_count)]
-
-
 def _has_bool(rows: tuple[tuple, ...]) -> bool:
     return bool in set(map(type, chain.from_iterable(rows)))
 
 
-def _sorts_natively(rows: list[tuple], types: list[set[type]]) -> bool:
-    """True iff Python's own tuple order sorts these rows as _cell_sort_key does.
-
-    That holds when every column holds only str, only bytes, or only int and
-    float with no NaN and every int within +-2**53, where its conversion to
-    float is exact. Rows holding None or bools, or mixing kinds in a column,
-    need the key.
-    """
-    for i, kinds in enumerate(types):
-        if kinds == {str} or kinds == {bytes}:
-            continue
-        if not kinds <= {int, float}:
-            return False
-        column = list(map(itemgetter(i), rows))
-        if float in kinds and any(map(ne, column, column)):  # only NaN != itself
-            return False
-        ints = column if kinds == {int} else [c for c in column if type(c) is int]
-        if ints and not (-_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND):
-            return False
-    return True
-
-
-def _sorted_rows(table: ResultTable) -> tuple[list[tuple], bool]:
+def _sorted_by_key(table: ResultTable) -> tuple[list[tuple], bool]:
     """The rows stably sorted by _cell_sort_key, and whether they are known
-    to hold no bool (False for ragged rows, whose types are not gathered).
+    to hold no bool (False for ragged rows, whose columns are not read).
 
-    Where Python's tuple order provably gives the same order, the rows are
-    sorted without computing a key for every cell.
+    Each column is read once. Python's own tuple order sorts as the key does,
+    so no key is computed per cell, when every column holds only str, only
+    bytes, or only int and float with no NaN and every int within +-2**53,
+    where its conversion to float is exact.
     """
     rows = list(table.rows)
-    types = _column_types(table)
-    if types is not None and _sorts_natively(rows, types):
-        rows.sort()
-    else:
-        rows.sort(key=lambda row: tuple(_cell_sort_key(c) for c in row))
-    no_bool = types is not None and not any(bool in kinds for kinds in types)
+    native = no_bool = set(map(len, rows)) <= {table.column_count}
+    for i in range(table.column_count if native else 0):
+        column = list(map(itemgetter(i), rows))
+        kinds = set(map(type, column))
+        no_bool = no_bool and bool not in kinds
+        if not native or kinds == {str} or kinds == {bytes}:
+            continue
+        if kinds <= {int, float} and not (float in kinds and any(map(ne, column, column))):
+            ints = column if kinds == {int} else [c for c in column if type(c) is int]
+            native = not ints or -_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND
+        else:  # None, bool, NaN (only NaN != itself) or a mix of kinds
+            native = False
+    rows.sort(key=None if native else lambda row: tuple(map(_cell_sort_key, row)))
     return rows, no_bool
 
 
@@ -341,8 +319,8 @@ def compare_results(
 
     gold_rows, pred_rows = gold.rows, pred.rows
     if not order_sensitive:
-        gold_rows, gold_no_bool = _sorted_rows(gold)
-        pred_rows, pred_no_bool = _sorted_rows(pred)
+        gold_rows, gold_no_bool = _sorted_by_key(gold)
+        pred_rows, pred_no_bool = _sorted_by_key(pred)
         if gold_no_bool and pred_no_bool and gold_rows == pred_rows:
             return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
 

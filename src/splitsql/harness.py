@@ -33,8 +33,6 @@ from .executor import (
 from .llm import (KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig,
                   _fields, connection_pool)
 from .pipeline import (
-    MERGE_LAST_SUBQUERY,
-    MERGE_PLANNER_EXECUTOR,
     PipelineConfig,
     run_baseline,
     run_divide_and_merge,
@@ -65,10 +63,8 @@ _ARM_OF_BRANCH = {BRANCH_BASELINE: ARM_BASELINE, BRANCH_DIVIDE_AND_MERGE: ARM_MO
 
 DEFAULT_SWEEP_POINTS = tuple(i / 10 for i in range(11))
 
-STRATEGY_LABELS = {
-    MERGE_LAST_SUBQUERY: "Last Sub-query",
-    MERGE_PLANNER_EXECUTOR: "Planner&Executor",
-}
+# The id of the example at index i of the examples file: EXAMPLE_ID.format(i).
+EXAMPLE_ID = "ex{:04d}"
 
 
 class EmptyRecordsError(ValueError):
@@ -168,6 +164,8 @@ class RunConfig:
     def __post_init__(self):
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError("limit must be >= 1")
         if self.router_kind not in ROUTER_KINDS:
             raise ValueError(f"unknown router kind {self.router_kind!r}")
 
@@ -614,6 +612,8 @@ def run_benchmark(
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
+    # Check the settings again: a config may have been changed since it was built.
+    config = replace(config, pipeline=replace(config.pipeline))
 
     schemas = load_schemas(config.tables_file)
     examples = load_examples(config.examples_file)
@@ -681,7 +681,7 @@ def run_benchmark(
 
     def process(item: tuple[int, BenchmarkExample]) -> PerExampleRecord:
         index, example = item
-        example_id = f"ex{index:04d}"
+        example_id = EXAMPLE_ID.format(index)
         schema = schemas.get(example.db_id)
         try:
             if schema is None:

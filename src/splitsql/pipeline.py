@@ -18,7 +18,6 @@ from .dataset import (
     DatabaseSchema,
     SchemaReductionError,
     reduce_schema,
-    serialize_schema,
 )
 from .executor import DEFAULT_TIMEOUT_MS, execute_sql
 from .llm import (
@@ -115,22 +114,14 @@ def _default_fewshot() -> tuple[FewShotExample, ...]:
 @dataclass
 class StageContext:
     """What the model stages of one arm run share: the database the refine
-    loop executes against, its bounds, the prompt templates, the transcript
-    every model call is appended to, and the schema texts rendered so far."""
+    loop executes against, its bounds, the prompt templates and the transcript
+    every model call is appended to."""
 
     db_path: str | Path
     max_refinements: int
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     templates: dict[str, PromptTemplate] = field(default_factory=default_templates)
     transcript: list[TranscriptEntry] = field(default_factory=list)
-    schema_texts: dict[int, tuple] = field(default_factory=dict, repr=False)
-
-    def schema_text(self, schema: DatabaseSchema) -> str:
-        """serialize_schema(schema), rendered once per schema object."""
-        entry = self.schema_texts.get(id(schema))
-        if entry is None:  # the entry holds schema, so its id stays unique
-            entry = self.schema_texts[id(schema)] = (schema, serialize_schema(schema))
-        return entry[1]
 
     def ask(self, endpoint: ModelEndpoint, stage: str, bindings: dict[str, str]) -> str:
         """Render the stage's template and ask the endpoint once."""
@@ -188,7 +179,7 @@ def select_tables(
     reply = ctx.ask(
         reasoning_model,
         STAGE_TABLE_SELECTION,
-        {"question": question, "schema": ctx.schema_text(schema)},
+        {"question": question, "schema": schema.prompt_text},
     )
     try:
         return reduce_schema(schema, parse_table_list(reply))
@@ -206,7 +197,7 @@ def decompose(
     reply = ctx.ask(
         reasoning_model,
         STAGE_DECOMPOSITION,
-        {"question": question, "schema": ctx.schema_text(reduced_schema)},
+        {"question": question, "schema": reduced_schema.prompt_text},
     )
     parsed = parse_subquestions(reply) or [question]
     return [SubQuestion(index=i + 1, text=text) for i, text in enumerate(parsed)]
@@ -230,7 +221,7 @@ def generate_subquery(
     """Generate SQL for one sub-question with the execute-and-refine loop."""
     bindings = {
         "subquestion": subquestion.text,
-        "schema": ctx.schema_text(reduced_schema),
+        "schema": reduced_schema.prompt_text,
         "examples": format_fewshot(fewshot),
         "subqueries": _format_prior(prior or []),
     }
@@ -278,7 +269,7 @@ def merge_plan_execute(
     )
     bindings = {
         "question": question,
-        "schema": ctx.schema_text(reduced_schema),
+        "schema": reduced_schema.prompt_text,
         "subqueries": pairs_text,
         "plan": plan_text,
     }
@@ -303,7 +294,7 @@ def column_select(
     """
     if not merged_sql:
         raise ValueError("column_select requires a non-empty merged query")
-    bindings = {"question": question, "schema": ctx.schema_text(schema_context), "sql": merged_sql}
+    bindings = {"question": question, "schema": schema_context.prompt_text, "sql": merged_sql}
     sql, _attempts, valid = ctx.refine(reasoning_model, STAGE_COLUMN_SELECTION, bindings, question)
     if not valid or not sql:
         return merged_sql
@@ -454,7 +445,7 @@ def run_baseline(
     with arm as (trace, ctx):
         bindings = {
             "question": example.question,
-            "schema": ctx.schema_text(schema),
+            "schema": schema.prompt_text,
             "examples": format_fewshot(fewshot),
         }
         with _timed(trace, STAGE_BASELINE):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES, serialize_schema
+from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES
 from .llm import ModelEndpoint, TranscriptEntry, _fields
 from .prompts import STAGE_JUDGE, PromptTemplate, default_templates, render
 
@@ -225,7 +225,7 @@ def route_judge(
     """
     prompt = render(
         (templates or default_templates())[STAGE_JUDGE],
-        {"question": question, "schema": serialize_schema(schema)},
+        {"question": question, "schema": schema.prompt_text},
     )
     reply = reasoning_model.ask(prompt, transcript=transcript, stage_label=STAGE_JUDGE)
     verdict = reply.strip().upper()

@@ -356,6 +356,30 @@ def test_an_unknown_router_kind_is_a_config_error_for_every_arm(tmp_path, corpus
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "options, harness, message",
+    [
+        (["--limit", "-1"], {}, "limit must be >= 1"),
+        (["--limit", "0"], {}, "limit must be >= 1"),
+        (["--workers", "0"], {}, "worker_count must be >= 1"),
+        (["--workers", "-1"], {}, "worker_count must be >= 1"),
+        ([], {"limit": -1}, "limit must be >= 1"),
+    ],
+    ids=["limit-minus-1", "limit-0", "workers-0", "workers-minus-1", "config-limit-minus-1"],
+)
+def test_a_bad_override_or_limit_prints_one_line_and_exits_2(
+    tmp_path, corpus_root, capsys, options, harness, message
+):
+    config = _write_config(tmp_path, corpus_root, "http://127.0.0.1:9")
+    payload = json.loads(config.read_text())
+    payload["harness"].update(harness)
+    config.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config), "--arm", "baseline", *options]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"splitsql: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_an_error_inside_the_run_stays_loud(tmp_path, corpus_root):
     config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
     payload = json.loads(config.read_text())

@@ -621,6 +621,10 @@ def test_compare_matches_the_reference_on_edge_tables(order_sensitive):
         _table((-0.0, "a"), (0, "a")),
         ResultTable(column_count=2, rows=((1, "a"), (0,))),
         ResultTable(column_count=2, rows=((0, "a", "z"), (1, "b"))),
+        # Text beside an int rules out the native sort in the first column; the
+        # second still holds True, which must not pass for the 1 of its twin.
+        _table(("a", True), (1, 1)),
+        _table(("a", 1), (1, 1)),
     ]
     for gold in tables:
         for pred in tables:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import gold_answer_script, scripted_pair
-from splitsql import executor, harness
+from splitsql import dataset, executor, harness
 from splitsql.harness import (
     ARM_BASELINE,
     ARM_BOTH,
@@ -772,6 +772,23 @@ def test_mistyped_router_kind_fails_the_run(run_config):
         replace(run_config, router_kind="heurstic")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("router_kind", "heurstic", "unknown router kind 'heurstic'"),
+        ("worker_count", 0, "worker_count must be >= 1"),
+        ("limit", -1, "limit must be >= 1"),
+        ("merge_strategy", "vote", "unknown merge strategy 'vote'"),
+        ("max_refinements", 11, "max_refinements must be in 0..10"),
+    ],
+)
+def test_a_config_changed_after_it_was_built_is_checked_again(run_config, field, value, message):
+    setattr(run_config.pipeline if hasattr(run_config.pipeline, field) else run_config, field, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_benchmark(run_config, ARM_ROUTED, endpoints_for=_scripted_factory())
+    assert not run_config.run_dir.exists()
+
+
 def test_failing_gold_query_is_an_example_error_note(run_config, corpus_root, tmp_path):
     corpus = _copy_corpus(run_config, corpus_root, tmp_path)
     _set_first_gold(corpus, "SELECT COUNT(*) FROM No_Such_Table")
@@ -1065,6 +1082,41 @@ def test_routed_arm_judge_uses_one_call(run_config):
         transcript = json.loads(trace.read_text())["transcript"]
         assert [entry["stage_label"] for entry in transcript] == ["judge", "baseline"]
     assert not (run_config.run_dir / "transcripts").exists()
+
+
+def test_each_schema_is_rendered_once_per_judge_routed_run(run_config, monkeypatch):
+    rendered = []
+    serialize = dataset.serialize_schema
+
+    def counting(schema):
+        rendered.append(schema)  # kept alive, so no two schemas share an id
+        return serialize(schema)
+
+    scripts = _scripts_for_first_three()
+
+    def judge_factory(example_id, example):
+        # The first example goes to the baseline, the other two to the pipeline.
+        script = scripts[example.question]
+        if example_id == "ex0000":
+            return scripted_pair([("SIMPLE or COMPLEX", "SIMPLE"), script[0]])
+        return scripted_pair([("SIMPLE or COMPLEX", "COMPLEX"), *script[1:]])
+
+    monkeypatch.setattr(dataset, "serialize_schema", counting)
+    run_config.router_kind = "judge"
+    records = run_benchmark(run_config, ARM_ROUTED, endpoints_for=judge_factory)
+    assert [r.route_taken for r in records] == [BRANCH_BASELINE] + 2 * [BRANCH_DIVIDE_AND_MERGE]
+    # One customer_orders schema serves every judge call, the baseline and both
+    # table selections; each pipeline example renders its reduced schema once.
+    assert len({id(schema) for schema in rendered}) == len(rendered) == 3
+    full, *reduced = rendered
+    assert full.table_count == 8 and [s.table_count for s in reduced] == [1, 2]
+    judged = [
+        entry["request"]["messages"][-1]["content"]
+        for path in (run_config.run_dir / "traces").iterdir()
+        for entry in json.loads(path.read_text())["transcript"]
+        if entry["stage_label"] == "judge"
+    ]
+    assert len(judged) == 3 and all(full.prompt_text in prompt for prompt in judged)
 
 
 @pytest.mark.parametrize("table_threshold", [5, 100])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from helpers import (
     scripted_endpoint,
     scripted_pair,
 )
-from splitsql import harness, pipeline
+from splitsql import dataset, harness, pipeline
 from splitsql.dataset import DatabaseSchema, TableDef, serialize_schema
 from splitsql.executor import execute_sql, execution_accuracy
 from splitsql.harness import ARM_BOTH, RunConfig, run_benchmark
@@ -559,21 +560,23 @@ def test_each_schema_is_serialized_once_per_arm(
         rendered.append(schema)
         return serialize_schema(schema)
 
-    monkeypatch.setattr(pipeline, "serialize_schema", counting)
+    monkeypatch.setattr(dataset, "serialize_schema", counting)
+    schema = replace(orders_schema)  # a fresh object, with no text rendered yet
     trace = _run_avg_scenario(
-        avg_example, orders_schema, orders_db, parallel_subqueries=parallel_subqueries
+        avg_example, schema, orders_db, parallel_subqueries=parallel_subqueries
     )
     # Table selection sees the full schema; the four sub-queries, the merge
     # and column selection share the one text of the reduced schema.
-    assert rendered == [orders_schema, trace.reduced_schema]
+    assert len(rendered) == 2 and rendered[0] is schema and rendered[1] is trace.reduced_schema
     prompts = [entry.request.last_user_content for entry in trace.transcript]
     assert sum(serialize_schema(trace.reduced_schema) in p for p in prompts) >= 7
     baseline_rendered = len(rendered)
     run_baseline(
-        avg_example, orders_schema, scripted_endpoint([("in one step", AVG_ORDERED_SQL)]),
+        avg_example, schema, scripted_endpoint([("in one step", AVG_ORDERED_SQL)]),
         [], orders_db,
     )
-    assert rendered[baseline_rendered:] == [orders_schema]
+    # The text belongs to the schema object, so the baseline arm renders nothing.
+    assert rendered[baseline_rendered:] == []
 
 
 def test_parallel_and_serial_produce_identical_subqueries(
