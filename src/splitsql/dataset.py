@@ -32,7 +32,6 @@ class SchemaReductionError(ValueError):
 class ColumnDef:
     name: str
     declared_type: str
-    table_index: int
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
         if declared not in COLUMN_TYPES:
             declared = "others"
         local_idx = len(per_table[table_idx])
-        per_table[table_idx].append(ColumnDef(col_name, declared, table_idx))
+        per_table[table_idx].append(ColumnDef(col_name, declared))
         global_to_local[col_id] = (table_idx, local_idx)
 
     def resolve(col_id: int, what: str) -> tuple[int, int]:
@@ -238,17 +237,7 @@ def reduce_schema(schema: DatabaseSchema, keep: list[str]) -> DatabaseSchema:
         )
 
     old_to_new = {old: new for new, old in enumerate(kept_indices)}
-    tables = tuple(
-        TableDef(
-            name=schema.tables[old].name,
-            columns=tuple(
-                ColumnDef(c.name, c.declared_type, old_to_new[old])
-                for c in schema.tables[old].columns
-            ),
-            primary_key_columns=schema.tables[old].primary_key_columns,
-        )
-        for old in kept_indices
-    )
+    tables = tuple(schema.tables[old] for old in kept_indices)
     foreign_keys = tuple(
         (old_to_new[ft], fc, old_to_new[tt], tc)
         for ft, fc, tt, tc in schema.foreign_keys

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
 import re
 import sqlite3
 import time
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter, ne
+from operator import itemgetter
 from pathlib import Path
 
 from .dataset import BenchmarkExample
@@ -222,64 +220,43 @@ def has_top_level_order_by(sql: str) -> bool:
 
 
 def _cell_sort_key(cell):
-    # Bools and NaN get classes of their own: a bool equals only a bool, and
-    # NaN compares false with every number, which would let the order of the
-    # input decide how the two sides line up after sorting.
     if cell is None:
         return (0, 0.0)
-    if isinstance(cell, bool):
-        return (1, float(cell))
-    if isinstance(cell, (int, float)):
-        value = float(cell)
-        return (3, 0.0) if math.isnan(value) else (2, value)
+    if isinstance(cell, str):
+        return (2, cell)
     if isinstance(cell, bytes):
-        return (5, cell)
-    return (4, str(cell))
+        return (3, cell)
+    return (1, float(cell))
 
 
 def _cells_equal(a, b, float_tolerance: float) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
-    b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
-    if a_num and b_num:
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         fa, fb = float(a), float(b)
-        if math.isnan(fa) or math.isnan(fb):
-            return math.isnan(fa) and math.isnan(fb)
         return fa == fb or abs(fa - fb) <= float_tolerance
-    if type(a) is not type(b):
+    return type(a) is type(b) and a == b
+
+
+def _sorts_natively(column: list) -> bool:
+    """Whether Python's own order sorts the column as _cell_sort_key does:
+    only str, only bytes, or only int and float with every int within
+    +-2**53, where its conversion to float is exact."""
+    kinds = set(map(type, column))
+    if kinds == {str} or kinds == {bytes}:
+        return True
+    if not kinds <= {int, float}:
         return False
-    return a == b
+    ints = column if kinds == {int} else [c for c in column if type(c) is int]
+    return not ints or -_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND
 
 
-def _has_bool(rows: tuple[tuple, ...]) -> bool:
-    return bool in set(map(type, chain.from_iterable(rows)))
-
-
-def _sorted_by_key(table: ResultTable) -> tuple[list[tuple], bool]:
-    """The rows stably sorted by _cell_sort_key, and whether they are known
-    to hold no bool (False for ragged rows, whose columns are not read).
-
-    Each column is read once. Python's own tuple order sorts as the key does,
-    so no key is computed per cell, when every column holds only str, only
-    bytes, or only int and float with no NaN and every int within +-2**53,
-    where its conversion to float is exact.
-    """
+def _sorted_by_key(table: ResultTable) -> list[tuple]:
+    """The rows stably sorted by _cell_sort_key, with no key computed per
+    cell when every column sorts natively."""
     rows = list(table.rows)
-    native = no_bool = set(map(len, rows)) <= {table.column_count}
-    for i in range(table.column_count if native else 0):
-        column = list(map(itemgetter(i), rows))
-        kinds = set(map(type, column))
-        no_bool = no_bool and bool not in kinds
-        if not native or kinds == {str} or kinds == {bytes}:
-            continue
-        if kinds <= {int, float} and not (float in kinds and any(map(ne, column, column))):
-            ints = column if kinds == {int} else [c for c in column if type(c) is int]
-            native = not ints or -_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND
-        else:  # None, bool, NaN (only NaN != itself) or a mix of kinds
-            native = False
+    columns = (list(map(itemgetter(i), rows)) for i in range(table.column_count))
+    native = all(map(_sorts_natively, columns))
     rows.sort(key=None if native else lambda row: tuple(map(_cell_sort_key, row)))
-    return rows, no_bool
+    return rows
 
 
 def compare_results(
@@ -294,6 +271,10 @@ def compare_results(
     order within a row always matters. Numeric cells (integer or real)
     compare within the absolute tolerance, text and blobs byte-exact, and
     null equals only null.
+
+    Cells are what sqlite3 returns with no converters: None, int, float
+    (never NaN, which SQLite stores as NULL), str or bytes; every row has
+    column_count cells.
     """
     if gold.column_count != pred.column_count:
         return ComparisonVerdict(
@@ -311,17 +292,15 @@ def compare_results(
             reason=f"row count differs: expected {len(gold.rows)}, got {len(pred.rows)}",
         )
 
-    if gold.rows == pred.rows and not (_has_bool(gold.rows) or _has_bool(pred.rows)):
-        # Identical rows in identical order: every cell pair is equal, and
-        # sorting both sides by the same keys keeps them aligned. Bools are
-        # excluded because True == 1 in Python but not in _cells_equal.
+    # Over the cells above, rows equal as tuples are equal cell by cell
+    # under _cells_equal, and they sort alike, so no cell pass is needed.
+    if gold.rows == pred.rows:
         return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
 
     gold_rows, pred_rows = gold.rows, pred.rows
     if not order_sensitive:
-        gold_rows, gold_no_bool = _sorted_by_key(gold)
-        pred_rows, pred_no_bool = _sorted_by_key(pred)
-        if gold_no_bool and pred_no_bool and gold_rows == pred_rows:
+        gold_rows, pred_rows = _sorted_by_key(gold), _sorted_by_key(pred)
+        if gold_rows == pred_rows:
             return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
 
     for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):

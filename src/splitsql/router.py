@@ -238,23 +238,6 @@ def route_judge(
     )
 
 
-def router_accuracy(
-    decisions: list[RouteDecision], oracle_branches: list[str | None]
-) -> float:
-    """Fraction of decisions matching the oracle branch, over the subset of
-    examples where the oracle branch is defined (exactly one arm correct)."""
-    if len(decisions) != len(oracle_branches):
-        raise ValueError("decisions and oracle_branches must have equal length")
-    scored = [
-        (decision.branch == oracle)
-        for decision, oracle in zip(decisions, oracle_branches)
-        if oracle is not None
-    ]
-    if not scored:
-        raise UndefinedAccuracyError("no disagreement examples to score against")
-    return sum(scored) / len(scored)
-
-
 def save_router_model(model: RouterModel, path: str | Path) -> None:
     payload = {**_fields(model), "feature_names": FEATURE_NAMES}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")

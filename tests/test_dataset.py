@@ -183,7 +183,7 @@ def test_serialize_matches_expected_layout(schemas):
 def test_serialize_omits_foreign_key_block_when_none():
     schema = DatabaseSchema(
         db_id="plain",
-        tables=(TableDef("t", (ColumnDef("a", "number", 0),)),),
+        tables=(TableDef("t", (ColumnDef("a", "number"),)),),
     )
     assert serialize_schema(schema) == "t (a)"
 
@@ -200,7 +200,7 @@ def _synthetic_schema(index: int) -> DatabaseSchema:
         TableDef(
             name=f"table_{index}_{t}",
             columns=tuple(
-                ColumnDef(f"col_{c}", "number", t) for c in range(1 + (index + t) % 4)
+                ColumnDef(f"col_{c}", "number") for c in range(1 + (index + t) % 4)
             ),
         )
         for t in range(1 + index % 5)

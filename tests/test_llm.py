@@ -679,9 +679,14 @@ class _RawServer:
                     head += line
                 length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
                 self.requests.append(head + reader.read(length))
-                sock.sendall(self.replies.pop(0))
-                if self.replies and self.replies[0] is None:
+                # Take the reply and its closing None before sending: once the
+                # reply is out, the client's next request may reach another thread.
+                reply = self.replies.pop(0)
+                close = bool(self.replies) and self.replies[0] is None
+                if close:
                     self.replies.pop(0)
+                sock.sendall(reply)
+                if close:
                     return
 
     def wait_until(self, condition, timeout_s: float = 5.0) -> bool:

@@ -12,7 +12,6 @@ from splitsql.harness import PerExampleRecord, realized_router_accuracy
 from splitsql.router import (
     BRANCH_BASELINE,
     BRANCH_DIVIDE_AND_MERGE,
-    RouteDecision,
     RouterModel,
     RouterTrainingError,
     RoutingDataset,
@@ -24,7 +23,6 @@ from splitsql.router import (
     route_heuristic,
     route_judge,
     route_logistic,
-    router_accuracy,
     save_router_model,
     train_logistic,
 )
@@ -374,28 +372,6 @@ def test_judge_unparseable_falls_back_with_note(schemas):
 # ---------------------------------------------------------------------------
 # router accuracy and dataset labelling
 # ---------------------------------------------------------------------------
-
-
-def _decision(branch: str) -> RouteDecision:
-    return RouteDecision(branch=branch, score=0.5, router_kind="oracle")
-
-
-def test_router_accuracy_fractions():
-    dm, base = BRANCH_DIVIDE_AND_MERGE, BRANCH_BASELINE
-    decisions = [_decision(dm), _decision(dm), _decision(base), _decision(base)]
-    assert router_accuracy(decisions, [dm, dm, base, base]) == 1.0
-    assert router_accuracy(decisions, [base, base, dm, dm]) == 0.0
-    assert router_accuracy(decisions, [dm, dm, base, dm]) == 0.75
-
-
-def test_router_accuracy_skips_agreement_examples():
-    decisions = [_decision(BRANCH_BASELINE), _decision(BRANCH_DIVIDE_AND_MERGE)]
-    assert router_accuracy(decisions, [None, BRANCH_DIVIDE_AND_MERGE]) == 1.0
-
-
-def test_router_accuracy_undefined_without_disagreements():
-    with pytest.raises(UndefinedAccuracyError):
-        router_accuracy([_decision(BRANCH_BASELINE)], [None])
 
 
 def test_dataset_from_outcomes_labels_disagreements_only():
