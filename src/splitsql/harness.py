@@ -31,7 +31,7 @@ from .executor import (
     execution_memo,
 )
 from .llm import (KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig,
-                  _fields, connection_pool)
+                  ProviderError, _fields, connection_pool)
 from .pipeline import (
     PipelineConfig,
     run_baseline,
@@ -124,6 +124,10 @@ class EndpointSpec:
     max_retries: int = 2
     retry_backoff_ms: int = 250
 
+    def __post_init__(self):
+        # ProviderConfig and CompletionRequest check these settings: at load, not at the first call.
+        self.build().request("check")
+
     def build(self, pool=None) -> ModelEndpoint:
         provider = ProviderConfig(
             kind=KIND_HTTP,
@@ -168,6 +172,10 @@ class RunConfig:
             raise ValueError("limit must be >= 1")
         if self.router_kind not in ROUTER_KINDS:
             raise ValueError(f"unknown router kind {self.router_kind!r}")
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be positive")
+        if not self.float_tolerance >= 0:  # also rejects NaN
+            raise ValueError("float_tolerance must be >= 0")
 
 
 # The settings a config file may give, as (section, JSON key, field name);
@@ -645,19 +653,9 @@ def run_benchmark(
         }
         route = routers[config.router_kind]
 
-    # The two arms, keyed by the name their record fields and trace files carry.
-    arms = {
-        ARM_BASELINE: lambda example, schema, pair, example_id: run_baseline(
-            example, schema, pair.coding, fewshot, schema.db_file_path,
-            config.pipeline.max_refinements, example_id=example_id, templates=templates,
-            timeout_ms=config.timeout_ms,
-        ),
-        ARM_MODULE: lambda example, schema, pair, example_id: run_divide_and_merge(
-            example, schema, config.pipeline, pair, schema.db_file_path,
-            example_id=example_id, templates=templates, fewshot=fewshot,
-            timeout_ms=config.timeout_ms,
-        ),
-    }
+    # The two arms, keyed by the name their record fields and trace files carry. Built
+    # here, not at import, so that it holds whatever the module names are bound to now.
+    arms = {ARM_BASELINE: run_baseline, ARM_MODULE: run_divide_and_merge}
     # The arms every example runs; a routed example runs the one its route names.
     arms_run = {ARM_BOTH: tuple(arms), ARM_ROUTED: ()}.get(arm, (arm,))
 
@@ -699,10 +697,18 @@ def run_benchmark(
             trace_paths = {ARM_BASELINE: "", ARM_MODULE: ""}
             with execution_memo(connections):
                 if route is not None:
-                    record.route_taken = route(example, schema, pair, router_transcript).branch
-                    which_arms = (_ARM_OF_BRANCH[record.route_taken],)
+                    try:
+                        record.route_taken = route(example, schema, pair, router_transcript).branch
+                    except ProviderError as exc:
+                        notes.append(f"{KIND_JUDGE}: provider error: {exc}")
+                    else:
+                        which_arms = (_ARM_OF_BRANCH[record.route_taken],)
                 for which in which_arms:
-                    trace = arms[which](example, schema, pair, example_id)
+                    trace = arms[which](
+                        example, schema, config.pipeline, pair, schema.db_file_path,
+                        example_id=example_id, templates=templates, fewshot=fewshot,
+                        timeout_ms=config.timeout_ms,
+                    )
                     if trace.error:
                         bit = 0
                         notes.append(f"{which}: {trace.error}")

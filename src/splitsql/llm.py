@@ -470,12 +470,7 @@ class ModelEndpoint:
         stage_label: str,
         attempt_index: int = 0,
     ) -> str:
-        request = CompletionRequest(
-            model_id=self.model_id,
-            messages=(ChatMessage("user", prompt),),
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-        )
+        request = self.request(prompt)
         key = None if self.cache is None else self._request_key(request, stage_label, attempt_index)
         response = None if key is None else self.cache.get(key)
         if response is None:
@@ -487,6 +482,15 @@ class ModelEndpoint:
         if transcript is not None:
             transcript.append(TranscriptEntry(stage_label, request, response, attempt_index))
         return response.text
+
+    def request(self, prompt: str) -> CompletionRequest:
+        """The request that asks prompt with this endpoint's defaults."""
+        return CompletionRequest(
+            model_id=self.model_id,
+            messages=(ChatMessage("user", prompt),),
+            temperature=self.temperature,
+            max_tokens=self.max_tokens,
+        )
 
     def _request_key(self, request: CompletionRequest, stage_label: str, attempt: int) -> str:
         identity = [self.provider.kind, self.provider.base_url, self.model_id]

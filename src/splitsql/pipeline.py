@@ -107,18 +107,23 @@ class PipelineTrace:
 
 
 @functools.lru_cache(maxsize=1)
-def _default_fewshot() -> tuple[FewShotExample, ...]:
-    return tuple(load_fewshot())
+def _default_fewshot() -> str:
+    """The shipped few-shot pairs as prompt text, formatted once per process."""
+    return format_fewshot(load_fewshot())
 
 
 @dataclass
 class StageContext:
-    """What the model stages of one arm run share: the database the refine
-    loop executes against, its bounds, the prompt templates and the transcript
-    every model call is appended to."""
+    """What the stages of one arm's run share: the question, the two models,
+    the few-shot text, the database the refine loop executes against, its
+    bounds, the prompt templates and the transcript every model call is
+    appended to."""
 
+    question: str
+    models: ModelPair
     db_path: str | Path
     max_refinements: int
+    fewshot: str = ""
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     templates: dict[str, PromptTemplate] = field(default_factory=default_templates)
     transcript: list[TranscriptEntry] = field(default_factory=list)
@@ -165,41 +170,25 @@ class StageContext:
         return sql, self.max_refinements, False
 
 
-def select_tables(
-    ctx: StageContext,
-    question: str,
-    schema: DatabaseSchema,
-    reasoning_model: ModelEndpoint,
-) -> DatabaseSchema:
+def select_tables(ctx: StageContext, schema: DatabaseSchema) -> DatabaseSchema:
     """Ask the reasoning model which tables the question needs.
 
     Falls back to the full schema when the reply names no known table; the
     reduction never invents tables.
     """
-    reply = ctx.ask(
-        reasoning_model,
-        STAGE_TABLE_SELECTION,
-        {"question": question, "schema": schema.prompt_text},
-    )
+    bindings = {"question": ctx.question, "schema": schema.prompt_text}
+    reply = ctx.ask(ctx.models.reasoning, STAGE_TABLE_SELECTION, bindings)
     try:
         return reduce_schema(schema, parse_table_list(reply))
     except SchemaReductionError:
         return schema
 
 
-def decompose(
-    ctx: StageContext,
-    question: str,
-    reduced_schema: DatabaseSchema,
-    reasoning_model: ModelEndpoint,
-) -> list[SubQuestion]:
+def decompose(ctx: StageContext, reduced_schema: DatabaseSchema) -> list[SubQuestion]:
     """Split the question into ordered sub-questions (at least one)."""
-    reply = ctx.ask(
-        reasoning_model,
-        STAGE_DECOMPOSITION,
-        {"question": question, "schema": reduced_schema.prompt_text},
-    )
-    parsed = parse_subquestions(reply) or [question]
+    bindings = {"question": ctx.question, "schema": reduced_schema.prompt_text}
+    reply = ctx.ask(ctx.models.reasoning, STAGE_DECOMPOSITION, bindings)
+    parsed = parse_subquestions(reply) or [ctx.question]
     return [SubQuestion(index=i + 1, text=text) for i, text in enumerate(parsed)]
 
 
@@ -213,8 +202,6 @@ def generate_subquery(
     ctx: StageContext,
     subquestion: SubQuestion,
     reduced_schema: DatabaseSchema,
-    coding_model: ModelEndpoint,
-    fewshot: list[FewShotExample],
     *,
     prior: list[SubQuery] | None = None,
 ) -> SubQuery:
@@ -222,11 +209,11 @@ def generate_subquery(
     bindings = {
         "subquestion": subquestion.text,
         "schema": reduced_schema.prompt_text,
-        "examples": format_fewshot(fewshot),
+        "examples": ctx.fewshot,
         "subqueries": _format_prior(prior or []),
     }
     sql, attempts, valid = ctx.refine(
-        coding_model, STAGE_SUBQUERY_GENERATION, bindings, subquestion.text
+        ctx.models.coding, STAGE_SUBQUERY_GENERATION, bindings, subquestion.text
     )
     return SubQuery(
         for_index=subquestion.index, sql=sql, refinement_attempts=attempts, valid=valid
@@ -249,10 +236,8 @@ def _format_pairs(subquestions: list[SubQuestion], subqueries: list[SubQuery]) -
 
 def merge_plan_execute(
     ctx: StageContext,
-    question: str,
     subquestions: list[SubQuestion],
     subqueries: list[SubQuery],
-    models: ModelPair,
     reduced_schema: DatabaseSchema,
 ) -> tuple[str, str, bool]:
     """Merge strategy 2: a reasoning model plans the merge, a coding model
@@ -264,28 +249,18 @@ def merge_plan_execute(
     if not subqueries:
         raise ValueError("merge_plan_execute requires at least one sub-query")
     pairs_text = _format_pairs(subquestions, subqueries)
-    plan_text = ctx.ask(
-        models.reasoning, STAGE_MERGE_PLANNER, {"question": question, "subqueries": pairs_text}
+    plan_bindings = {"question": ctx.question, "subqueries": pairs_text}
+    plan_text = ctx.ask(ctx.models.reasoning, STAGE_MERGE_PLANNER, plan_bindings)
+    bindings = {**plan_bindings, "schema": reduced_schema.prompt_text, "plan": plan_text}
+    sql, _attempts, _valid = ctx.refine(
+        ctx.models.coding, STAGE_MERGE_EXECUTOR, bindings, ctx.question
     )
-    bindings = {
-        "question": question,
-        "schema": reduced_schema.prompt_text,
-        "subqueries": pairs_text,
-        "plan": plan_text,
-    }
-    sql, _attempts, _valid = ctx.refine(models.coding, STAGE_MERGE_EXECUTOR, bindings, question)
     if not sql:
         return plan_text, merge_last(subqueries), True
     return plan_text, sql, False
 
 
-def column_select(
-    ctx: StageContext,
-    question: str,
-    schema_context: DatabaseSchema,
-    merged_sql: str,
-    reasoning_model: ModelEndpoint,
-) -> str:
+def column_select(ctx: StageContext, schema_context: DatabaseSchema, merged_sql: str) -> str:
     """Align the SELECT clause of the merged query with the question.
 
     The revision goes through the execute-and-refine loop; if every attempt
@@ -294,8 +269,10 @@ def column_select(
     """
     if not merged_sql:
         raise ValueError("column_select requires a non-empty merged query")
-    bindings = {"question": question, "schema": schema_context.prompt_text, "sql": merged_sql}
-    sql, _attempts, valid = ctx.refine(reasoning_model, STAGE_COLUMN_SELECTION, bindings, question)
+    bindings = {"question": ctx.question, "schema": schema_context.prompt_text, "sql": merged_sql}
+    sql, _attempts, valid = ctx.refine(
+        ctx.models.reasoning, STAGE_COLUMN_SELECTION, bindings, ctx.question
+    )
     if not valid or not sql:
         return merged_sql
     return sql
@@ -310,44 +287,50 @@ def _timed(trace: PipelineTrace, stage: str):
         trace.stage_timings_ms[stage] = int((time.monotonic() - started) * 1000)
 
 
-@contextmanager
-def _arm_run(
-    example: BenchmarkExample,
-    example_id: str,
-    db_path: str | Path,
-    max_refinements: int,
-    timeout_ms: int,
-    templates: dict[str, PromptTemplate] | None,
-):
-    """Yield one arm's (trace, StageContext) and time the body as "total".
+def _arm(stages):
+    """Make stages(ctx, trace, schema, config) a pipeline arm, called as
+    arm(example, schema, config, models, db_path, *, example_id, templates,
+    fewshot, timeout_ms) -> PipelineTrace: the one signature both arms share.
 
-    A provider failure inside the body ends the arm: the trace keeps the
-    stages done so far, an error annotation and empty final SQL.
+    The arm builds its trace and StageContext, with the few-shot text
+    formatted once, and runs the stages timed as "total". A provider failure
+    inside them ends the arm: the trace keeps the stages done so far, an
+    error annotation and empty final SQL.
     """
-    trace = PipelineTrace(example_id=example_id or example.db_id)
-    ctx = StageContext(
-        db_path, max_refinements, timeout_ms, templates or default_templates(), trace.transcript
-    )
-    with _timed(trace, "total"):
-        try:
-            yield trace, ctx
-        except ProviderError as exc:
-            trace.error = f"provider error: {exc}"
-            trace.final_sql = ""
+
+    def run(
+        example: BenchmarkExample,
+        schema: DatabaseSchema,
+        config: PipelineConfig,
+        models: ModelPair,
+        db_path: str | Path,
+        *,
+        example_id: str = "",
+        templates: dict[str, PromptTemplate] | None = None,
+        fewshot: list[FewShotExample] | None = None,
+        timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    ) -> PipelineTrace:
+        trace = PipelineTrace(example_id=example_id or example.db_id)
+        fewshot_text = _default_fewshot() if fewshot is None else format_fewshot(fewshot)
+        ctx = StageContext(example.question, models, db_path, config.max_refinements, fewshot_text,
+                           timeout_ms, templates or default_templates(), trace.transcript)
+        with _timed(trace, "total"):
+            try:
+                stages(ctx, trace, schema, config)
+            except ProviderError as exc:
+                trace.error = f"provider error: {exc}"
+                trace.final_sql = ""
+        return trace
+
+    run.__name__, run.__qualname__ = stages.__name__, stages.__qualname__
+    run.__doc__ = stages.__doc__
+    return run
 
 
+@_arm
 def run_divide_and_merge(
-    example: BenchmarkExample,
-    schema: DatabaseSchema,
-    config: PipelineConfig,
-    models: ModelPair,
-    db_path: str | Path,
-    *,
-    example_id: str = "",
-    templates: dict[str, PromptTemplate] | None = None,
-    fewshot: list[FewShotExample] | None = None,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
-) -> PipelineTrace:
+    ctx: StageContext, trace: PipelineTrace, schema: DatabaseSchema, config: PipelineConfig
+) -> None:
     """Run the full divide-and-merge pipeline for one example.
 
     Stages run in order: table selection, decomposition, per-sub-question
@@ -355,49 +338,38 @@ def run_divide_and_merge(
     enabled. A provider failure yields a trace with empty final SQL and an
     error annotation instead of raising.
     """
-    fewshot = list(fewshot) if fewshot is not None else list(_default_fewshot())
-    question = example.question
-    arm = _arm_run(example, example_id, db_path, config.max_refinements, timeout_ms, templates)
-    with arm as (trace, ctx):
-        with _timed(trace, STAGE_TABLE_SELECTION):
-            reduced = select_tables(ctx, question, schema, models.reasoning)
-        trace.reduced_schema = reduced
+    with _timed(trace, STAGE_TABLE_SELECTION):
+        reduced = select_tables(ctx, schema)
+    trace.reduced_schema = reduced
 
-        with _timed(trace, STAGE_DECOMPOSITION):
-            trace.subquestions = decompose(ctx, question, reduced, models.reasoning)
+    with _timed(trace, STAGE_DECOMPOSITION):
+        trace.subquestions = decompose(ctx, reduced)
 
-        with _timed(trace, STAGE_SUBQUERY_GENERATION):
-            trace.subqueries = _generate_all(
-                ctx, trace.subquestions, reduced, models.coding, fewshot, config
-            )
+    with _timed(trace, STAGE_SUBQUERY_GENERATION):
+        trace.subqueries = _generate_all(ctx, trace.subquestions, reduced, config)
 
-        with _timed(trace, "merge"):
-            if config.merge_strategy == MERGE_LAST_SUBQUERY:
-                trace.merged_sql = merge_last(trace.subqueries)
-            else:
-                plan, merged, fell_back = merge_plan_execute(
-                    ctx, question, trace.subquestions, trace.subqueries, models, reduced
-                )
-                trace.merge_plan_text = plan
-                trace.merged_sql = merged
-                trace.merge_fell_back = fell_back
-
-        if config.column_selection_enabled and trace.merged_sql:
-            with _timed(trace, STAGE_COLUMN_SELECTION):
-                trace.final_sql = column_select(
-                    ctx, question, reduced, trace.merged_sql, models.reasoning
-                )
+    with _timed(trace, "merge"):
+        if config.merge_strategy == MERGE_LAST_SUBQUERY:
+            trace.merged_sql = merge_last(trace.subqueries)
         else:
-            trace.final_sql = trace.merged_sql
-    return trace
+            plan, merged, fell_back = merge_plan_execute(
+                ctx, trace.subquestions, trace.subqueries, reduced
+            )
+            trace.merge_plan_text = plan
+            trace.merged_sql = merged
+            trace.merge_fell_back = fell_back
+
+    if config.column_selection_enabled and trace.merged_sql:
+        with _timed(trace, STAGE_COLUMN_SELECTION):
+            trace.final_sql = column_select(ctx, reduced, trace.merged_sql)
+    else:
+        trace.final_sql = trace.merged_sql
 
 
 def _generate_all(
     ctx: StageContext,
     subquestions: list[SubQuestion],
     reduced: DatabaseSchema,
-    coding_model: ModelEndpoint,
-    fewshot: list[FewShotExample],
     config: PipelineConfig,
 ) -> list[SubQuery]:
     if config.parallel_subqueries and len(subquestions) > 1:
@@ -407,7 +379,7 @@ def _generate_all(
         sides = [replace(ctx, transcript=[]) for _ in subquestions]
 
         def task(i: int) -> SubQuery:
-            return generate_subquery(sides[i], subquestions[i], reduced, coding_model, fewshot)
+            return generate_subquery(sides[i], subquestions[i], reduced)
 
         # Each task runs in a copy of this context, so in the example's execution_memo().
         width = min(config.subquery_fanout_width, len(subquestions))
@@ -421,40 +393,23 @@ def _generate_all(
 
     subqueries: list[SubQuery] = []
     for subquestion in subquestions:
-        subqueries.append(
-            generate_subquery(ctx, subquestion, reduced, coding_model, fewshot, prior=subqueries)
-        )
+        subqueries.append(generate_subquery(ctx, subquestion, reduced, prior=subqueries))
     return subqueries
 
 
+@_arm
 def run_baseline(
-    example: BenchmarkExample,
-    schema: DatabaseSchema,
-    coding_model: ModelEndpoint,
-    fewshot: list[FewShotExample],
-    db_path: str | Path,
-    max_refinements: int = 3,
-    *,
-    example_id: str = "",
-    templates: dict[str, PromptTemplate] | None = None,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
-) -> PipelineTrace:
-    """One-step few-shot generation over the full schema, with the same
-    execute-and-refine loop as the pipeline arm."""
-    arm = _arm_run(example, example_id, db_path, max_refinements, timeout_ms, templates)
-    with arm as (trace, ctx):
-        bindings = {
-            "question": example.question,
-            "schema": schema.prompt_text,
-            "examples": format_fewshot(fewshot),
-        }
-        with _timed(trace, STAGE_BASELINE):
-            sql, _attempts, _valid = ctx.refine(
-                coding_model, STAGE_BASELINE, bindings, example.question
-            )
-        trace.merged_sql = sql
-        trace.final_sql = sql
-    return trace
+    ctx: StageContext, trace: PipelineTrace, schema: DatabaseSchema, config: PipelineConfig
+) -> None:
+    """One-step few-shot generation by the coding model over the full
+    schema, with the same execute-and-refine loop as the pipeline arm."""
+    bindings = {"question": ctx.question, "schema": schema.prompt_text, "examples": ctx.fewshot}
+    with _timed(trace, STAGE_BASELINE):
+        sql, _attempts, _valid = ctx.refine(
+            ctx.models.coding, STAGE_BASELINE, bindings, ctx.question
+        )
+    trace.merged_sql = sql
+    trace.final_sql = sql
 
 
 def trace_to_dict(trace: PipelineTrace) -> dict:

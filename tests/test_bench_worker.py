@@ -14,6 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 EXAMPLES = 12
+# The stage labels of the divide-and-merge arm's model calls.
+MODULE_STAGES = ("table_selection", "decomposition", "subquery_generation", "merge_planner",
+                 "merge_executor", "column_selection")
+ARM_FUNCTIONS = ("run_baseline", "run_divide_and_merge")
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +62,10 @@ def test_worker_passes_its_correctness_gate(bench_corpus, tmp_path, arm, router,
     assert result["errors"] == []
     assert len(result["traced"]) == (2 if trace else 0)
     assert all(p["failed"] == 0 for p in result["passes"] + result["traced"])
+    # The tracer counts every arm run and every stage the arm uses; a name it
+    # could not rebind would read 0 here.
+    stages = (*MODULE_STAGES, "baseline") + (("judge",) if router == "judge" else ())
+    for layers in result["layers"]:
+        arms_run = sum(layers[f"pipeline.{name}.calls"] for name in ARM_FUNCTIONS)
+        assert arms_run == EXAMPLES * (2 if arm == "both" else 1)
+        assert all(layers[f"llm.complete.calls.{stage}"] > 0 for stage in stages), layers

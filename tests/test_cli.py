@@ -380,6 +380,35 @@ def test_a_bad_override_or_limit_prints_one_line_and_exits_2(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        (("executor",), "timeout_ms", 0, "timeout_ms must be positive"),
+        (("executor",), "timeout_ms", -5, "timeout_ms must be positive"),
+        (("executor",), "float_tolerance", -1e-6, "float_tolerance must be >= 0"),
+        (("executor",), "float_tolerance", float("nan"), "float_tolerance must be >= 0"),
+        (("llm", "coding_model"), "request_timeout_ms", 0, "timeouts and backoff must be positive"),
+        (("llm", "reasoning_model"), "max_tokens", 0, "max_tokens must be positive"),
+    ],
+    ids=["timeout-0", "timeout-minus-5", "tolerance-negative", "tolerance-nan",
+         "request-timeout-0", "max-tokens-0"],
+)
+def test_a_bad_run_or_endpoint_setting_prints_one_line_and_exits_2(
+    tmp_path, corpus_root, capsys, section, key, value, message
+):
+    config = _write_config(tmp_path, corpus_root, "http://127.0.0.1:9")
+    payload = json.loads(config.read_text())
+    node = payload
+    for name in section:
+        node = node.setdefault(name, {})
+    node[key] = value
+    config.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config), "--arm", "baseline", "--limit", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"splitsql: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_an_error_inside_the_run_stays_loud(tmp_path, corpus_root):
     config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
     payload = json.loads(config.read_text())

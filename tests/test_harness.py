@@ -60,6 +60,7 @@ from splitsql.llm import (
     connection_pool,
 )
 from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig, canonical_trace_bytes
+from splitsql.prompts import builtin_template_dir, format_fewshot, load_fewshot
 from splitsql.router import BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE
 
 
@@ -1082,6 +1083,72 @@ def test_routed_arm_judge_uses_one_call(run_config):
         transcript = json.loads(trace.read_text())["transcript"]
         assert [entry["stage_label"] for entry in transcript] == ["judge", "baseline"]
     assert not (run_config.run_dir / "transcripts").exists()
+
+
+def test_a_judge_failure_is_the_example_error_note(run_config):
+    scripts = _scripts_for_first_three()
+
+    def judge_factory(example_id, example):
+        if example_id == "ex0000":  # no entry answers the judge: its call raises ProviderError
+            return scripted_pair([("no prompt holds this", "SIMPLE")])
+        return scripted_pair([("SIMPLE or COMPLEX", "SIMPLE"), scripts[example.question][0]])
+
+    run_config.router_kind = "judge"
+    records = run_benchmark(run_config, ARM_ROUTED, endpoints_for=judge_factory)
+    failed, *routed = records
+    assert failed.error.startswith("judge: provider error: no unused script entry matches")
+    assert (failed.route_taken, failed.trace_paths) == ("", ("", ""))
+    assert failed.baseline_correct is failed.module_correct is None
+    assert not (run_config.run_dir / "traces" / "ex0000_baseline.json").exists()
+    assert [(r.route_taken, r.baseline_correct, r.error) for r in routed] == [
+        (BRANCH_BASELINE, 1, ""), (BRANCH_BASELINE, 0, "")
+    ]
+    assert load_records(run_config.run_dir / "records.json") == records
+    # The example that failed before its route counts as wrong in routed EX.
+    assert build_report(records).ex_routed == Fraction(100, 3)
+
+
+@pytest.mark.parametrize(
+    "arm, parallel_subqueries",
+    [(ARM_BOTH, False), (ARM_BOTH, True), (ARM_ROUTED, False)],
+    ids=["both-sequential", "both-fanout", "judge-routed"],
+)
+def test_the_prompt_settings_reach_every_prompt(
+    run_config, schemas, tmp_path, arm, parallel_subqueries
+):
+    prompts_dir = tmp_path / "prompts"
+    prompts_dir.mkdir()
+    for template in builtin_template_dir().glob("*.txt"):
+        body = template.read_text(encoding="utf-8")
+        (prompts_dir / template.name).write_text(f"[custom {template.stem}]\n{body}")
+    fewshot = [{"question": "Which marker is this?", "sql": "SELECT 'fewshot marker'"}]
+    (tmp_path / "fewshot.json").write_text(json.dumps(fewshot))
+    run_config.prompts_dir, run_config.fewshot_file = prompts_dir, tmp_path / "fewshot.json"
+    run_config.pipeline = PipelineConfig(parallel_subqueries=parallel_subqueries)
+    run_config.router_kind = "judge"
+
+    def endpoints_for(example_id, example):
+        judge = [("SIMPLE or COMPLEX", "COMPLEX")] if arm == ARM_ROUTED else []
+        return scripted_pair(judge + gold_answer_script(example, schemas[example.db_id]))
+
+    records = run_benchmark(run_config, arm, endpoints_for=endpoints_for)
+    assert all(r.module_correct == 1 and not r.error for r in records)
+    examples_text = format_fewshot(load_fewshot(tmp_path / "fewshot.json"))
+    seen = Counter()
+    for path in (run_config.run_dir / "traces").iterdir():
+        for entry in json.loads(path.read_text())["transcript"]:
+            stage, attempt = entry["stage_label"], entry["attempt_index"]
+            prompt = entry["request"]["messages"][-1]["content"]
+            template = "refinement" if attempt else stage
+            assert prompt.startswith(f"[custom {template}]\n"), (path.name, stage, attempt)
+            seen[template] += 1
+            if stage in ("baseline", "subquery_generation") and not attempt:
+                assert examples_text in prompt, (path.name, stage)
+    # Every stage the run uses was prompted: two sub-questions per module trace.
+    expected = {"table_selection", "decomposition", "subquery_generation", "merge_planner",
+                "merge_executor", "column_selection"}
+    expected |= {"baseline", "refinement"} if arm == ARM_BOTH else {"judge"}
+    assert set(seen) == expected and seen["subquery_generation"] == 2 * len(records)
 
 
 def test_each_schema_is_rendered_once_per_judge_routed_run(run_config, monkeypatch):

@@ -67,9 +67,11 @@ def orders_db(corpus_root):
     return db_path(corpus_root, "customer_orders")
 
 
-@pytest.fixture()
-def ctx(orders_db):
-    return StageContext(orders_db, 3)
+def _context(db, models, question="q", max_refinements=3, **kwargs) -> StageContext:
+    """A stage context; one endpoint given for models serves both roles."""
+    if isinstance(models, ModelEndpoint):
+        models = ModelPair(models, models)
+    return StageContext(question, models, db, max_refinements, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -83,25 +85,25 @@ def avg_example(examples):
 # ---------------------------------------------------------------------------
 
 
-def test_select_tables_reduces(ctx, orders_schema):
+def test_select_tables_reduces(orders_schema, orders_db):
     endpoint = scripted_endpoint(
         [("table names", "Order_Items, Products, Orders")]
     )
-    reduced = select_tables(ctx, "q", orders_schema, endpoint)
+    reduced = select_tables(_context(orders_db, endpoint), orders_schema)
     assert [t.name for t in reduced.tables] == ["Products", "Orders", "Order_Items"]
     assert reduced.table_count == 3
 
 
-def test_select_tables_full_list_is_identity(ctx, orders_schema):
+def test_select_tables_full_list_is_identity(orders_schema, orders_db):
     reply = ", ".join(t.name for t in orders_schema.tables)
     endpoint = scripted_endpoint([("table names", reply)])
-    reduced = select_tables(ctx, "q", orders_schema, endpoint)
+    reduced = select_tables(_context(orders_db, endpoint), orders_schema)
     assert reduced == orders_schema
 
 
-def test_select_tables_unmatched_reply_falls_back_to_full(ctx, orders_schema):
+def test_select_tables_unmatched_reply_falls_back_to_full(orders_schema, orders_db):
     endpoint = scripted_endpoint([("table names", "none of these")])
-    assert select_tables(ctx, "q", orders_schema, endpoint) is orders_schema
+    assert select_tables(_context(orders_db, endpoint), orders_schema) is orders_schema
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +111,28 @@ def test_select_tables_unmatched_reply_falls_back_to_full(ctx, orders_schema):
 # ---------------------------------------------------------------------------
 
 
-def test_decompose_four_items(ctx, orders_schema):
+def test_decompose_four_items(orders_schema, orders_db):
     endpoint = scripted_endpoint(
         [("sub-questions", "1. Find the price of each product.\n2. B\n3. C\n4. D")]
     )
-    subqs = decompose(ctx, "q", orders_schema, endpoint)
+    subqs = decompose(_context(orders_db, endpoint), orders_schema)
     assert [sq.index for sq in subqs] == [1, 2, 3, 4]
     assert subqs[0].text == "Find the price of each product."
 
 
-def test_decompose_verbatim_reply_is_single_subquestion(ctx, orders_schema):
+def test_decompose_verbatim_reply_is_single_subquestion(orders_schema, orders_db):
     endpoint = scripted_endpoint([("sub-questions", "how many products are there")])
-    subqs = decompose(ctx, "how many products are there", orders_schema, endpoint)
+    subqs = decompose(
+        _context(orders_db, endpoint, question="how many products are there"), orders_schema
+    )
     assert len(subqs) == 1
     assert subqs[0].index == 1
 
 
-def test_decompose_ten_items(ctx, orders_schema):
+def test_decompose_ten_items(orders_schema, orders_db):
     reply = "\n".join(f"Sub-question {i}: task {i}" for i in range(1, 11))
     endpoint = scripted_endpoint([("sub-questions", reply)])
-    subqs = decompose(ctx, "q", orders_schema, endpoint)
+    subqs = decompose(_context(orders_db, endpoint), orders_schema)
     assert len(subqs) == 10
     assert subqs[9].text == "task 10"
 
@@ -145,11 +149,9 @@ def _subq(text: str, index: int = 1) -> SubQuestion:
 def test_generate_first_try_success(orders_schema, orders_db):
     endpoint = scripted_endpoint([("count the products", "SELECT COUNT(*) FROM Products")])
     result = generate_subquery(
-        StageContext(orders_db, 3),
+        _context(orders_db, endpoint, max_refinements=3),
         _subq("count the products"),
         orders_schema,
-        endpoint,
-        [],
     )
     assert result.valid
     assert result.refinement_attempts == 0
@@ -165,11 +167,9 @@ def test_generate_recovers_after_one_error(orders_schema, orders_db):
     )
     transcript = []
     result = generate_subquery(
-        StageContext(orders_db, 3, transcript=transcript),
+        _context(orders_db, endpoint, max_refinements=3, transcript=transcript),
         _subq("count the products"),
         orders_schema,
-        endpoint,
-        [],
     )
     assert result.valid
     assert result.refinement_attempts == 1
@@ -190,11 +190,9 @@ def test_generate_exhausts_refinements(orders_schema, orders_db):
         ]
     )
     result = generate_subquery(
-        StageContext(orders_db, 3),
+        _context(orders_db, endpoint, max_refinements=3),
         _subq("count the products"),
         orders_schema,
-        endpoint,
-        [],
     )
     assert not result.valid
     assert result.refinement_attempts == 3
@@ -209,11 +207,9 @@ def test_generate_extraction_failure_counts_as_attempt(orders_schema, orders_db)
         ]
     )
     result = generate_subquery(
-        StageContext(orders_db, 3),
+        _context(orders_db, endpoint, max_refinements=3),
         _subq("count the products"),
         orders_schema,
-        endpoint,
-        [],
     )
     assert result.valid
     assert result.refinement_attempts == 1
@@ -222,11 +218,9 @@ def test_generate_extraction_failure_counts_as_attempt(orders_schema, orders_db)
 def test_generate_zero_refinements_allowed(orders_schema, orders_db):
     endpoint = scripted_endpoint([("count the products", "SELECT * FROM missing")])
     result = generate_subquery(
-        StageContext(orders_db, 0),
+        _context(orders_db, endpoint, max_refinements=0),
         _subq("count the products"),
         orders_schema,
-        endpoint,
-        [],
     )
     assert not result.valid
     assert result.refinement_attempts == 0
@@ -237,11 +231,9 @@ def test_generate_serial_prompt_includes_prior_subqueries(orders_schema, orders_
     transcript = []
     prior = [SubQuery(for_index=1, sql="SELECT 1", valid=True)]
     generate_subquery(
-        StageContext(orders_db, 0, transcript=transcript),
+        _context(orders_db, endpoint, max_refinements=0, transcript=transcript),
         _subq("second step", index=2),
         orders_schema,
-        endpoint,
-        [],
         prior=prior,
     )
     assert "SELECT 1" in transcript[0].request.last_user_content
@@ -261,7 +253,7 @@ def test_merge_last_returns_final_subquery():
         assert merge_last(pool) == f"SELECT {size - 1}"
 
 
-def test_merge_plan_execute_happy_path(ctx, orders_schema):
+def test_merge_plan_execute_happy_path(orders_schema, orders_db):
     pair = scripted_pair(
         [
             ("Work out how the sub-queries", "Keep the final aggregate only."),
@@ -272,14 +264,14 @@ def test_merge_plan_execute_happy_path(ctx, orders_schema):
     queries = [SubQuery(1, "SELECT product_price FROM Products", valid=True),
                SubQuery(2, AVG_ORDERED_SQL, valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        ctx, "q", subqs, queries, pair, orders_schema
+        _context(orders_db, pair), subqs, queries, orders_schema
     )
     assert plan == "Keep the final aggregate only."
     assert sql == AVG_ORDERED_SQL
     assert not fell_back
 
 
-def test_merge_plan_execute_single_subquery(ctx, orders_schema):
+def test_merge_plan_execute_single_subquery(orders_schema, orders_db):
     pair = scripted_pair(
         [
             ("Work out how the sub-queries", "Use sub-query 1 as-is."),
@@ -288,13 +280,13 @@ def test_merge_plan_execute_single_subquery(ctx, orders_schema):
     )
     queries = [SubQuery(1, "SELECT COUNT(*) FROM Products", valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        ctx, "q", [_subq("count")], queries, pair, orders_schema
+        _context(orders_db, pair), [_subq("count")], queries, orders_schema
     )
     assert sql == queries[0].sql
     assert not fell_back
 
 
-def test_merge_plan_execute_falls_back_when_no_sql_ever(ctx, orders_schema):
+def test_merge_plan_execute_falls_back_when_no_sql_ever(orders_schema, orders_db):
     pair = scripted_pair(
         [
             ("Work out how the sub-queries", "Some plan."),
@@ -306,7 +298,7 @@ def test_merge_plan_execute_falls_back_when_no_sql_ever(ctx, orders_schema):
     )
     queries = [SubQuery(1, "SELECT COUNT(*) FROM Products", valid=True)]
     plan, sql, fell_back = merge_plan_execute(
-        ctx, "q", [_subq("count")], queries, pair, orders_schema
+        _context(orders_db, pair), [_subq("count")], queries, orders_schema
     )
     assert fell_back
     assert sql == "SELECT COUNT(*) FROM Products"
@@ -330,22 +322,24 @@ def test_column_select_narrows_output(schemas, corpus_root):
     )
     endpoint = scripted_endpoint([("returns exactly the columns", revised)])
     out = column_select(
-        StageContext(db_path(corpus_root, "city_channels"), 3),
-        "Please show the most common affiliation for city channels.",
+        _context(
+            db_path(corpus_root, "city_channels"),
+            endpoint,
+            question="Please show the most common affiliation for city channels.",
+        ),
         schema,
         merged,
-        endpoint,
     )
     assert out == revised
     outcome = execute_sql(db_path(corpus_root, "city_channels"), out)
     assert outcome.result.rows == (("ABC",),)
 
 
-def test_column_select_echo_keeps_query(ctx, orders_schema):
+def test_column_select_echo_keeps_query(orders_schema, orders_db):
     merged = "SELECT COUNT(*) FROM Products"
     endpoint = scripted_endpoint([("returns exactly the columns", merged)])
     assert (
-        column_select(ctx, "q", orders_schema, merged, endpoint) == merged
+        column_select(_context(orders_db, endpoint), orders_schema, merged) == merged
     )
 
 
@@ -361,13 +355,13 @@ def test_column_select_may_keep_wrong_but_runnable_output(schemas, corpus_root, 
     )
     endpoint = scripted_endpoint([("returns exactly the columns", merged)])
     final = column_select(
-        StageContext(db_file, 3), example.question, schema, merged, endpoint
+        _context(db_file, endpoint, question=example.question), schema, merged
     )
     assert final == merged
     assert not execution_accuracy(example, final, db_file).verdict.equal
 
 
-def test_column_select_never_breaks_runnable_query(ctx, orders_schema, orders_db):
+def test_column_select_never_breaks_runnable_query(orders_schema, orders_db):
     merged = "SELECT COUNT(*) FROM Products"
     endpoint = scripted_endpoint(
         [
@@ -377,7 +371,7 @@ def test_column_select_never_breaks_runnable_query(ctx, orders_schema, orders_db
             ("failed when executed", "SELECT nope FROM missing"),
         ]
     )
-    out = column_select(ctx, "q", orders_schema, merged, endpoint)
+    out = column_select(_context(orders_db, endpoint), orders_schema, merged)
     assert out == merged
     assert execute_sql(orders_db, out).ok
 
@@ -572,8 +566,8 @@ def test_each_schema_is_serialized_once_per_arm(
     assert sum(serialize_schema(trace.reduced_schema) in p for p in prompts) >= 7
     baseline_rendered = len(rendered)
     run_baseline(
-        avg_example, schema, scripted_endpoint([("in one step", AVG_ORDERED_SQL)]),
-        [], orders_db,
+        avg_example, schema, PipelineConfig(),
+        scripted_pair([("in one step", AVG_ORDERED_SQL)]), orders_db, fewshot=[],
     )
     # The text belongs to the schema object, so the baseline arm renders nothing.
     assert rendered[baseline_rendered:] == []
@@ -682,8 +676,8 @@ def test_provider_failure_yields_error_trace(orders_schema, orders_db, avg_examp
 
 def test_stage_timing_keys_per_arm(orders_schema, orders_db, avg_example):
     baseline = run_baseline(
-        avg_example, orders_schema, scripted_pair(baseline_wrong_avg_script()).coding, [],
-        orders_db, 3,
+        avg_example, orders_schema, PipelineConfig(max_refinements=3),
+        scripted_pair(baseline_wrong_avg_script()), orders_db, fewshot=[],
     )
     assert set(baseline.stage_timings_ms) == {"baseline", "total"}
 
@@ -707,7 +701,9 @@ def test_stage_timing_keys_per_arm(orders_schema, orders_db, avg_example):
 
 def test_run_baseline_wrong_answer_traced(avg_example, orders_schema, orders_db):
     pair = scripted_pair(baseline_wrong_avg_script())
-    trace = run_baseline(avg_example, orders_schema, pair.coding, [], orders_db, 3)
+    trace = run_baseline(
+        avg_example, orders_schema, PipelineConfig(max_refinements=3), pair, orders_db, fewshot=[]
+    )
     assert trace.subquestions == []
     assert trace.subqueries == []
     assert trace.final_sql == "SELECT AVG(product_price) FROM Products"
@@ -717,7 +713,9 @@ def test_run_baseline_wrong_answer_traced(avg_example, orders_schema, orders_db)
 
 def test_run_baseline_gold_reply_scores_equal(avg_example, orders_schema, orders_db):
     pair = scripted_pair([("in one step", avg_example.gold_sql)])
-    trace = run_baseline(avg_example, orders_schema, pair.coding, [], orders_db, 3)
+    trace = run_baseline(
+        avg_example, orders_schema, PipelineConfig(max_refinements=3), pair, orders_db, fewshot=[]
+    )
     assert execution_accuracy(avg_example, trace.final_sql, orders_db).verdict.equal
 
 
