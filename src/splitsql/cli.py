@@ -103,8 +103,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     records = load_records(args.records)
-    points = [float(token) for token in args.points.split(",") if token.strip()]
-    curve = router_sweep(records, points)
+    tokens = [token for token in args.points.split(",") if token.strip()]
+    try:
+        curve = router_sweep(records, [float(token) for token in tokens])
+    except ValueError as exc:  # a point that is no number in [0, 1], or records lacking a bit
+        print(f"splitsql: {exc}", file=sys.stderr)
+        return 2
     print("router_accuracy\texpected_ex")
     for accuracy, expected in curve:
         print(f"{accuracy:.2f}\t{float(expected):.2f}")

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,8 +126,7 @@ class EndpointSpec:
     retry_backoff_ms: int = 250
 
     def __post_init__(self):
-        # ProviderConfig and CompletionRequest check these settings: at load, not at the first call.
-        self.build().request("check")
+        self.build()  # ProviderConfig and ModelEndpoint check these settings at load
 
     def build(self, pool=None) -> ModelEndpoint:
         provider = ProviderConfig(
@@ -179,7 +179,8 @@ class RunConfig:
 
 
 # The settings a config file may give, as (section, JSON key, field name);
-# a key the file leaves out keeps its dataclass default.
+# a key the file leaves out keeps its default. Each takes the JSON type of its
+# field's annotation (see _setting).
 _PIPELINE_KEYS = (
     ("pipeline", "merge_strategy", "merge_strategy"),
     ("pipeline", "column_selection", "column_selection_enabled"),
@@ -188,9 +189,14 @@ _PIPELINE_KEYS = (
     ("pipeline", "subquery_fanout_width", "subquery_fanout_width"),
 )
 _RUN_KEYS = (
+    ("dataset", "tables", "tables_file"),
+    ("dataset", "examples", "examples_file"),
+    ("llm", "reasoning_model", "reasoning"),
+    ("llm", "coding_model", "coding"),
     ("router", "kind", "router_kind"),
     ("router", "table_threshold", "table_threshold"),
     ("router", "model_file", "router_model_file"),
+    ("harness", "run_dir", "run_dir"),
     ("harness", "worker_count", "worker_count"),
     ("harness", "cache_dir", "cache_dir"),
     ("harness", "limit", "limit"),
@@ -199,15 +205,16 @@ _RUN_KEYS = (
     ("prompts", "dir", "prompts_dir"),
     ("prompts", "fewshot_file", "fewshot_file"),
 )
-_PATH_FIELDS = frozenset({"router_model_file", "cache_dir", "prompts_dir", "fewshot_file"})
-_ROLES = ("reasoning_model", "coding_model")
 # Every setting a config file may give, by dotted name; harness.run_seed is retired and ignored.
 _CONFIG_KEYS = frozenset(
     [f"{section}.{key}" for section, key, _ in _PIPELINE_KEYS + _RUN_KEYS]
-    + "dataset.root dataset.tables dataset.examples harness.run_dir harness.run_seed".split()
-    + [f"llm.{role}" for role in _ROLES]
-    + [f"llm.{role}.{field.name}" for role in _ROLES for field in fields(EndpointSpec)]
+    + ["dataset.root", "harness.run_seed"]
+    + [f"llm.{role}.{field.name}" for section, role, _ in _RUN_KEYS if section == "llm"
+       for field in fields(EndpointSpec)]
 )
+# The JSON type, and its name, that a config file gives for each annotated Python type.
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               bool: (bool, "true or false"), str: (str, "a string"), Path: (str, "a path string")}
 
 
 def _unknown_keys(raw: dict, prefix: str = "") -> list[str]:
@@ -222,6 +229,28 @@ def _unknown_keys(raw: dict, prefix: str = "") -> list[str]:
     return unknown
 
 
+def _setting(name: str, value, owner: type, field_name: str, base: Path):
+    """A config file's value for owner's field, checked against the field's annotation:
+    bool is not an integer, an integer serves as a float, a path is a string (resolved
+    against base), a dataclass is an object of its settings (an empty one is None), and
+    null serves only where the default is None."""
+    default = owner.__dataclass_fields__[field_name].default
+    if value is None and default is None:
+        return None
+    hint = typing.get_type_hints(owner)[field_name]
+    kind = next(kind for kind in typing.get_args(hint) or (hint,) if kind is not type(None))
+    wanted, described = (dict, "an object") if is_dataclass(kind) else _JSON_TYPES[kind]
+    if not isinstance(value, wanted) or isinstance(value, bool) and kind is not bool:
+        null = " or null" if default is None else ""
+        raise ValueError(f"{name} must be {described}{null}, not {json.dumps(value)}")
+    if kind is Path:
+        return base / value  # an absolute path stays as it is
+    if is_dataclass(kind):
+        return kind(**{key: _setting(f"{name}.{key}", item, kind, key, base)
+                       for key, item in value.items()}) if value else None
+    return value
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Load the JSON run configuration (paths resolve relative to the file)."""
     path = Path(path)
@@ -229,47 +258,23 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a valid JSON config file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a config file must hold a JSON object")
     unknown = _unknown_keys(raw)
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     base = path.parent
 
-    def resolve(value: str | None) -> Path | None:
-        if value is None:
-            return None
-        candidate = Path(value)
-        return candidate if candidate.is_absolute() else base / candidate
+    def given(owner: type, keys: tuple[tuple[str, str, str], ...]) -> dict:
+        return {name: _setting(f"{section}.{key}", raw[section][key], owner, name, base)
+                for section, key, name in keys if key in raw.get(section, {})}
 
-    def present(keys: tuple[tuple[str, str, str], ...]) -> dict:
-        settings = {}
-        for section, key, name in keys:
-            if key in raw.get(section, {}):
-                value = raw[section][key]
-                settings[name] = resolve(value) if name in _PATH_FIELDS else value
-        return settings
-
-    dataset = raw.get("dataset", {})
-    root = resolve(dataset.get("root")) or base
-    tables_file = resolve(dataset.get("tables")) or root / "tables.json"
-    examples_file = resolve(dataset.get("examples")) or root / "examples.json"
-
-    llm_section = raw.get("llm", {})
-
-    def endpoint(section_name: str) -> EndpointSpec | None:
-        section = llm_section.get(section_name)
-        if not section:
-            return None
-        return EndpointSpec(**section)
-
-    return RunConfig(
-        tables_file=tables_file,
-        examples_file=examples_file,
-        run_dir=resolve(raw.get("harness", {}).get("run_dir")) or base / "runs" / "latest",
-        reasoning=endpoint("reasoning_model"),
-        coding=endpoint("coding_model"),
-        pipeline=PipelineConfig(**present(_PIPELINE_KEYS)),
-        **present(_RUN_KEYS),
-    )
+    # The dataset root is a path, as the files in it are.
+    root = given(RunConfig, (("dataset", "root", "tables_file"),)).get("tables_file", base)
+    defaults = {"tables_file": root / "tables.json", "examples_file": root / "examples.json",
+                "run_dir": base / "runs" / "latest"}
+    return RunConfig(pipeline=PipelineConfig(**given(PipelineConfig, _PIPELINE_KEYS)),
+                     **{**defaults, **given(RunConfig, _RUN_KEYS)})
 
 
 # ---------------------------------------------------------------------------
@@ -624,34 +629,25 @@ def run_benchmark(
     config = replace(config, pipeline=replace(config.pipeline))
 
     schemas = load_schemas(config.tables_file)
-    examples = load_examples(config.examples_file)
-    if config.limit is not None:
-        examples = examples[: config.limit]
+    examples = load_examples(config.examples_file)[: config.limit]
 
     templates = load_templates(config.prompts_dir)
     fewshot = load_fewshot(config.fewshot_file)
 
-    # route(example, schema, pair, transcript) -> RouteDecision, for a routed run.
-    route = None
-    if arm == ARM_ROUTED:
-        router_model = None
+    router_model = None
+    if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
+        if config.router_model_file is None:
+            raise ValueError("logistic routing requires router.model_file")
+        router_model = load_router_model(config.router_model_file)
+
+    def route(example, schema, pair, transcript):  # a routed run's RouteDecision
+        if config.router_kind == KIND_JUDGE:
+            return route_judge(example.question, schema, pair.reasoning, templates=templates,
+                               transcript=transcript)
+        features = extract_features(example.question, schema)
         if config.router_kind == KIND_LOGISTIC:
-            if config.router_model_file is None:
-                raise ValueError("logistic routing requires router.model_file")
-            router_model = load_router_model(config.router_model_file)
-        routers = {
-            KIND_HEURISTIC: lambda example, schema, pair, transcript: route_heuristic(
-                extract_features(example.question, schema), config.table_threshold
-            ),
-            KIND_LOGISTIC: lambda example, schema, pair, transcript: route_logistic(
-                router_model, extract_features(example.question, schema)
-            ),
-            KIND_JUDGE: lambda example, schema, pair, transcript: route_judge(
-                example.question, schema, pair.reasoning, templates=templates,
-                transcript=transcript,
-            ),
-        }
-        route = routers[config.router_kind]
+            return route_logistic(router_model, features)
+        return route_heuristic(features, config.table_threshold)
 
     # The two arms, keyed by the name their record fields and trace files carry. Built
     # here, not at import, so that it holds whatever the module names are bound to now.
@@ -696,7 +692,7 @@ def run_benchmark(
             notes = []
             trace_paths = {ARM_BASELINE: "", ARM_MODULE: ""}
             with execution_memo(connections):
-                if route is not None:
+                if arm == ARM_ROUTED:
                     try:
                         record.route_taken = route(example, schema, pair, router_transcript).branch
                     except ProviderError as exc:

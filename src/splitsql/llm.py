@@ -86,10 +86,7 @@ class CompletionRequest:
 
     @property
     def last_user_content(self) -> str:
-        for message in reversed(self.messages):
-            if message.role == "user":
-                return message.content
-        return ""
+        return self.messages[-1].content
 
 
 @dataclass(frozen=True)
@@ -126,11 +123,6 @@ class ScriptState:
         raise ScriptExhaustedError(
             f"no unused script entry matches message starting {message[:80]!r}"
         )
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return self._used.count(False)
 
 
 @dataclass
@@ -248,11 +240,11 @@ def complete(
     provider: ProviderConfig,
     request: CompletionRequest,
     *,
-    transcript: list[TranscriptEntry] | None = None,
     stage_label: str = "llm",
     attempt_index: int = 0,
 ) -> CompletionResponse:
-    """Run one chat completion, appending exactly one transcript entry.
+    """Run one chat completion. stage_label and attempt_index are not sent:
+    they only label the call for a tracer; ModelEndpoint.ask keeps the transcript.
 
     HTTP transport retries transient failures (timeouts, 429, 5xx) up to
     max_retries with exponential backoff; other 4xx statuses fail
@@ -261,14 +253,8 @@ def complete(
     if provider.kind == KIND_SCRIPTED:
         if provider.script is None:
             raise ProviderError("scripted provider has no script loaded")
-        text = provider.script.consume(request.last_user_content)
-        response = CompletionResponse(text=text)
-    else:
-        response = _complete_http(provider, request)
-
-    if transcript is not None:
-        transcript.append(TranscriptEntry(stage_label, request, response, attempt_index))
-    return response
+        return CompletionResponse(text=provider.script.consume(request.last_user_content))
+    return _complete_http(provider, request)
 
 
 def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> CompletionResponse:
@@ -461,6 +447,10 @@ class ModelEndpoint:
     temperature: float = 0.0
     max_tokens: int = 1024
     cache: CompletionCache | None = None
+
+    def __post_init__(self):
+        # CompletionRequest checks temperature and max_tokens: here, not at the first call.
+        self.request("check")
 
     def ask(
         self,

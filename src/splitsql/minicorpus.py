@@ -402,9 +402,7 @@ _DB_SPECS: dict[str, dict] = {
 
 DB_IDS = tuple(sorted(_DB_SPECS))
 
-# The 20 bundled benchmark examples span these three schemas.
-EXAMPLE_DB_IDS = ("customer_orders", "city_channels", "region_buildings")
-
+# The 20 bundled benchmark examples, over three of the five schemas.
 EXAMPLES: list[dict] = [
     {
         "db_id": "customer_orders",
@@ -603,7 +601,7 @@ def build_corpus(root: str | Path) -> Path:
     (root / "tables.json").write_text(json.dumps(records, indent=2), encoding="utf-8")
     (root / "examples.json").write_text(json.dumps(EXAMPLES, indent=2), encoding="utf-8")
     for db_id in DB_IDS:
-        _build_database(root / "database" / db_id / f"{db_id}.sqlite", _DB_SPECS[db_id])
+        _build_database(db_path(root, db_id), _DB_SPECS[db_id])
     return root
 
 

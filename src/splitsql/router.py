@@ -7,14 +7,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES
 from .llm import ModelEndpoint, TranscriptEntry, _fields
 from .prompts import STAGE_JUDGE, PromptTemplate, default_templates, render
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BRANCH_BASELINE = "baseline"
 BRANCH_DIVIDE_AND_MERGE = "divide_and_merge"
@@ -112,13 +108,6 @@ def route_heuristic(features: FeatureVector, table_threshold: int) -> RouteDecis
     return RouteDecision(BRANCH_BASELINE, 0.0, KIND_HEURISTIC)
 
 
-def _matrix(rows: list[tuple[FeatureVector, int]]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-    features = np.array([fv.as_tuple() for fv, _ in rows], dtype=np.float64)
-    labels = np.array([label for _, label in rows], dtype=np.float64)
-    return features, labels
-
-
 def train_logistic(
     data: RoutingDataset,
     learning_rate: float = 0.1,
@@ -144,7 +133,8 @@ def train_logistic(
         )
     if len(data.rows) < 2:
         raise RouterTrainingError("need at least 2 rows to train")
-    features, labels = _matrix(data.rows)
+    features = np.array([fv.as_tuple() for fv, _ in data.rows], dtype=np.float64)
+    labels = np.array([label for _, label in data.rows], dtype=np.float64)
     if labels.min() == labels.max():
         raise RouterTrainingError("training data contains a single class")
 
@@ -183,18 +173,6 @@ def train_logistic(
         feature_means=tuple(float(m) for m in means),
         feature_stds=tuple(float(s) for s in stds),
     )
-
-
-def logistic_loss(model: RouterModel, data: RoutingDataset, l2: float = 0.0) -> float:
-    """Mean cross-entropy plus the L2 penalty, for a model on a dataset."""
-    import numpy as np
-    features, labels = _matrix(data.rows)
-    standardized = (features - np.array(model.feature_means)) / np.array(model.feature_stds)
-    logits = standardized @ np.array(model.weights) + model.bias
-    # log(1 + exp(z)) - y*z, computed stably.
-    per_row = np.logaddexp(0.0, logits) - labels * logits
-    penalty = 0.5 * l2 * float(np.dot(model.weights, model.weights))
-    return float(per_row.mean() + penalty)
 
 
 def route_logistic(model: RouterModel, features: FeatureVector) -> RouteDecision:

@@ -326,8 +326,10 @@ def test_route_train_rejects_hyper_parameters_that_cannot_train(
         ("{not json", "bad.json: not a valid JSON config file: Expecting property name"),
         ('{"router": {"kind": "logstic"}}', "unknown router kind 'logstic'"),
         (None, "No such file or directory"),
+        ("[]", "bad.json: a config file must hold a JSON object"),
     ],
-    ids=["unknown-key", "unknown-merge", "not-json", "unknown-router", "missing"],
+    ids=["unknown-key", "unknown-merge", "not-json", "unknown-router", "missing",
+         "top-level-array"],
 )
 def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command, content, message):
     config = tmp_path / "bad.json"
@@ -389,9 +391,30 @@ def test_a_bad_override_or_limit_prints_one_line_and_exits_2(
         (("executor",), "float_tolerance", float("nan"), "float_tolerance must be >= 0"),
         (("llm", "coding_model"), "request_timeout_ms", 0, "timeouts and backoff must be positive"),
         (("llm", "reasoning_model"), "max_tokens", 0, "max_tokens must be positive"),
+        (("harness",), "worker_count", "2", 'harness.worker_count must be an integer, not "2"'),
+        (("harness",), "worker_count", True, "harness.worker_count must be an integer, not true"),
+        (("harness",), "limit", "5", 'harness.limit must be an integer or null, not "5"'),
+        (("executor",), "timeout_ms", "10", 'executor.timeout_ms must be an integer, not "10"'),
+        (("executor",), "timeout_ms", None, "executor.timeout_ms must be an integer, not null"),
+        (("executor",), "float_tolerance", "0.1",
+         'executor.float_tolerance must be a number, not "0.1"'),
+        (("pipeline",), "max_refinements", "3",
+         'pipeline.max_refinements must be an integer, not "3"'),
+        (("pipeline",), "subquery_fanout_width", "4",
+         'pipeline.subquery_fanout_width must be an integer, not "4"'),
+        (("router",), "table_threshold", "5",
+         'router.table_threshold must be an integer, not "5"'),
+        (("llm",), "reasoning_model", "x",
+         'llm.reasoning_model must be an object or null, not "x"'),
+        (("llm", "coding_model"), "base_url", 5,
+         "llm.coding_model.base_url must be a string, not 5"),
+        (("dataset",), "root", 5, "dataset.root must be a path string, not 5"),
     ],
     ids=["timeout-0", "timeout-minus-5", "tolerance-negative", "tolerance-nan",
-         "request-timeout-0", "max-tokens-0"],
+         "request-timeout-0", "max-tokens-0", "worker-count-string", "worker-count-bool",
+         "limit-string", "timeout-string", "timeout-null", "tolerance-string",
+         "refinements-string", "fanout-string", "threshold-string", "role-string",
+         "base-url-number", "root-number"],
 )
 def test_a_bad_run_or_endpoint_setting_prints_one_line_and_exits_2(
     tmp_path, corpus_root, capsys, section, key, value, message
@@ -407,6 +430,19 @@ def test_a_bad_run_or_endpoint_setting_prints_one_line_and_exits_2(
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"splitsql: {message}\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [("0,2", "router accuracy 2.0 outside [0, 1]"),
+     ("x", "could not convert string to float: 'x'")],
+    ids=["outside", "not-a-number"],
+)
+def test_sweep_rejects_a_bad_point_in_one_line_with_exit_2(tmp_path, capsys, points, message):
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    assert main(["sweep", "--records", str(records_path), "--points", points]) == 2
+    assert capsys.readouterr() == ("", f"splitsql: {message}\n")
 
 
 def test_an_error_inside_the_run_stays_loud(tmp_path, corpus_root):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import gold_answer_script, scripted_pair
-from splitsql import dataset, executor, harness
+from splitsql import dataset, executor, harness, llm
 from splitsql.harness import (
     ARM_BASELINE,
     ARM_BOTH,
@@ -54,6 +54,7 @@ from splitsql.llm import (
     KIND_HTTP,
     ChatMessage,
     CompletionRequest,
+    CompletionResponse,
     ModelPair,
     ProviderConfig,
     complete,
@@ -790,6 +791,25 @@ def test_a_config_changed_after_it_was_built_is_checked_again(run_config, field,
     assert not run_config.run_dir.exists()
 
 
+def test_an_endpoint_changed_after_it_was_built_fails_before_any_model_call(
+    run_config, monkeypatch
+):
+    calls = []
+
+    def counting_complete(provider, request, **labels):
+        calls.append(labels)
+        return CompletionResponse("SELECT COUNT(*) FROM Customers")
+
+    monkeypatch.setattr(llm, "complete", counting_complete)
+    for role in ("reasoning", "coding"):
+        setattr(run_config, role, EndpointSpec(base_url="http://unused.localhost", model_id=role))
+    run_config.reasoning.max_tokens = 0
+    with pytest.raises(ValueError, match="max_tokens must be positive"):
+        run_benchmark(run_config, ARM_BOTH)
+    assert calls == []
+    assert not run_config.run_dir.exists()
+
+
 def test_failing_gold_query_is_an_example_error_note(run_config, corpus_root, tmp_path):
     corpus = _copy_corpus(run_config, corpus_root, tmp_path)
     _set_first_gold(corpus, "SELECT COUNT(*) FROM No_Such_Table")
@@ -1356,6 +1376,23 @@ def test_load_config_round_trip(tmp_path, corpus_root):
 
 
 _ENDPOINT = {"base_url": "http://localhost:8000/v1", "model_id": "r"}
+
+
+def test_load_config_takes_an_integer_for_a_number_and_null_where_the_default_is_none(
+    tmp_path, corpus_root
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dataset": {"root": str(corpus_root)},
+        "llm": {"reasoning_model": {**_ENDPOINT, "temperature": 1}, "coding_model": None},
+        "executor": {"float_tolerance": 0},
+        "router": {"model_file": None},
+        "harness": {"limit": None, "cache_dir": "cache"},
+    }))
+    config = load_config(path)
+    assert (config.reasoning.temperature, config.float_tolerance) == (1, 0)
+    assert (config.coding, config.router_model_file, config.limit) == (None, None, None)
+    assert config.cache_dir == tmp_path / "cache"
 
 
 @pytest.mark.parametrize(

@@ -102,16 +102,10 @@ def test_script_must_be_non_empty():
 
 
 def test_every_call_appends_one_transcript_entry():
-    provider = scripted_provider([("one", "1"), ("two", "2"), ("three", "3")])
+    endpoint = ModelEndpoint(scripted_provider([("one", "1"), ("two", "2"), ("three", "3")]), "m")
     transcript = []
     for index, content in enumerate(("one", "two", "three")):
-        complete(
-            provider,
-            _request(content),
-            transcript=transcript,
-            stage_label="stage",
-            attempt_index=index,
-        )
+        endpoint.ask(content, transcript=transcript, stage_label="stage", attempt_index=index)
     assert len(transcript) == 3
     assert [entry.attempt_index for entry in transcript] == [0, 1, 2]
     assert all(entry.stage_label == "stage" for entry in transcript)

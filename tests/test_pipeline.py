@@ -419,7 +419,8 @@ def test_full_run_last_subquery_cs_off(avg_example, orders_schema, orders_db):
     assert trace.merged_sql == AVG_ORDERED_SQL
     assert trace.final_sql == trace.merged_sql
     assert trace.merge_plan_text == ""
-    assert pair.reasoning.provider.script.remaining == 0
+    # A call that does not raise uses exactly one entry, so every entry was used.
+    assert pair.reasoning.provider.script.call_count == len(script)
 
 
 def test_single_subquestion_run(orders_schema, orders_db, examples):

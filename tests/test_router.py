@@ -18,7 +18,6 @@ from splitsql.router import (
     UndefinedAccuracyError,
     dataset_from_outcomes,
     load_router_model,
-    logistic_loss,
     oracle_branch,
     route_heuristic,
     route_judge,
@@ -200,12 +199,6 @@ def test_loss_non_increasing_per_epoch_at_small_lr():
             model = train_logistic(dataset, learning_rate=0.01, epochs=epochs, l2=l2)
             losses.append(_reference_loss(model, dataset, l2))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-
-def test_reference_loss_matches_module_loss():
-    data = _separable_dataset()
-    model = train_logistic(data, epochs=50)
-    assert abs(_reference_loss(model, data, 0.0) - logistic_loss(model, data)) < 1e-9
 
 
 def test_zero_model_scores_half_and_routes_to_pipeline():
