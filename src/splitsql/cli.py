@@ -152,12 +152,12 @@ def _cmd_route_train(args) -> int:
         features = extract_features(example.question, schema)
         outcomes.append((features, record.baseline_correct, record.module_correct))
 
-    dataset = dataset_from_outcomes(outcomes)
-    if not dataset.rows:
+    rows = dataset_from_outcomes(outcomes)
+    if not rows:
         print("no disagreement examples; nothing to train on", file=sys.stderr)
         return 1
     try:
-        model = train_logistic(dataset, args.lr, args.epochs, args.l2)
+        model = train_logistic(rows, args.lr, args.epochs, args.l2)
     except ValueError as exc:  # a RouterTrainingError, or a hyper-parameter out of range
         print(f"cannot train router: {exc}", file=sys.stderr)
         return 1
@@ -165,11 +165,11 @@ def _cmd_route_train(args) -> int:
 
     hits = sum(
         1
-        for features, label in dataset.rows
+        for features, label in rows
         if (route_logistic(model, features).branch == BRANCH_DIVIDE_AND_MERGE) == bool(label)
     )
-    print(f"trained on {len(dataset.rows)} disagreement rows")
-    print(f"training accuracy: {hits / len(dataset.rows):.4f}")
+    print(f"trained on {len(rows)} disagreement rows")
+    print(f"training accuracy: {hits / len(rows):.4f}")
     print(f"model written to {args.out}")
     return 0
 

@@ -8,8 +8,6 @@ from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
-COLUMN_TYPES = ("text", "number", "time", "boolean", "others")
-
 # Fixed keyword lists for question features. Matched case-insensitively on
 # word boundaries; "number of" is matched as a phrase.
 AGGREGATION_KEYWORDS = ("average", "count", "sum", "total", "number of")
@@ -29,16 +27,9 @@ class SchemaReductionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    declared_type: str
-
-
-@dataclass(frozen=True)
 class TableDef:
     name: str
-    columns: tuple[ColumnDef, ...]
-    primary_key_columns: tuple[int, ...] = ()
+    columns: tuple[str, ...]  # the column names, in the source order
 
 
 @dataclass(frozen=True)
@@ -124,76 +115,59 @@ def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
             raise CorpusParseError(f"{path}: schema record without db_id")
         try:
             schema = _schema_from_record(record, database_dir)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError) as exc:
             raise CorpusParseError(f"{path}: malformed schema record {db_id!r}: {exc}") from exc
         schemas[db_id] = schema
     return schemas
 
 
 def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
+    """A record's schema. A record of the wrong shape raises KeyError or TypeError (which
+    load_schemas reports as CorpusParseError); a dangling reference SchemaIntegrityError."""
     db_id = record["db_id"]
     table_names = record["table_names_original"]
+    if not isinstance(table_names, list) or not all(isinstance(n, str) for n in table_names):
+        raise TypeError(f"table_names_original is not a list of names: {table_names!r}")
     if not table_names:
         raise SchemaIntegrityError(f"{db_id}: schema has no tables")
-    raw_columns = record["column_names_original"]
-    column_types = record.get("column_types", [])
 
     # Map global column ids to (table index, table-local column index); the
     # "*" pseudo-columns (table index -1) stay unmapped.
-    per_table: list[list[ColumnDef]] = [[] for _ in table_names]
+    per_table: list[list[str]] = [[] for _ in table_names]
     global_to_local: dict[int, tuple[int, int]] = {}
-    for col_id, (table_idx, col_name) in enumerate(raw_columns):
+    for col_id, entry in enumerate(record["column_names_original"]):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], str)):
+            raise TypeError(f"column entry {entry!r} is not a [table index, name] pair")
+        table_idx, col_name = entry
         if table_idx == -1:
             continue
         if not 0 <= table_idx < len(table_names):
             raise SchemaIntegrityError(
                 f"{db_id}: column {col_name!r} references table index {table_idx}"
             )
-        declared = column_types[col_id] if col_id < len(column_types) else "text"
-        if declared not in COLUMN_TYPES:
-            declared = "others"
-        local_idx = len(per_table[table_idx])
-        per_table[table_idx].append(ColumnDef(col_name, declared))
-        global_to_local[col_id] = (table_idx, local_idx)
-
-    def resolve(col_id: int, what: str) -> tuple[int, int]:
-        if col_id not in global_to_local:
-            raise SchemaIntegrityError(f"{db_id}: {what} references column index {col_id}")
-        return global_to_local[col_id]
-
-    pk_by_table: dict[int, list[int]] = {}
-    for entry in record.get("primary_keys", []):
-        ids = entry if isinstance(entry, list) else [entry]
-        for col_id in ids:
-            table_idx, local_idx = resolve(col_id, "primary key")
-            pk_by_table.setdefault(table_idx, []).append(local_idx)
-
-    tables = tuple(
-        TableDef(
-            name=table_names[i],
-            columns=tuple(per_table[i]),
-            primary_key_columns=tuple(pk_by_table.get(i, [])),
-        )
-        for i in range(len(table_names))
-    )
+        global_to_local[col_id] = (table_idx, len(per_table[table_idx]))
+        per_table[table_idx].append(col_name)
 
     seen = set()
-    for table in tables:
-        key = table.name.lower()
-        if key in seen:
-            raise SchemaIntegrityError(f"{db_id}: duplicate table name {table.name!r}")
-        seen.add(key)
+    for name in table_names:
+        if name.lower() in seen:
+            raise SchemaIntegrityError(f"{db_id}: duplicate table name {name!r}")
+        seen.add(name.lower())
 
     foreign_keys = []
     for pair in record.get("foreign_keys", []):
-        from_id, to_id = pair
-        from_t, from_c = resolve(from_id, "foreign key")
-        to_t, to_c = resolve(to_id, "foreign key")
-        foreign_keys.append((from_t, from_c, to_t, to_c))
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise TypeError(f"foreign key {pair!r} is not a [column, column] pair")
+        for col_id in pair:
+            if col_id not in global_to_local:
+                raise SchemaIntegrityError(
+                    f"{db_id}: foreign key references column index {col_id}"
+                )
+        foreign_keys.append(global_to_local[pair[0]] + global_to_local[pair[1]])
 
     return DatabaseSchema(
         db_id=db_id,
-        tables=tables,
+        tables=tuple(TableDef(name, tuple(cols)) for name, cols in zip(table_names, per_table)),
         foreign_keys=tuple(foreign_keys),
         db_file_path=str(database_dir / db_id / f"{db_id}.sqlite"),
     )
@@ -258,7 +232,7 @@ def serialize_schema(schema: DatabaseSchema) -> str:
     ``Foreign keys:`` block when the schema has any.
     """
     lines = [
-        f"{table.name} ({', '.join(c.name for c in table.columns)})"
+        f"{table.name} ({', '.join(table.columns)})"
         for table in schema.tables
     ]
     if schema.foreign_keys:
@@ -267,8 +241,8 @@ def serialize_schema(schema: DatabaseSchema) -> str:
             from_table = schema.tables[ft]
             to_table = schema.tables[tt]
             lines.append(
-                f"{from_table.name}.{from_table.columns[fc].name}"
-                f" = {to_table.name}.{to_table.columns[tc].name}"
+                f"{from_table.name}.{from_table.columns[fc]}"
+                f" = {to_table.name}.{to_table.columns[tc]}"
             )
     return "\n".join(lines)
 

@@ -70,7 +70,6 @@ class ExecOutcome:
     status: str
     result: ResultTable | None = None
     error_message: str = ""
-    elapsed_ms: int = 0
 
     @property
     def ok(self) -> bool:
@@ -142,8 +141,7 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
     if not db_path.is_file():
         raise DatabaseOpenError(f"database file not found: {db_path}")
 
-    started = time.monotonic()
-    deadline = started + timeout_ms / 1000.0
+    deadline = time.monotonic() + timeout_ms / 1000.0
     timed_out = False
 
     def check_deadline():
@@ -173,21 +171,11 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
         cursor = connection.execute(sql)
         rows = tuple(cursor.fetchall())
         column_count = len(cursor.description) if cursor.description else 0
-        elapsed = int((time.monotonic() - started) * 1000)
-        return ExecOutcome(
-            status=STATUS_OK,
-            result=ResultTable(column_count=column_count, rows=rows),
-            elapsed_ms=elapsed,
-        )
+        return ExecOutcome(STATUS_OK, ResultTable(column_count=column_count, rows=rows))
     except (sqlite3.Error, sqlite3.Warning) as exc:
-        elapsed = int((time.monotonic() - started) * 1000)
         if timed_out:
-            return ExecOutcome(
-                status=STATUS_TIMEOUT,
-                error_message=f"query exceeded {timeout_ms} ms",
-                elapsed_ms=elapsed,
-            )
-        return ExecOutcome(status=STATUS_SQL_ERROR, error_message=str(exc), elapsed_ms=elapsed)
+            return ExecOutcome(STATUS_TIMEOUT, error_message=f"query exceeded {timeout_ms} ms")
+        return ExecOutcome(STATUS_SQL_ERROR, error_message=str(exc))
     finally:
         if idle is None:
             connection.close()

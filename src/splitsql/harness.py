@@ -13,7 +13,7 @@ import json
 import math
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,8 +232,8 @@ def _unknown_keys(raw: dict, prefix: str = "") -> list[str]:
 def _setting(name: str, value, owner: type, field_name: str, base: Path):
     """A config file's value for owner's field, checked against the field's annotation:
     bool is not an integer, an integer serves as a float, a path is a string (resolved
-    against base), a dataclass is an object of its settings (an empty one is None), and
-    null serves only where the default is None."""
+    against base), a dataclass is an object of its settings (an empty one is None) that
+    gives each setting without a default, and null serves only where the default is None."""
     default = owner.__dataclass_fields__[field_name].default
     if value is None and default is None:
         return None
@@ -246,6 +246,9 @@ def _setting(name: str, value, owner: type, field_name: str, base: Path):
     if kind is Path:
         return base / value  # an absolute path stays as it is
     if is_dataclass(kind):
+        missing = [f.name for f in fields(kind) if f.default is MISSING and f.name not in value]
+        if value and missing:
+            raise ValueError(f"{name}.{missing[0]} must be given")
         return kind(**{key: _setting(f"{name}.{key}", item, kind, key, base)
                        for key, item in value.items()}) if value else None
     return value
@@ -655,14 +658,12 @@ def run_benchmark(
     # The arms every example runs; a routed example runs the one its route names.
     arms_run = {ARM_BOTH: tuple(arms), ARM_ROUTED: ()}.get(arm, (arm,))
 
-    pools = {}  # one keep-alive pool per base_url, enough for every concurrent call
+    pools = {}  # one keep-alive pool per base_url, shared by every concurrent call
     if endpoints_for is None:
         if config.reasoning is None or config.coding is None:
             raise ValueError("config must define reasoning_model and coding_model")
         specs = (config.reasoning, config.coding)
-        fanout = config.pipeline.subquery_fanout_width if config.pipeline.parallel_subqueries else 1
-        pools = {url: connection_pool(url, config.worker_count * fanout)
-                 for url in {spec.base_url for spec in specs}}
+        pools = {url: connection_pool(url) for url in {spec.base_url for spec in specs}}
         shared = ModelPair(*(spec.build(pools[spec.base_url]) for spec in specs))
 
         def endpoints_for(example_id, example):

@@ -142,6 +142,8 @@ class ProviderConfig:
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if self.kind == KIND_HTTP and not self.base_url:
             raise ValueError("http provider requires base_url")
+        if _BAD_TARGET_CHAR.search(self.base_url):  # http.client refuses it in a request target
+            raise ValueError(f"base_url contains a space or control character: {self.base_url!r}")
         if self.request_timeout_ms <= 0 or self.retry_backoff_ms <= 0:
             raise ValueError("timeouts and backoff must be positive")
         if self.max_retries < 0:
@@ -151,11 +153,11 @@ class ProviderConfig:
 @dataclass
 class ConnectionPool:
     """Idle keep-alive connections to one origin. list.pop and list.append are
-    atomic, so threads share the pool and never share a connection."""
+    atomic, so threads share the pool and never share a connection. A connection is
+    made only when none is idle, so idle ones never outnumber the calls in flight."""
 
     connect: Callable[[], http.client.HTTPConnection]
     host: str  # the Host header: the target's host and port, never the proxy's
-    maxsize: int
     forward_headers: dict | None = None  # set when requests go to an HTTP proxy in absolute form
     idle: list = field(default_factory=list)
 
@@ -173,8 +175,8 @@ class ConnectionPool:
         return connection
 
     def put(self, connection: http.client.HTTPConnection, reusable: bool) -> None:
-        """Keep a connection whose reply was read in full, unless it closes or the pool is full."""
-        if reusable and len(self.idle) < self.maxsize:
+        """Keep a connection whose reply was read in full, unless it closes."""
+        if reusable:
             self.idle.append(connection)
         else:
             connection.close()
@@ -184,8 +186,8 @@ class ConnectionPool:
             self.idle.pop().close()
 
 
-def connection_pool(url: str, maxsize: int = 1) -> ConnectionPool:
-    """A keep-alive pool keeping up to maxsize idle connections to url's origin,
+def connection_pool(url: str) -> ConnectionPool:
+    """A keep-alive pool of connections to url's origin,
     through the environment's proxy for url's scheme unless the host bypasses it.
     An https target is tunnelled through the proxy with CONNECT."""
     import base64
@@ -200,7 +202,7 @@ def connection_pool(url: str, maxsize: int = 1) -> ConnectionPool:
         host += f":{target.port}"
     proxy = urllib.request.getproxies().get(target.scheme)
     if not proxy or urllib.request.proxy_bypass(target.hostname):
-        return ConnectionPool(lambda: kind(target.hostname, target.port), host, maxsize)
+        return ConnectionPool(lambda: kind(target.hostname, target.port), host)
     via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
     if via.scheme != "http":
         raise ValueError(f"proxy {via.scheme}://{via.hostname} for {target.scheme}://"
@@ -216,7 +218,7 @@ def connection_pool(url: str, maxsize: int = 1) -> ConnectionPool:
         if tunnel:
             connection.set_tunnel(target.hostname, target.port, headers=auth)
         return connection
-    return ConnectionPool(connect, host, maxsize, None if tunnel else auth)
+    return ConnectionPool(connect, host, None if tunnel else auth)
 
 
 def scripted_provider(script: list[tuple[str, str]]) -> ProviderConfig:
@@ -273,7 +275,6 @@ def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> Comp
 
     # The request, framed once as http.client frames it: the same headers in the same order.
     path = urlsplit(url).path if pool.forward_headers is None else url
-    refused = _BAD_TARGET_CHAR.search(path) is not None
     headers = {"Host": pool.host, "Accept-Encoding": "identity", "Content-Length": str(len(body)),
                "Content-Type": "application/json"}
     if api_key := os.environ.get(provider.api_key_env_var, ""):  # no variable is named ""
@@ -291,8 +292,6 @@ def _complete_http(provider: ProviderConfig, request: CompletionRequest) -> Comp
             status: int | None = None
             connection = pool.get(provider.request_timeout_ms / 1000.0)
             try:  # redirects are not followed: a 3xx is returned as it is
-                if refused:  # as http.client refuses it: on every attempt, before connecting
-                    raise http.client.InvalidURL(f"URL can't contain control characters: {path!r}")
                 if connection.sock is None:
                     connection.connect()
                 connection.sock.sendall(message)

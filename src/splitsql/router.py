@@ -36,7 +36,6 @@ class UndefinedAccuracyError(ValueError):
 class RouteDecision:
     branch: str
     score: float  # confidence that divide_and_merge is the better arm
-    router_kind: str
     note: str = ""
 
     def __post_init__(self):
@@ -67,13 +66,6 @@ class RouterModel:
             raise ValueError("feature stds must be positive")
 
 
-@dataclass
-class RoutingDataset:
-    """(features, label) rows; label 1 means only divide_and_merge was correct."""
-
-    rows: list[tuple[FeatureVector, int]]
-
-
 def oracle_branch(baseline_bit: int | None, module_bit: int | None) -> str | None:
     """The branch that alone was correct, or None when both arms were, neither
     was, or a bit is missing; only such disagreement examples carry a label."""
@@ -86,8 +78,8 @@ def oracle_branch(baseline_bit: int | None, module_bit: int | None) -> str | Non
 
 def dataset_from_outcomes(
     outcomes: list[tuple[FeatureVector, int, int]],
-) -> RoutingDataset:
-    """Build a routing dataset from (features, baseline bit, module bit) triples.
+) -> list[tuple[FeatureVector, int]]:
+    """The (features, label) routing rows of (features, baseline bit, module bit) triples.
 
     Only disagreement examples carry a label: 1 when the pipeline alone was
     correct, 0 when the baseline alone was. Agreement examples are skipped
@@ -98,18 +90,18 @@ def dataset_from_outcomes(
         branch = oracle_branch(baseline_bit, module_bit)
         if branch is not None:
             rows.append((features, int(branch == BRANCH_DIVIDE_AND_MERGE)))
-    return RoutingDataset(rows=rows)
+    return rows
 
 
 def route_heuristic(features: FeatureVector, table_threshold: int) -> RouteDecision:
     """Route on schema size alone: big schemas go to the pipeline."""
     if features.table_count >= table_threshold:
-        return RouteDecision(BRANCH_DIVIDE_AND_MERGE, 1.0, KIND_HEURISTIC)
-    return RouteDecision(BRANCH_BASELINE, 0.0, KIND_HEURISTIC)
+        return RouteDecision(BRANCH_DIVIDE_AND_MERGE, 1.0)
+    return RouteDecision(BRANCH_BASELINE, 0.0)
 
 
 def train_logistic(
-    data: RoutingDataset,
+    rows: list[tuple[FeatureVector, int]],
     learning_rate: float = 0.1,
     epochs: int = 500,
     l2: float = 0.0,
@@ -131,10 +123,10 @@ def train_logistic(
             f"training diverged: with learning_rate * l2 = {learning_rate * l2:g}, each step"
             f" scales the weights by {1 - learning_rate * l2:g}; keep the product below 2"
         )
-    if len(data.rows) < 2:
+    if len(rows) < 2:
         raise RouterTrainingError("need at least 2 rows to train")
-    features = np.array([fv.as_tuple() for fv, _ in data.rows], dtype=np.float64)
-    labels = np.array([label for _, label in data.rows], dtype=np.float64)
+    features = np.array([fv.as_tuple() for fv, _ in rows], dtype=np.float64)
+    labels = np.array([label for _, label in rows], dtype=np.float64)
     if labels.min() == labels.max():
         raise RouterTrainingError("training data contains a single class")
 
@@ -185,7 +177,7 @@ def route_logistic(model: RouterModel, features: FeatureVector) -> RouteDecision
     except OverflowError:  # a logit below about -709: the true score is under 1e-307
         score = 0.0
     branch = BRANCH_DIVIDE_AND_MERGE if score >= 0.5 else BRANCH_BASELINE
-    return RouteDecision(branch, score, KIND_LOGISTIC)
+    return RouteDecision(branch, score)
 
 
 def route_judge(
@@ -208,12 +200,10 @@ def route_judge(
     reply = reasoning_model.ask(prompt, transcript=transcript, stage_label=STAGE_JUDGE)
     verdict = reply.strip().upper()
     if verdict == "COMPLEX":
-        return RouteDecision(BRANCH_DIVIDE_AND_MERGE, 1.0, KIND_JUDGE)
+        return RouteDecision(BRANCH_DIVIDE_AND_MERGE, 1.0)
     if verdict == "SIMPLE":
-        return RouteDecision(BRANCH_BASELINE, 0.0, KIND_JUDGE)
-    return RouteDecision(
-        BRANCH_BASELINE, 0.5, KIND_JUDGE, note=f"unparseable judge reply: {reply[:60]!r}"
-    )
+        return RouteDecision(BRANCH_BASELINE, 0.0)
+    return RouteDecision(BRANCH_BASELINE, 0.5, note=f"unparseable judge reply: {reply[:60]!r}")
 
 
 def save_router_model(model: RouterModel, path: str | Path) -> None:

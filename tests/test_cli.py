@@ -409,12 +409,16 @@ def test_a_bad_override_or_limit_prints_one_line_and_exits_2(
         (("llm", "coding_model"), "base_url", 5,
          "llm.coding_model.base_url must be a string, not 5"),
         (("dataset",), "root", 5, "dataset.root must be a path string, not 5"),
+        (("llm",), "reasoning_model", {"model_id": "r"},
+         "llm.reasoning_model.base_url must be given"),
+        (("llm", "coding_model"), "base_url", "http://127.0.0.1:9/v 1",
+         "base_url contains a space or control character: 'http://127.0.0.1:9/v 1'"),
     ],
     ids=["timeout-0", "timeout-minus-5", "tolerance-negative", "tolerance-nan",
          "request-timeout-0", "max-tokens-0", "worker-count-string", "worker-count-bool",
          "limit-string", "timeout-string", "timeout-null", "tolerance-string",
          "refinements-string", "fanout-string", "threshold-string", "role-string",
-         "base-url-number", "root-number"],
+         "base-url-number", "root-number", "base-url-missing", "base-url-space"],
 )
 def test_a_bad_run_or_endpoint_setting_prints_one_line_and_exits_2(
     tmp_path, corpus_root, capsys, section, key, value, message

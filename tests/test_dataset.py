@@ -6,7 +6,6 @@ import sqlite3
 import pytest
 
 from splitsql.dataset import (
-    ColumnDef,
     CorpusParseError,
     DatabaseSchema,
     SchemaIntegrityError,
@@ -39,7 +38,7 @@ def test_loaded_corpus_counts(schemas):
 def test_star_pseudo_column_dropped(schemas):
     for schema in schemas.values():
         for table in schema.tables:
-            assert all(column.name != "*" for column in table.columns)
+            assert "*" not in table.columns
 
 
 def test_foreign_key_endpoints_valid(schemas):
@@ -72,7 +71,7 @@ def test_two_table_record_maps_directly(tmp_path):
     assert schema.table_count == 2
     assert [t.name for t in schema.tables] == ["region", "building"]
     assert schema.foreign_keys == ((1, 1, 0, 0),)
-    assert schema.tables[0].primary_key_columns == (0,)
+    assert [t.columns for t in schema.tables] == [("id",), ("id", "region_id")]
 
 
 def test_dangling_foreign_key_is_integrity_error(tmp_path):
@@ -87,6 +86,30 @@ def test_dangling_foreign_key_is_integrity_error(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps([record]))
     with pytest.raises(SchemaIntegrityError, match="broken"):
+        load_schemas(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"foreign_keys": [[1, 2, 2]]},
+        {"column_names_original": [[-1, "*"], [0, "a", "x"], [0, "b"]]},
+        {"column_names_original": [[-1, "*"], [0, 5], [0, "b"]]},
+        {"table_names_original": "abc"},
+    ],
+    ids=["foreign-key-triple", "column-triple", "column-name-number", "table-names-string"],
+)
+def test_a_malformed_schema_record_is_a_parse_error_naming_file_and_db_id(tmp_path, change):
+    record = {
+        "db_id": "bad",
+        "table_names_original": ["t"],
+        "column_names_original": [[-1, "*"], [0, "a"], [0, "b"]],
+        "foreign_keys": [],
+        **change,
+    }
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([record]))
+    with pytest.raises(CorpusParseError, match=r"tables\.json: malformed schema record 'bad'"):
         load_schemas(path)
 
 
@@ -135,9 +158,7 @@ def test_reduce_keeps_requested_tables_in_source_order(schemas):
     # Column lists are unchanged apart from the re-based owning index.
     source = next(t for t in schema.tables if t.name == "Order_Items")
     kept = reduced.tables[1]
-    assert [(c.name, c.declared_type) for c in kept.columns] == [
-        (c.name, c.declared_type) for c in source.columns
-    ]
+    assert kept.columns == source.columns
 
 
 def test_reduce_with_all_names_is_identity(schemas):
@@ -164,7 +185,7 @@ def test_reduce_drops_foreign_keys_with_removed_endpoint(schemas):
     assert len(reduced.foreign_keys) == 1
     ft, fc, tt, tc = reduced.foreign_keys[0]
     assert reduced.tables[ft].name == "Orders"
-    assert reduced.tables[ft].columns[fc].name == "customer_id"
+    assert reduced.tables[ft].columns[fc] == "customer_id"
     assert reduced.tables[tt].name == "Customers"
 
 
@@ -183,7 +204,7 @@ def test_serialize_matches_expected_layout(schemas):
 def test_serialize_omits_foreign_key_block_when_none():
     schema = DatabaseSchema(
         db_id="plain",
-        tables=(TableDef("t", (ColumnDef("a", "number"),)),),
+        tables=(TableDef("t", ("a",)),),
     )
     assert serialize_schema(schema) == "t (a)"
 
@@ -199,9 +220,7 @@ def _synthetic_schema(index: int) -> DatabaseSchema:
     tables = tuple(
         TableDef(
             name=f"table_{index}_{t}",
-            columns=tuple(
-                ColumnDef(f"col_{c}", "number") for c in range(1 + (index + t) % 4)
-            ),
+            columns=tuple(f"col_{c}" for c in range(1 + (index + t) % 4)),
         )
         for t in range(1 + index % 5)
     )

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 import sqlite3
-from dataclasses import replace
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -79,9 +79,10 @@ def test_execute_timeout(lab_db):
         "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) "
         "SELECT COUNT(*) FROM r"
     )
+    started = time.monotonic()
     outcome = execute_sql(lab_db, heavy, timeout_ms=50)
     assert outcome.status == "timeout"
-    assert outcome.elapsed_ms >= 50
+    assert (time.monotonic() - started) * 1000 >= 50
 
 
 def test_unopenable_database_raises(tmp_path):
@@ -246,7 +247,7 @@ def test_a_file_that_is_no_database_fails_at_the_query(tmp_path):
     finally:
         _close(pool)
     fresh = execute_sql(target, "SELECT COUNT(*) FROM samples")
-    assert pooled == replace(fresh, elapsed_ms=pooled.elapsed_ms)
+    assert pooled == fresh
     assert fresh.status == "sql_error"
     assert "not a database" in fresh.error_message
 

@@ -880,9 +880,9 @@ def test_an_api_key_with_cr_lf_never_reaches_the_server(raw_server, monkeypatch)
 
 
 def test_a_request_target_with_a_space_fails_every_attempt_unsent(raw_server):
+    # http.client would refuse such a target on every attempt: the provider is refused at once.
     server = raw_server(_OK)
-    provider = _http_provider(server.url.replace("/v1", "/v 1"), max_retries=1)
-    with pytest.raises(ProviderError, match="2 attempts.*control characters") as info:
-        complete(provider, _request("hi"))
-    assert info.value.status is None
+    for bad in ("/v 1", "/v\x7f1", "/v1\t"):
+        with pytest.raises(ValueError, match="base_url contains a space or control character"):
+            _http_provider(server.url.replace("/v1", bad), max_retries=1)
     assert (server.connections, server.requests) == (0, [])

@@ -14,7 +14,6 @@ from splitsql.router import (
     BRANCH_DIVIDE_AND_MERGE,
     RouterModel,
     RouterTrainingError,
-    RoutingDataset,
     UndefinedAccuracyError,
     dataset_from_outcomes,
     load_router_model,
@@ -45,26 +44,29 @@ def _features(
     )
 
 
-def _separable_dataset() -> RoutingDataset:
+Rows = list[tuple[FeatureVector, int]]
+
+
+def _separable_dataset() -> Rows:
     rows = []
     for _ in range(50):
         rows.append((_features(table_count=1), 0))
         rows.append((_features(table_count=10), 1))
-    return RoutingDataset(rows=rows)
+    return rows
 
 
-def _training_accuracy(model: RouterModel, data: RoutingDataset) -> float:
+def _training_accuracy(model: RouterModel, data: Rows) -> float:
     hits = 0
-    for features, label in data.rows:
+    for features, label in data:
         decision = route_logistic(model, features)
         hits += (decision.branch == BRANCH_DIVIDE_AND_MERGE) == bool(label)
-    return hits / len(data.rows)
+    return hits / len(data)
 
 
-def _reference_loss(model: RouterModel, data: RoutingDataset, l2: float) -> float:
+def _reference_loss(model: RouterModel, data: Rows, l2: float) -> float:
     """Independent loss recomputation from the model outputs (no numpy)."""
     total = 0.0
-    for features, label in data.rows:
+    for features, label in data:
         z = model.bias
         for value, mean, std, weight in zip(
             features.as_tuple(), model.feature_means, model.feature_stds, model.weights
@@ -72,13 +74,13 @@ def _reference_loss(model: RouterModel, data: RoutingDataset, l2: float) -> floa
             z += weight * (value - mean) / std
         total += math.log1p(math.exp(-abs(z))) + max(z, 0.0) - label * z
     penalty = 0.5 * l2 * sum(w * w for w in model.weights)
-    return total / len(data.rows) + penalty
+    return total / len(data) + penalty
 
 
-def _brute_force_threshold_separable(data: RoutingDataset) -> bool:
+def _brute_force_threshold_separable(data: Rows) -> bool:
     """Oracle: does any threshold on the single varying feature separate
     the labels perfectly?"""
-    points = sorted((fv.table_count, label) for fv, label in data.rows)
+    points = sorted((fv.table_count, label) for fv, label in data)
     values = sorted({v for v, _ in points})
     candidates = [values[0] - 1] + values + [values[-1] + 1]
     for threshold in candidates:
@@ -103,7 +105,6 @@ def _brute_force_threshold_separable(data: RoutingDataset) -> bool:
 def test_heuristic_threshold_rule(table_count, threshold, branch):
     decision = route_heuristic(_features(table_count=table_count), threshold)
     assert decision.branch == branch
-    assert decision.router_kind == "heuristic"
     assert decision.score in (0.0, 1.0)
 
 
@@ -138,8 +139,8 @@ def test_trained_model_routes_large_schema_to_pipeline():
 
 def test_identical_features_mixed_labels_has_no_signal():
     rows = [(_features(), i % 2) for i in range(40)]
-    model = train_logistic(RoutingDataset(rows), learning_rate=0.1, epochs=300, l2=0.1)
-    assert _training_accuracy(model, RoutingDataset(rows)) == 0.5
+    model = train_logistic(rows, learning_rate=0.1, epochs=300, l2=0.1)
+    assert _training_accuracy(model, rows) == 0.5
     assert math.sqrt(sum(w * w for w in model.weights)) < 1e-9
     assert abs(model.bias) < 1e-6
 
@@ -147,7 +148,7 @@ def test_identical_features_mixed_labels_has_no_signal():
 def test_single_class_data_is_training_error():
     rows = [(_features(table_count=i), 1) for i in range(1, 6)]
     with pytest.raises(RouterTrainingError):
-        train_logistic(RoutingDataset(rows))
+        train_logistic(rows)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -178,7 +179,7 @@ def test_training_refuses_a_step_the_loss_curvature_makes_unstable(learning_rate
 def test_every_accepted_step_never_raises_the_loss(learning_rate, l2, noisy):
     data = _separable_dataset()
     if noisy:
-        data = RoutingDataset(data.rows[:80] + [(_features(table_count=10), 0)])
+        data = data[:80] + [(_features(table_count=10), 0)]
     try:
         train_logistic(data, learning_rate=learning_rate, epochs=1, l2=l2)
     except RouterTrainingError:
@@ -192,7 +193,7 @@ def test_every_accepted_step_never_raises_the_loss(learning_rate, l2, noisy):
 def test_loss_non_increasing_per_epoch_at_small_lr():
     data = _separable_dataset()
     # Add label noise so the loss cannot just race to zero.
-    noisy = RoutingDataset(data.rows[:80] + [(_features(table_count=10), 0)])
+    noisy = data[:80] + [(_features(table_count=10), 0)]
     for dataset, l2 in ((data, 0.0), (noisy, 0.01)):
         losses = []
         for epochs in range(1, 31):
@@ -303,12 +304,12 @@ def test_decisions_invariant_under_feature_rescaling():
     ] * 5
     evaluation = [_features(table_count=c, column_count=6 * c) for c in range(1, 11)]
 
-    base_model = train_logistic(RoutingDataset(rows), epochs=300)
+    base_model = train_logistic(rows, epochs=300)
     base_decisions = [route_logistic(base_model, fv).branch for fv in evaluation]
 
     factor = 1000.0
     scaled_rows = [(scaled_features(fv, factor), label) for fv, label in rows]
-    scaled_model = train_logistic(RoutingDataset(scaled_rows), epochs=300)
+    scaled_model = train_logistic(scaled_rows, epochs=300)
     scaled_decisions = [
         route_logistic(scaled_model, scaled_features(fv, factor)).branch
         for fv in evaluation
@@ -369,10 +370,10 @@ def test_judge_unparseable_falls_back_with_note(schemas):
 
 def test_dataset_from_outcomes_labels_disagreements_only():
     fv = _features()
-    dataset = dataset_from_outcomes(
+    rows = dataset_from_outcomes(
         [(fv, 0, 1), (fv, 1, 0), (fv, 1, 1), (fv, 0, 0)]
     )
-    assert [label for _, label in dataset.rows] == [1, 0]
+    assert [label for _, label in rows] == [1, 0]
 
 
 @pytest.mark.parametrize(
@@ -401,10 +402,10 @@ _ROUTE = st.sampled_from([BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE])
 @given(st.lists(st.tuples(_BIT, _BIT, _ROUTE), max_size=20))
 def test_only_oracle_examples_are_labelled_and_scored(rows):
     oracles = [oracle_branch(b, m) for b, m, _ in rows]
-    dataset = dataset_from_outcomes(
+    labelled = dataset_from_outcomes(
         [(_features(table_count=i), b, m) for i, (b, m, _) in enumerate(rows)]
     )
-    assert [(fv.table_count, label) for fv, label in dataset.rows] == [
+    assert [(fv.table_count, label) for fv, label in labelled] == [
         (i, int(oracle == BRANCH_DIVIDE_AND_MERGE))
         for i, oracle in enumerate(oracles)
         if oracle is not None
