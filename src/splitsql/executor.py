@@ -5,9 +5,12 @@ from __future__ import annotations
 import re
 import sqlite3
 import time
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict, deque
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -22,9 +25,19 @@ _PROGRESS_INTERVAL = 1000
 STATUS_OK = "ok"
 STATUS_SQL_ERROR = "sql_error"
 STATUS_TIMEOUT = "timeout"
+STATUS_TOO_LARGE = "too_large"
+
+# A result with more rows than this is too_large: ten times the largest designed result.
+MAX_RESULT_ROWS = 100_000
+# SQLITE_LIMIT_LENGTH: no string or blob, in a result or on the way to one, may exceed this.
+MAX_VALUE_BYTES = 10_000_000
 
 # Integers up to this magnitude convert to float exactly.
 _EXACT_INT_BOUND = 2**53
+
+# Bisections and search edges the tolerant row matching may take, a few
+# seconds at most, before it calls two tables unequal.
+_MATCH_STEPS = 1_000_000
 
 # The current execution_memo() scope: its memo (outcomes by (db path, sql, timeout_ms), gold
 # order modes by gold SQL) and its connection pool or None; None outside any scope.
@@ -79,7 +92,6 @@ class ExecOutcome:
 @dataclass(frozen=True)
 class ComparisonVerdict:
     equal: bool
-    order_sensitive: bool
     reason: str = ""
 
 
@@ -97,14 +109,14 @@ def execution_memo(connections: dict | None = None):
     """Within this scope, run each distinct query at most once.
 
     execute_sql returns the stored outcome for a (db path, sql, timeout_ms)
-    it has already run here. ok and sql_error outcomes are stored; timeouts
-    depend on wall time and are always run again. The memo is local to the
-    current context (one example, and the threads it copies its context to)
-    and is dropped on exit. With a connections pool, which the caller owns and
-    closes, a query here takes an idle connection to its database from the
-    pool, or opens one, and puts it back after the query; threads may share
-    the pool, but never a connection at once. Database files must not change
-    while the pool is open.
+    it has already run here. ok, sql_error and too_large outcomes are stored;
+    timeouts depend on wall time and are always run again. The memo is local
+    to the current context (one example, and the threads it copies its
+    context to) and is dropped on exit. With a connections pool, which the
+    caller owns and closes, a query here takes an idle connection to its
+    database from the pool, or opens one, and puts it back after the query;
+    threads may share the pool, but never a connection at once. Database
+    files must not change while the pool is open.
     """
     token = _MEMO.set(({}, connections))
     try:
@@ -119,8 +131,11 @@ def execute_sql(db_path: str | Path, sql: str, timeout_ms: int = DEFAULT_TIMEOUT
     Only reads are authorized: a write fails under the read-only open, any
     other statement (ATTACH, PRAGMA, ...) as "not authorized", both as
     sql_error. A query whose wall time exceeds timeout_ms is interrupted and
-    reported as timeout. Inside an execution_memo() scope a repeated query
-    returns its first outcome, and the scope's pool gives the connection.
+    reported as timeout. A result of more than MAX_RESULT_ROWS rows is
+    too_large, and a string or blob longer than MAX_VALUE_BYTES, even one
+    the query only computes on the way, is a sql_error. Inside an
+    execution_memo() scope a repeated query returns its first outcome, and
+    the scope's pool gives the connection.
     """
     memo, pool = _MEMO.get() or (None, None)
     key = (str(db_path), sql, timeout_ms)
@@ -165,11 +180,16 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
         with suppress(sqlite3.Error):  # a file that is no database fails at the query
             connection.execute(_PAGE_CACHE_PRAGMA)
         connection.set_authorizer(_authorize)
+        connection.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_VALUE_BYTES)
 
     try:
         connection.set_progress_handler(check_deadline, _PROGRESS_INTERVAL)
         cursor = connection.execute(sql)
-        rows = tuple(cursor.fetchall())
+        rows = tuple(cursor.fetchmany(MAX_RESULT_ROWS + 1))
+        if len(rows) > MAX_RESULT_ROWS:
+            cursor.close()  # before the connection goes back to the pool, mid-statement
+            return ExecOutcome(STATUS_TOO_LARGE,
+                               error_message=f"result has more than {MAX_RESULT_ROWS} rows")
         column_count = len(cursor.description) if cursor.description else 0
         return ExecOutcome(STATUS_OK, ResultTable(column_count=column_count, rows=rows))
     except (sqlite3.Error, sqlite3.Warning) as exc:
@@ -247,6 +267,82 @@ def _sorted_by_key(table: ResultTable) -> list[tuple]:
     return rows
 
 
+def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], float_tolerance: float) -> bool:
+    """Whether the rows, each list sorted as _sorted_by_key sorts it, pair off
+    one to one with every pair equal cell by cell under _cells_equal.
+
+    A maximum flow: each row of each class of identical prediction rows, in
+    order, takes a row of a gold run (rows with equal sort keys) it equals,
+    moving rows that earlier classes took along an augmenting path where it
+    must. It stops
+    at the first prediction row that no gold row equals, and gives up, as
+    unequal, after _MATCH_STEPS bisections and search edges.
+    """
+    steps = 0
+
+    def candidates(row: tuple) -> list[tuple[int, int]]:
+        # Inside a run of equal keys in the columns before it, the gold rows
+        # whose cell in this column may equal row's are contiguous: the same
+        # key, or for a number any float within twice the tolerance.
+        nonlocal steps
+        found, spans = [], [(0, len(gold_rows), 0)]
+        while spans and steps < _MATCH_STEPS:
+            start, stop, column = spans.pop()
+            if column == len(row):
+                if all(map(_cells_equal, row, gold_rows[start], repeat(float_tolerance))):
+                    found.append((start, stop))
+                continue
+            key = lambda gold_row, column=column: _cell_sort_key(gold_row[column])  # noqa: E731
+            low = high = _cell_sort_key(row[column])
+            if low[0] == 1:
+                low, high = (1, low[1] - 2 * float_tolerance), (1, low[1] + 2 * float_tolerance)
+            start = bisect_left(gold_rows, low, start, stop, key=key)
+            stop = bisect_right(gold_rows, high, start, stop, key=key)
+            while start < stop:
+                steps += 1
+                end = bisect_right(gold_rows, key(gold_rows[start]), start, stop, key=key)
+                spans.append((start, end, column + 1))
+                start = end
+        return found
+
+    free: dict[int, int] = {}  # gold run start -> its rows no class has taken
+    taken: dict[int, Counter] = defaultdict(Counter)  # gold run start -> rows each class holds
+    reach: list[list[int]] = []  # class -> starts of the gold runs it equals
+    for row, same in groupby(pred_rows):
+        runs = candidates(row)
+        if not runs or steps >= _MATCH_STEPS:
+            return False
+        for start, stop in runs:
+            free.setdefault(start, stop - start)
+        reach.append([start for start, _ in runs])
+        for _ in same:
+            # Breadth-first from this class to a run with a free row: a full
+            # run passes a row on when a class holding one reaches another run.
+            came_from = dict.fromkeys(reach[-1], (None, len(reach) - 1))
+            queue = deque(reach[-1])
+            while queue and not free[queue[0]]:
+                run = queue.popleft()
+                for held_by in +taken[run]:
+                    for other in reach[held_by]:
+                        steps += 1
+                        if other not in came_from:
+                            came_from[other] = (run, held_by)
+                            queue.append(other)
+                if steps >= _MATCH_STEPS:
+                    return False
+            if not queue:
+                return False
+            run = queue[0]
+            free[run] -= 1
+            while run is not None:
+                previous, moved = came_from[run]
+                taken[run][moved] += 1
+                if previous is not None:
+                    taken[previous][moved] -= 1
+                run = previous
+    return True
+
+
 def compare_results(
     gold: ResultTable,
     pred: ResultTable,
@@ -258,7 +354,9 @@ def compare_results(
     Rows are multisets unless order_sensitive; duplicate rows count. Column
     order within a row always matters. Numeric cells (integer or real)
     compare within the absolute tolerance, text and blobs byte-exact, and
-    null equals only null.
+    null equals only null. Unordered rows are equal when they pair off one
+    to one under these rules, whatever order sorting gives rows that differ
+    within the tolerance.
 
     Cells are what sqlite3 returns with no converters: None, int, float
     (never NaN, which SQLite stores as NULL), str or bytes; every row has
@@ -267,7 +365,6 @@ def compare_results(
     if gold.column_count != pred.column_count:
         return ComparisonVerdict(
             equal=False,
-            order_sensitive=order_sensitive,
             reason=(
                 f"column count differs: expected {gold.column_count},"
                 f" got {pred.column_count}"
@@ -276,30 +373,30 @@ def compare_results(
     if len(gold.rows) != len(pred.rows):
         return ComparisonVerdict(
             equal=False,
-            order_sensitive=order_sensitive,
             reason=f"row count differs: expected {len(gold.rows)}, got {len(pred.rows)}",
         )
 
     # Over the cells above, rows equal as tuples are equal cell by cell
     # under _cells_equal, and they sort alike, so no cell pass is needed.
     if gold.rows == pred.rows:
-        return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
+        return ComparisonVerdict(equal=True)
 
     gold_rows, pred_rows = gold.rows, pred.rows
     if not order_sensitive:
         gold_rows, pred_rows = _sorted_by_key(gold), _sorted_by_key(pred)
         if gold_rows == pred_rows:
-            return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
+            return ComparisonVerdict(equal=True)
 
     for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):
         for gold_cell, pred_cell in zip(gold_row, pred_row):
             if not _cells_equal(gold_cell, pred_cell, float_tolerance):
+                if not order_sensitive and _rows_pair_off(gold_rows, pred_rows, float_tolerance):
+                    return ComparisonVerdict(equal=True)
                 return ComparisonVerdict(
                     equal=False,
-                    order_sensitive=order_sensitive,
                     reason=f"row {index} differs: expected {gold_row!r}, got {pred_row!r}",
                 )
-    return ComparisonVerdict(equal=True, order_sensitive=order_sensitive)
+    return ComparisonVerdict(equal=True)
 
 
 def execution_accuracy(
@@ -312,8 +409,9 @@ def execution_accuracy(
     """Score a prediction by comparing execution results against the gold query.
 
     Row order is significant only when the gold query has a top-level
-    ORDER BY. A prediction that is empty, errors, or times out is unequal.
-    A gold query that fails to execute is a dataset error, not a model error.
+    ORDER BY. A prediction that is empty, errors, times out or is too large
+    is unequal. A gold query that fails to execute or is too large is a
+    dataset error, not a model error.
     """
     gold_outcome = execute_sql(db_path, example.gold_sql, timeout_ms)
     if not gold_outcome.ok:
@@ -328,7 +426,7 @@ def execution_accuracy(
     order_sensitive = memo[example.gold_sql]
     if not predicted_sql.strip():
         verdict = ComparisonVerdict(
-            equal=False, order_sensitive=order_sensitive, reason="no predicted SQL"
+            equal=False, reason="no predicted SQL"
         )
         return AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=None)
 
@@ -336,7 +434,6 @@ def execution_accuracy(
     if not pred_outcome.ok:
         verdict = ComparisonVerdict(
             equal=False,
-            order_sensitive=order_sensitive,
             reason=f"predicted query {pred_outcome.status}: {pred_outcome.error_message}",
         )
         return AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=pred_outcome)

@@ -5,7 +5,6 @@ selection. Also the one-step few-shot baseline parser."""
 from __future__ import annotations
 
 import contextvars
-import functools
 import json
 import time
 from contextlib import contextmanager
@@ -39,10 +38,10 @@ from .prompts import (
     FewShotExample,
     PromptTemplate,
     SqlExtractionError,
-    default_templates,
     extract_sql,
     format_fewshot,
     load_fewshot,
+    load_templates,
     parse_subquestions,
     parse_table_list,
     render,
@@ -89,12 +88,20 @@ class SubQuery:
     valid: bool = False
 
 
+@dataclass(frozen=True)
+class ReducedSchema:
+    """The database and the tables of it that table selection kept."""
+
+    source_db_id: str
+    kept_table_names: tuple[str, ...]
+
+
 @dataclass
 class PipelineTrace:
     """Full record of one question's journey through a pipeline arm."""
 
     example_id: str
-    reduced_schema: DatabaseSchema | None = None
+    reduced_schema: ReducedSchema | None = None
     subquestions: list[SubQuestion] = field(default_factory=list)
     subqueries: list[SubQuery] = field(default_factory=list)
     merge_plan_text: str = ""
@@ -104,12 +111,6 @@ class PipelineTrace:
     stage_timings_ms: dict[str, int] = field(default_factory=dict)
     merge_fell_back: bool = False
     error: str = ""
-
-
-@functools.lru_cache(maxsize=1)
-def _default_fewshot() -> str:
-    """The shipped few-shot pairs as prompt text, formatted once per process."""
-    return format_fewshot(load_fewshot())
 
 
 @dataclass
@@ -125,7 +126,7 @@ class StageContext:
     max_refinements: int
     fewshot: str = ""
     timeout_ms: int = DEFAULT_TIMEOUT_MS
-    templates: dict[str, PromptTemplate] = field(default_factory=default_templates)
+    templates: dict[str, PromptTemplate] = field(default_factory=load_templates)
     transcript: list[TranscriptEntry] = field(default_factory=list)
 
     def ask(self, endpoint: ModelEndpoint, stage: str, bindings: dict[str, str]) -> str:
@@ -311,9 +312,9 @@ def _arm(stages):
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
     ) -> PipelineTrace:
         trace = PipelineTrace(example_id=example_id or example.db_id)
-        fewshot_text = _default_fewshot() if fewshot is None else format_fewshot(fewshot)
+        fewshot_text = format_fewshot(load_fewshot() if fewshot is None else fewshot)
         ctx = StageContext(example.question, models, db_path, config.max_refinements, fewshot_text,
-                           timeout_ms, templates or default_templates(), trace.transcript)
+                           timeout_ms, templates or load_templates(), trace.transcript)
         with _timed(trace, "total"):
             try:
                 stages(ctx, trace, schema, config)
@@ -340,7 +341,7 @@ def run_divide_and_merge(
     """
     with _timed(trace, STAGE_TABLE_SELECTION):
         reduced = select_tables(ctx, schema)
-    trace.reduced_schema = reduced
+    trace.reduced_schema = ReducedSchema(reduced.db_id, tuple(t.name for t in reduced.tables))
 
     with _timed(trace, STAGE_DECOMPOSITION):
         trace.subquestions = decompose(ctx, reduced)
@@ -412,22 +413,10 @@ def run_baseline(
     trace.final_sql = sql
 
 
-def trace_to_dict(trace: PipelineTrace) -> dict:
-    """The trace's fields, for json.dumps(default=_fields) (documented in the
-    README); the reduced schema is given by its source and kept table names."""
-    data = dict(_fields(trace))
-    if trace.reduced_schema is not None:
-        data["reduced_schema"] = {
-            "source_db_id": trace.reduced_schema.db_id,
-            "kept_table_names": [t.name for t in trace.reduced_schema.tables],
-        }
-    return data
-
-
 def canonical_trace_bytes(trace: PipelineTrace) -> bytes:
     """Deterministic serialization used for byte-level trace comparison: stage
     timings and reply latencies, which vary run to run, are left out or zeroed."""
-    data = trace_to_dict(trace)
+    data = dict(_fields(trace))
     del data["stage_timings_ms"]
     data["transcript"] = [
         replace(entry, response=replace(entry.response, latency_ms=0))
@@ -441,5 +430,5 @@ def write_trace(path: str | Path, trace: PipelineTrace) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # Compact, so that json uses its C encoder; canonical_trace_bytes keeps
     # the indented form for byte comparison.
-    text = json.dumps(trace_to_dict(trace), sort_keys=True, default=_fields)
+    text = json.dumps(trace, sort_keys=True, default=_fields)
     path.write_text(text, encoding="utf-8")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -172,12 +171,6 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
             required_placeholders=required,
         )
     return templates
-
-
-@functools.lru_cache(maxsize=1)
-def default_templates() -> dict[str, PromptTemplate]:
-    """The shipped stage templates, read once per process."""
-    return load_templates()
 
 
 def load_fewshot(path: str | Path | None = None) -> list[FewShotExample]:

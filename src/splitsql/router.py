@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES
 from .llm import ModelEndpoint, TranscriptEntry, _fields
-from .prompts import STAGE_JUDGE, PromptTemplate, default_templates, render
+from .prompts import STAGE_JUDGE, PromptTemplate, load_templates, render
 
 BRANCH_BASELINE = "baseline"
 BRANCH_DIVIDE_AND_MERGE = "divide_and_merge"
@@ -194,7 +194,7 @@ def route_judge(
     annotation.
     """
     prompt = render(
-        (templates or default_templates())[STAGE_JUDGE],
+        (templates or load_templates())[STAGE_JUDGE],
         {"question": question, "schema": schema.prompt_text},
     )
     reply = reasoning_model.ask(prompt, transcript=transcript, stage_label=STAGE_JUDGE)

@@ -78,7 +78,7 @@ class _GuardedConnection:
         try:
             cursor = self._connection.execute(sql)
             rows = cursor.fetchall()
-            return SimpleNamespace(fetchall=lambda: rows, description=cursor.description)
+            return SimpleNamespace(fetchmany=lambda size: rows[:size], description=cursor.description)
         finally:
             self._running.release()
 

@@ -121,8 +121,8 @@ def _reference_trace_to_dict(trace, include_timings: bool = True) -> dict:
     reduced = None
     if trace.reduced_schema is not None:
         reduced = {
-            "source_db_id": trace.reduced_schema.db_id,
-            "kept_table_names": [t.name for t in trace.reduced_schema.tables],
+            "source_db_id": trace.reduced_schema.source_db_id,
+            "kept_table_names": list(trace.reduced_schema.kept_table_names),
         }
     data = {
         "example_id": trace.example_id,

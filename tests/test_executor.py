@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sqlite3
@@ -83,6 +84,44 @@ def test_execute_timeout(lab_db):
     outcome = execute_sql(lab_db, heavy, timeout_ms=50)
     assert outcome.status == "timeout"
     assert (time.monotonic() - started) * 1000 >= 50
+
+
+# A million rows, ten times MAX_RESULT_ROWS.
+MILLION_ROWS_SQL = (
+    "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 1000000) "
+    "SELECT i FROM r"
+)
+
+
+def test_a_result_past_the_row_cap_is_too_large(lab_db, opened):
+    pool = {}
+    try:
+        with execution_memo(pool):
+            first = execute_sql(lab_db, MILLION_ROWS_SQL)
+            again = execute_sql(lab_db, MILLION_ROWS_SQL)
+            after = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
+    finally:
+        _close(pool)
+    assert first.status == "too_large" and first.result is None
+    assert again == first and opened == [MILLION_ROWS_SQL, "SELECT COUNT(*) FROM samples"]
+    # The statement left unfinished is closed before its connection serves the next query.
+    assert after.ok and after.result.rows == ((6,),)
+
+
+@pytest.mark.parametrize(
+    "sql", ["SELECT zeroblob(100000000)", "SELECT length(hex(zeroblob(50000000)))"]
+)
+def test_a_value_past_the_length_limit_is_an_sql_error(lab_db, sql):
+    # The second query returns one small integer: only SQLite's own limit sees the blob.
+    outcome = execute_sql(lab_db, sql)
+    assert outcome.status == "sql_error"
+    assert "too big" in outcome.error_message
+
+
+def test_a_long_value_under_the_length_limit_passes(lab_db):
+    concat = MILLION_ROWS_SQL.replace("SELECT i FROM r", "SELECT length(group_concat(i)) FROM r")
+    outcome = execute_sql(lab_db, concat)
+    assert outcome.ok and outcome.result.rows == ((6888895,),)
 
 
 def test_unopenable_database_raises(tmp_path):
@@ -598,9 +637,11 @@ def _reference_compare(
     gold, pred, order_sensitive, float_tolerance=executor.DEFAULT_FLOAT_TOLERANCE
 ):
     """The comparison with no fast path and its own cell rules: a stable sort
-    by _reference_sort_key, then a cell-by-cell comparison of the aligned rows."""
+    by _reference_sort_key, then a cell-by-cell comparison of the aligned rows.
+    Unordered rows that differ there are still equal when some permutation of
+    the predicted rows lines up with the gold rows cell by cell."""
     def verdict(equal, reason=""):
-        return ComparisonVerdict(equal=equal, order_sensitive=order_sensitive, reason=reason)
+        return ComparisonVerdict(equal=equal, reason=reason)
 
     if gold.column_count != pred.column_count:
         return verdict(
@@ -616,12 +657,21 @@ def _reference_compare(
         key = lambda row: tuple(_reference_sort_key(c) for c in row)  # noqa: E731
         gold_rows.sort(key=key)
         pred_rows.sort(key=key)
+    def rows_equal(gold_row, pred_row):
+        return all(
+            _reference_cells_equal(g, p, float_tolerance) for g, p in zip(gold_row, pred_row)
+        )
+
     for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):
-        for gold_cell, pred_cell in zip(gold_row, pred_row):
-            if not _reference_cells_equal(gold_cell, pred_cell, float_tolerance):
-                return verdict(
-                    False, f"row {index} differs: expected {gold_row!r}, got {pred_row!r}"
-                )
+        if not rows_equal(gold_row, pred_row):
+            if not order_sensitive and any(
+                all(map(rows_equal, gold_rows, permuted))
+                for permuted in itertools.permutations(pred_rows)
+            ):
+                return verdict(True)
+            return verdict(
+                False, f"row {index} differs: expected {gold_row!r}, got {pred_row!r}"
+            )
     return verdict(True)
 
 
@@ -672,6 +722,79 @@ def test_compare_big_integers_line_up_like_their_floats():
     assert compare_results(pred, gold, False).equal
 
 
+# Numbers within the tolerance of their neighbours in this list (1.0 and
+# 1.0000015 are not, but each is within it of 1.0000009), so that sorting
+# can misalign rows that pair off, and pairing them can take more than greed.
+_NEAR_NUMBERS = [1.0, 1.0000003, 1.0000009, 1.0000015]
+_near_cell = st.sampled_from([*_NEAR_NUMBERS, 2, "a", None])
+
+
+@st.composite
+def _near_table_pairs(draw):
+    """(gold, pred): pred is drawn on its own, or is gold with its rows
+    shuffled and each number swapped for one within the tolerance of it."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    height = draw(st.integers(min_value=0, max_value=5))
+    gold = [tuple(draw(_near_cell) for _ in range(width)) for _ in range(height)]
+    if draw(st.booleans()):
+        pred = [tuple(draw(_near_cell) for _ in range(width)) for _ in range(height)]
+    else:
+        tolerance = executor.DEFAULT_FLOAT_TOLERANCE
+        near = {n: [m for m in _NEAR_NUMBERS if abs(m - n) <= tolerance] for n in _NEAR_NUMBERS}
+        pred = draw(st.permutations(
+            [tuple(draw(st.sampled_from(near.get(c, [c]))) for c in row) for row in gold]
+        ))
+    return ResultTable(width, tuple(gold)), ResultTable(width, tuple(pred))
+
+
+def _shuffled(table, rng):
+    rows = list(table.rows)
+    rng.shuffle(rows)
+    return ResultTable(table.column_count, tuple(rows))
+
+
+def _jittered(table, rng):
+    """Every number moved by at most 0.4 of the default tolerance."""
+    reach = 0.4 * executor.DEFAULT_FLOAT_TOLERANCE
+    return ResultTable(table.column_count, tuple(
+        tuple(c + rng.uniform(-reach, reach) if type(c) in (int, float) else c for c in row)
+        for row in table.rows
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_table_pairs(), st.randoms(use_true_random=False))
+@example(
+    (_table((1.0, "a"), (1.0000001, "b")), _table((1.0000002, "a"), (1.0, "b"))),
+    random.Random(0),
+)
+@example(  # pairing the middle predicted row with either gold row it equals can strand another
+    (
+        _table((1.0000009, 1.0000009), (1.0, 1.0000009), (1.0000003, None)),
+        _table((1.0000003, None), (1.0000015, 1.0000003), (1.0000009, 1.0)),
+    ),
+    random.Random(0),
+)
+def test_unordered_verdict_ignores_row_order_and_jitter_within_the_tolerance(pair, rng):
+    gold, pred = pair
+    verdict = compare_results(gold, pred, False)
+    assert verdict == _reference_compare(gold, pred, False)
+    assert compare_results(_shuffled(gold, rng), pred, False).equal == verdict.equal
+    assert compare_results(gold, _shuffled(pred, rng), False).equal == verdict.equal
+    assert compare_results(gold, _jittered(_shuffled(gold, rng), rng), False).equal
+
+
+def test_the_row_matching_gives_up_after_its_step_budget(monkeypatch):
+    # The first cells are all within the tolerance of one another, so each
+    # predicted row looks at all 40 gold rows before the second cell decides.
+    gold = _table(*[(i * 1e-12, i) for i in range(40)])
+    pred = _table(*[((39 - i) * 1e-12, i) for i in range(40)])
+    assert compare_results(gold, pred, False).equal
+    monkeypatch.setattr(executor, "_MATCH_STEPS", 100)
+    verdict = compare_results(gold, pred, False)
+    assert not verdict.equal and verdict.reason.startswith("row 0 differs")
+
+
 # ---------------------------------------------------------------------------
 # execution_accuracy
 # ---------------------------------------------------------------------------
@@ -709,6 +832,18 @@ def test_predicted_error_scores_unequal(lab_db):
     outcome = execution_accuracy(example, "SELECT * FROM missing", lab_db)
     assert not outcome.verdict.equal
     assert outcome.predicted.status == "sql_error"
+
+
+def test_a_too_large_result_scores_zero_and_breaks_a_gold_query(lab_db):
+    example = BenchmarkExample(question="q", gold_sql="SELECT 1", db_id="measurement_lab")
+    outcome = execution_accuracy(example, MILLION_ROWS_SQL, lab_db)
+    assert not outcome.verdict.equal and outcome.predicted.status == "too_large"
+    assert outcome.verdict.reason.startswith("predicted query too_large: result has more than")
+    too_large_gold = BenchmarkExample(
+        question="q", gold_sql=MILLION_ROWS_SQL, db_id="measurement_lab"
+    )
+    with pytest.raises(DatasetIntegrityError, match="more than 100000 rows"):
+        execution_accuracy(too_large_gold, "SELECT 1", lab_db)
 
 
 def test_order_mode_comes_from_gold(lab_db):

@@ -20,7 +20,7 @@ from helpers import (
     scripted_pair,
 )
 from splitsql import dataset, harness, pipeline
-from splitsql.dataset import DatabaseSchema, TableDef, serialize_schema
+from splitsql.dataset import serialize_schema
 from splitsql.executor import execute_sql, execution_accuracy
 from splitsql.harness import ARM_BOTH, RunConfig, run_benchmark
 from splitsql.llm import (
@@ -41,6 +41,7 @@ from splitsql.pipeline import (
     MERGE_PLANNER_EXECUTOR,
     PipelineConfig,
     PipelineTrace,
+    ReducedSchema,
     StageContext,
     SubQuery,
     SubQuestion,
@@ -400,7 +401,7 @@ def test_full_run_planner_with_cs(avg_example, orders_schema, orders_db, schemas
     assert trace.error == ""
     assert len(trace.subquestions) == 4
     assert len(trace.subqueries) == len(trace.subquestions)
-    assert [t.name for t in trace.reduced_schema.tables] == ["Products", "Orders", "Order_Items"]
+    assert trace.reduced_schema.kept_table_names == ("Products", "Orders", "Order_Items")
     assert trace.merge_plan_text
     assert trace.final_sql == AVG_ORDERED_SQL
     outcome = execution_accuracy(avg_example, trace.final_sql, orders_db)
@@ -480,15 +481,15 @@ _ENTRIES = st.builds(
     ),
     attempt_index=st.integers(0, 10),
 )
-_SCHEMAS = st.builds(
-    DatabaseSchema,
-    db_id=_NAME,
-    tables=st.lists(st.builds(TableDef, name=_NAME, columns=st.just(())), max_size=3).map(tuple),
+_REDUCED = st.builds(
+    ReducedSchema,
+    source_db_id=_NAME,
+    kept_table_names=st.lists(_NAME, max_size=3).map(tuple),
 )
 _TRACES = st.builds(
     PipelineTrace,
     example_id=_TEXT,
-    reduced_schema=st.none() | _SCHEMAS,
+    reduced_schema=st.none() | _REDUCED,
     subquestions=st.lists(st.builds(SubQuestion, st.integers(1, 9), _TEXT), max_size=3),
     subqueries=st.lists(
         st.builds(SubQuery, st.integers(1, 9), _TEXT, st.integers(0, 3), st.booleans()), max_size=3
@@ -562,9 +563,10 @@ def test_each_schema_is_serialized_once_per_arm(
     )
     # Table selection sees the full schema; the four sub-queries, the merge
     # and column selection share the one text of the reduced schema.
-    assert len(rendered) == 2 and rendered[0] is schema and rendered[1] is trace.reduced_schema
+    assert len(rendered) == 2 and rendered[0] is schema
+    assert tuple(t.name for t in rendered[1].tables) == trace.reduced_schema.kept_table_names
     prompts = [entry.request.last_user_content for entry in trace.transcript]
-    assert sum(serialize_schema(trace.reduced_schema) in p for p in prompts) >= 7
+    assert sum(serialize_schema(rendered[1]) in p for p in prompts) >= 7
     baseline_rendered = len(rendered)
     run_baseline(
         avg_example, schema, PipelineConfig(),
