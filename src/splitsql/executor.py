@@ -40,7 +40,8 @@ _EXACT_INT_BOUND = 2**53
 _MATCH_STEPS = 1_000_000
 
 # The current execution_memo() scope: its memo (outcomes by (db path, sql, timeout_ms), gold
-# order modes by gold SQL) and its connection pool or None; None outside any scope.
+# order modes by gold SQL, accuracy outcomes by (that key, gold SQL, tolerance)) and its
+# connection pool or None; None outside any scope.
 _MEMO: ContextVar[tuple | None] = ContextVar("splitsql_execution_memo", default=None)
 
 # The authorizer allows reads, and writes to main (which mode=ro refuses); anything else
@@ -89,6 +90,10 @@ class ExecOutcome:
         return self.status == STATUS_OK
 
 
+# A scored prediction's memo entry: its status without its rows.
+_SCORED = ExecOutcome(STATUS_OK)
+
+
 @dataclass(frozen=True)
 class ComparisonVerdict:
     equal: bool
@@ -110,7 +115,9 @@ def execution_memo(connections: dict | None = None):
 
     execute_sql returns the stored outcome for a (db path, sql, timeout_ms)
     it has already run here. ok, sql_error and too_large outcomes are stored;
-    timeouts depend on wall time and are always run again. The memo is local
+    timeouts depend on wall time and are always run again. Once
+    execution_accuracy has scored a prediction here, the memo keeps its
+    status and its AccuracyOutcome but not its rows. The memo is local
     to the current context (one example, and the threads it copies its
     context to) and is dropped on exit. With a connections pool, which the
     caller owns and closes, a query here takes an idle connection to its
@@ -173,7 +180,8 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
             connection = idle.pop()
     if connection is None:
         try:  # pooled connections move between threads; their owner closes them
-            connection = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True,
+            # No statement cache: the memo runs each distinct SQL once per example.
+            connection = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True, cached_statements=0,
                                          isolation_level=None, check_same_thread=pool is None)
         except sqlite3.Error as exc:
             raise DatabaseOpenError(f"cannot open {db_path}: {exc}") from exc
@@ -253,8 +261,10 @@ def _sorts_natively(column: list) -> bool:
         return True
     if not kinds <= {int, float}:
         return False
+    if int not in kinds:
+        return True
     ints = column if kinds == {int} else [c for c in column if type(c) is int]
-    return not ints or -_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND
+    return -_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND
 
 
 def _sorted_by_key(table: ResultTable) -> list[tuple]:
@@ -267,6 +277,20 @@ def _sorted_by_key(table: ResultTable) -> list[tuple]:
     return rows
 
 
+def _narrowing_order(rows: list[tuple], float_tolerance: float) -> list[int]:
+    """The column indices, most distinct values first, counted over about
+    1,000 rows with numbers at twice the tolerance's grain. Narrowing first
+    on a column whose values all lie within the tolerance of one another
+    would leave every row a candidate."""
+    sample, grain = rows[:: len(rows) // 1000 + 1], 2 * float_tolerance
+
+    def distinct(column: int) -> int:
+        cells = map(itemgetter(column), sample)
+        return len({c // grain if grain and type(c) in (int, float) else c for c in cells})
+
+    return sorted(range(len(rows[0])), key=distinct, reverse=True)
+
+
 def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], float_tolerance: float) -> bool:
     """Whether the rows, each list sorted as _sorted_by_key sorts it, pair off
     one to one with every pair equal cell by cell under _cells_equal.
@@ -274,21 +298,27 @@ def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], float_toleran
     A maximum flow: each row of each class of identical prediction rows, in
     order, takes a row of a gold run (rows with equal sort keys) it equals,
     moving rows that earlier classes took along an augmenting path where it
-    must. It stops
-    at the first prediction row that no gold row equals, and gives up, as
-    unequal, after _MATCH_STEPS bisections and search edges.
+    must. Candidates are narrowed column by column, in _narrowing_order. It
+    stops at the first prediction row that no gold row equals, and gives up,
+    as unequal, after _MATCH_STEPS bisections and search edges.
     """
+    order = _narrowing_order(gold_rows, float_tolerance)
+    if order != sorted(order):  # the same pairing problem, with the columns reordered
+        reorder = itemgetter(*order)
+        gold_rows = _sorted_by_key(ResultTable(len(order), tuple(map(reorder, gold_rows))))
+        pred_rows = list(map(reorder, pred_rows))
     steps = 0
 
     def candidates(row: tuple) -> list[tuple[int, int]]:
         # Inside a run of equal keys in the columns before it, the gold rows
         # whose cell in this column may equal row's are contiguous: the same
-        # key, or for a number any float within twice the tolerance.
+        # key, or for a number any float within twice the tolerance. A run
+        # of one row is checked whole.
         nonlocal steps
         found, spans = [], [(0, len(gold_rows), 0)]
         while spans and steps < _MATCH_STEPS:
             start, stop, column = spans.pop()
-            if column == len(row):
+            if column == len(row) or stop - start == 1:
                 if all(map(_cells_equal, row, gold_rows[start], repeat(float_tolerance))):
                     found.append((start, stop))
                 continue
@@ -298,6 +328,7 @@ def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], float_toleran
                 low, high = (1, low[1] - 2 * float_tolerance), (1, low[1] + 2 * float_tolerance)
             start = bisect_left(gold_rows, low, start, stop, key=key)
             stop = bisect_right(gold_rows, high, start, stop, key=key)
+            steps += 2
             while start < stop:
                 steps += 1
                 end = bisect_right(gold_rows, key(gold_rows[start]), start, stop, key=key)
@@ -411,8 +442,14 @@ def execution_accuracy(
     Row order is significant only when the gold query has a top-level
     ORDER BY. A prediction that is empty, errors, times out or is too large
     is unequal. A gold query that fails to execute or is too large is a
-    dataset error, not a model error.
+    dataset error, not a model error. Inside an execution_memo() scope a
+    prediction scored again returns its first AccuracyOutcome, whose
+    predicted outcome keeps its status but not its rows.
     """
+    memo = (_MEMO.get() or ({},))[0]
+    gold_key = (str(db_path), example.gold_sql, timeout_ms)
+    if memo.get(gold_key) is _SCORED:  # scored here as another example's prediction
+        del memo[gold_key]
     gold_outcome = execute_sql(db_path, example.gold_sql, timeout_ms)
     if not gold_outcome.ok:
         raise DatasetIntegrityError(
@@ -420,7 +457,6 @@ def execution_accuracy(
             f" ({example.question[:60]!r}): {gold_outcome.error_message}"
         )
 
-    memo = (_MEMO.get() or ({},))[0]
     if example.gold_sql not in memo:
         memo[example.gold_sql] = has_top_level_order_by(example.gold_sql)
     order_sensitive = memo[example.gold_sql]
@@ -430,15 +466,23 @@ def execution_accuracy(
         )
         return AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=None)
 
+    key = (str(db_path), predicted_sql, timeout_ms)
+    scored_key = (key, example.gold_sql, float_tolerance)
+    if scored_key in memo:
+        return memo[scored_key]
     pred_outcome = execute_sql(db_path, predicted_sql, timeout_ms)
     if not pred_outcome.ok:
         verdict = ComparisonVerdict(
             equal=False,
             reason=f"predicted query {pred_outcome.status}: {pred_outcome.error_message}",
         )
-        return AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=pred_outcome)
-
-    verdict = compare_results(
-        gold_outcome.result, pred_outcome.result, order_sensitive, float_tolerance
-    )
-    return AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=pred_outcome)
+    else:
+        verdict = compare_results(
+            gold_outcome.result, pred_outcome.result, order_sensitive, float_tolerance
+        )
+        if key in memo and key != gold_key:  # the gold rows stay for the other arm
+            memo[key] = pred_outcome = _SCORED
+    outcome = AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=pred_outcome)
+    if key in memo:  # not a timeout, which runs again
+        memo[scored_key] = outcome
+    return outcome

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -709,15 +708,14 @@ def run_benchmark(
                     if trace.error:
                         bit = 0
                         notes.append(f"{which}: {trace.error}")
-                    else:
-                        outcome = execution_accuracy(
+                    else:  # the outcome is not kept while the next arm runs
+                        bit = int(execution_accuracy(
                             example,
                             trace.final_sql,
                             schema.db_file_path,
                             timeout_ms=config.timeout_ms,
                             float_tolerance=config.float_tolerance,
-                        )
-                        bit = int(outcome.verdict.equal)
+                        ).verdict.equal)
                     setattr(record, f"{which}_correct", bit)
                     setattr(record, f"final_sql_{which}", trace.final_sql)
                     # A routed example runs one arm; its trace lists the judge's call first.
@@ -739,6 +737,8 @@ def run_benchmark(
         if config.worker_count == 1:
             records = [process(item) for item in enumerate(examples)]
         else:
+            from concurrent.futures import ThreadPoolExecutor  # only a threaded run loads it
+
             with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
                 records = list(pool.map(process, enumerate(examples)))
     finally:

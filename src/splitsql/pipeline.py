@@ -8,7 +8,6 @@ import contextvars
 import json
 import time
 from contextlib import contextmanager
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -374,6 +373,8 @@ def _generate_all(
     config: PipelineConfig,
 ) -> list[SubQuery]:
     if config.parallel_subqueries and len(subquestions) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only fan-out loads it
+
         # Fan out with per-task transcripts, reassembled in index order so
         # the trace does not depend on completion order. Prior sub-queries
         # do not exist yet in this mode, so prompts carry none.

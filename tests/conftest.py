@@ -44,13 +44,23 @@ class _LoggingConnection:
 
 
 def _wrap_connect(monkeypatch, wrap):
-    """Make the executor open each connection as wrap(target, real connection)."""
+    """Make the executor open each connection as wrap(target, real connection).
+    Returns the keyword arguments of each connect call, in order."""
+    calls = []
 
     def connect(target, *args, **kwargs):
+        calls.append(kwargs)
         return wrap(target, sqlite3.connect(target, *args, **kwargs))
 
     fake = SimpleNamespace(**{**vars(sqlite3), "connect": connect})
     monkeypatch.setattr(executor, "sqlite3", fake)
+    return calls
+
+
+@pytest.fixture()
+def connect_kwargs(monkeypatch):
+    """The keyword arguments of every connection the executor opens."""
+    return _wrap_connect(monkeypatch, lambda _target, connection: connection)
 
 
 @pytest.fixture()

@@ -186,6 +186,66 @@ def test_scoring_inside_a_memo_runs_gold_once(lab_db, opened):
     assert opened == ["SELECT group_name FROM samples", "SELECT 1"]
 
 
+GROUPS_SQL = "SELECT group_name FROM samples"
+REVERSED_GROUPS_SQL = "SELECT group_name FROM samples ORDER BY sample_id DESC"
+
+
+def _memo_entry(db, sql):
+    return executor._MEMO.get()[0][(str(db), sql, executor.DEFAULT_TIMEOUT_MS)]
+
+
+def test_a_scored_prediction_keeps_its_status_but_not_its_rows(lab_db, opened):
+    example = BenchmarkExample(question="q", gold_sql=GROUPS_SQL, db_id="measurement_lab")
+    with execution_memo():
+        assert execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db).verdict.equal
+        entry = _memo_entry(lab_db, REVERSED_GROUPS_SQL)
+        gold = _memo_entry(lab_db, GROUPS_SQL)
+        again = execute_sql(lab_db, REVERSED_GROUPS_SQL)
+    assert entry.status == "ok" and entry.result is None
+    assert again == entry  # a refine loop in the other arm runs it no more
+    assert gold.ok and len(gold.result.rows) == 6  # the other arm scores against them
+    assert opened == [GROUPS_SQL, REVERSED_GROUPS_SQL]
+
+
+def test_scoring_a_prediction_again_runs_and_compares_nothing(lab_db, opened, monkeypatch):
+    example = BenchmarkExample(question="q", gold_sql=GROUPS_SQL, db_id="measurement_lab")
+    compared = []
+    compare = executor.compare_results
+    monkeypatch.setattr(
+        executor, "compare_results", lambda *a, **k: compared.append(a) or compare(*a, **k)
+    )
+    with execution_memo():
+        first = execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db)
+        second = execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db)
+        wrong = execution_accuracy(example, "SELECT 1", lab_db)
+        wrong_again = execution_accuracy(example, "SELECT 1", lab_db)
+    assert second == first and second.verdict.equal
+    assert wrong_again == wrong and not wrong.verdict.equal
+    assert len(compared) == 2
+    assert opened == [GROUPS_SQL, REVERSED_GROUPS_SQL, "SELECT 1"]
+
+
+def test_a_scored_prediction_that_is_a_later_gold_query_runs_again(lab_db, opened):
+    first = BenchmarkExample(question="q", gold_sql=GROUPS_SQL, db_id="measurement_lab")
+    second = BenchmarkExample(question="q", gold_sql=REVERSED_GROUPS_SQL, db_id="measurement_lab")
+    with execution_memo():
+        assert execution_accuracy(first, REVERSED_GROUPS_SQL, lab_db).verdict.equal
+        assert execution_accuracy(second, REVERSED_GROUPS_SQL, lab_db).verdict.equal
+        assert not execution_accuracy(second, GROUPS_SQL, lab_db).verdict.equal
+    assert opened == [GROUPS_SQL, REVERSED_GROUPS_SQL, REVERSED_GROUPS_SQL]
+
+
+def test_connections_keep_no_statement_cache(lab_db, connect_kwargs):
+    pool = {}
+    try:
+        with execution_memo(pool):
+            execute_sql(lab_db, "SELECT 1")
+    finally:
+        _close(pool)
+    execute_sql(lab_db, "SELECT 1")
+    assert [kwargs["cached_statements"] for kwargs in connect_kwargs] == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # the read-only guard and the connection pool
 # ---------------------------------------------------------------------------
@@ -793,6 +853,102 @@ def test_the_row_matching_gives_up_after_its_step_budget(monkeypatch):
     monkeypatch.setattr(executor, "_MATCH_STEPS", 100)
     verdict = compare_results(gold, pred, False)
     assert not verdict.equal and verdict.reason.startswith("row 0 differs")
+
+
+@pytest.mark.parametrize("size", [2_000, 100_000])
+def test_a_near_constant_first_column_does_not_exhaust_the_row_matching(size):
+    # The first cells all lie within the tolerance of one another; only the
+    # second column tells the rows apart, and the search narrows on it first.
+    gold = _table(*[(i * 1e-12, i) for i in range(size)])
+    pred = _table(*[((size - 1 - i) * 1e-12, i) for i in range(size)])
+    started = time.perf_counter()
+    assert compare_results(gold, pred, False).equal
+    if size == 2_000:
+        assert time.perf_counter() - started < 0.5
+
+
+def _result_eq(gold, pred, sql, *, any_column_order=True, float_tolerance=0.0,
+               order_by_anywhere=True):
+    """test-suite-sql-eval's result_eq (Zhong et al., EMNLP 2020, arXiv
+    2010.02840) as the README recalls it, not checked against its code: some
+    permutation of the predicted columns makes the rows equal, as a multiset
+    or, when "order by" appears anywhere in the lower-cased gold SQL, in
+    order, with values compared exactly. Each keyword switches one of its
+    three rules to the one compare_results follows."""
+    if gold.column_count != pred.column_count or len(gold.rows) != len(pred.rows):
+        return False
+    ordered = "order by" in sql.lower() if order_by_anywhere else has_top_level_order_by(sql)
+    identity = tuple(range(pred.column_count))
+    column_orders = itertools.permutations(identity) if any_column_order else [identity]
+
+    def rows_equal(gold_row, pred_row):
+        pairs = zip(gold_row, pred_row)
+        return all(_reference_cells_equal(g, p, float_tolerance) for g, p in pairs)
+
+    for column_order in column_orders:
+        rows = [tuple(row[i] for i in column_order) for row in pred.rows]
+        row_orders = [rows] if ordered else itertools.permutations(rows)
+        if any(all(map(rows_equal, gold.rows, candidate)) for candidate in row_orders):
+            return True
+    return False
+
+
+_SPIDER_SQL = [
+    "SELECT a, b FROM t",
+    "SELECT a, b FROM t ORDER BY a",
+    "SELECT a, b FROM (SELECT a, b FROM t ORDER BY b LIMIT 4)",
+    "SELECT a, b FROM t WHERE b IN (SELECT b FROM u ORDER BY b LIMIT 2)",
+]
+_spider_cell = st.sampled_from([1, 2, 1.0, 1.0000004, 2.5, "a", "b", None])
+
+
+@st.composite
+def _spider_cases(draw):
+    """(gold, pred, gold SQL): pred is drawn on its own, or is gold with its
+    columns and rows shuffled and some numbers moved within the tolerance."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    height = draw(st.integers(min_value=0, max_value=4))
+    gold = [tuple(draw(_spider_cell) for _ in range(width)) for _ in range(height)]
+    if draw(st.booleans()):
+        pred = [tuple(draw(_spider_cell) for _ in range(width)) for _ in range(height)]
+    else:
+        near = {1: [1, 1.0, 1.0000004], 1.0: [1, 1.0, 1.0000004], 1.0000004: [1.0, 1.0000004]}
+        columns = draw(st.permutations(range(width)))
+        pred = draw(st.permutations([
+            tuple(draw(st.sampled_from(near.get(row[i], [row[i]]))) for i in columns)
+            for row in gold
+        ]))
+    return ResultTable(width, tuple(gold)), ResultTable(width, tuple(pred)), draw(
+        st.sampled_from(_SPIDER_SQL)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spider_cases())
+@example((_table((1, "a"), (2, "b")), _table(("a", 1), ("b", 2)), _SPIDER_SQL[0]))
+@example((_table((1.0, "a")), _table((1.0000004, "a")), _SPIDER_SQL[0]))
+@example((_table((1, "a"), (2, "b")), _table((2, "b"), (1, "a")), _SPIDER_SQL[2]))
+def test_the_verdict_differs_from_result_eq_only_in_the_three_named_rules(case):
+    gold, pred, sql = case
+    ours = compare_results(gold, pred, has_top_level_order_by(sql)).equal
+    tolerance = executor.DEFAULT_FLOAT_TOLERANCE
+    assert ours == _result_eq(gold, pred, sql, any_column_order=False,
+                              float_tolerance=tolerance, order_by_anywhere=False)
+    if ours != _result_eq(gold, pred, sql):
+        identity = tuple(range(pred.column_count))
+        permuted_columns = any(
+            compare_results(gold, ResultTable(
+                pred.column_count, tuple(tuple(row[i] for i in order) for row in pred.rows)
+            ), has_top_level_order_by(sql)).equal
+            for order in itertools.permutations(identity) if order != identity
+        )
+        gold_numbers, pred_numbers = (
+            [c for row in table.rows for c in row if type(c) in (int, float)]
+            for table in (gold, pred)
+        )
+        near_floats = any(0 < abs(a - b) <= tolerance for a in gold_numbers for b in pred_numbers)
+        nested_order_by = "order by" in sql.lower() and not has_top_level_order_by(sql)
+        assert permuted_columns or near_floats or nested_order_by
 
 
 # ---------------------------------------------------------------------------

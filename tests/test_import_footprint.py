@@ -1,6 +1,7 @@
-"""numpy loads only for logistic routing, and http.client and ssl only for an
-HTTP call; urllib3 never loads. The package imports nothing that
-pyproject.toml does not declare.
+"""numpy loads only for logistic routing, http.client and ssl only for an
+HTTP call, and concurrent.futures (with the logging it imports) only for a
+run that starts threads; urllib3 never loads. The package imports nothing
+that pyproject.toml does not declare.
 
 The footprint checks run in a fresh interpreter: other test modules load
 these modules into this one.
@@ -60,14 +61,21 @@ for arm in (ARM_BOTH, ARM_ROUTED):
     report = build_report(records)
     emit_report(report, "json", out / arm / "report.json")
     emit_report(report, "markdown", out / arm / "report.md")
-loaded = sorted({"numpy", "urllib3", "http.client", "ssl"} & set(sys.modules))
+# Both runs above have 1 worker and no fan-out, so they start no thread.
+loaded = sorted(
+    {"numpy", "urllib3", "http.client", "ssl", "concurrent.futures", "logging"} & set(sys.modules)
+)
+config.worker_count = 2
+run_benchmark(config, ARM_BOTH, endpoints_for=endpoints_for)
+threaded = sorted({"concurrent.futures", "logging"} & set(sys.modules))
 
 from splitsql.dataset import FeatureVector
 from splitsql.router import RouterModel, route_logistic
 
 model = RouterModel((0.0,) * 6, 0.0, (0.0,) * 6, (1.0,) * 6)
 route_logistic(model, FeatureVector(1, 1, 1, 1, 1, 1))
-print(json.dumps({"errors": errors, "loaded": loaded, "numpy_after": "numpy" in sys.modules}))
+print(json.dumps({"errors": errors, "loaded": loaded, "threaded": threaded,
+                  "numpy_after": "numpy" in sys.modules}))
 """
 
 
@@ -138,6 +146,7 @@ def test_a_heuristic_scripted_run_loads_neither_numpy_nor_urllib3(corpus_root, t
     result = _probe(_PROBE, corpus_root, tmp_path)
     assert result["errors"] == {"both": [], "routed": []}
     assert result["loaded"] == []
+    assert result["threaded"] == ["concurrent.futures", "logging"]
     assert result["numpy_after"] is True
 
 
