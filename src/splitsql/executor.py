@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 import sqlite3
 import time
@@ -145,10 +146,11 @@ def execute_sql(db_path: str | Path, sql: str, timeout_ms: int = DEFAULT_TIMEOUT
     the scope's pool gives the connection.
     """
     memo, pool = _MEMO.get() or (None, None)
-    key = (str(db_path), sql, timeout_ms)
+    db_path = str(db_path)
+    key = (db_path, sql, timeout_ms)
     if memo is not None and key in memo:
         return memo[key]
-    outcome = _execute(Path(db_path), sql, timeout_ms, pool)
+    outcome = _execute(db_path, sql, timeout_ms, pool)
     if memo is not None and outcome.status != STATUS_TIMEOUT:
         memo[key] = outcome
     return outcome
@@ -159,8 +161,9 @@ def _authorize(action, _arg1, _arg2, db_name, _trigger):
     return sqlite3.SQLITE_OK if allowed else sqlite3.SQLITE_DENY
 
 
-def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> ExecOutcome:
-    if not db_path.is_file():
+def _execute(db_path: str, sql: str, timeout_ms: int, pool: dict | None) -> ExecOutcome:
+    # A str, not a Path: pathlib interns every part of every path it parses.
+    if not os.path.isfile(db_path):
         raise DatabaseOpenError(f"database file not found: {db_path}")
 
     deadline = time.monotonic() + timeout_ms / 1000.0
@@ -175,7 +178,7 @@ def _execute(db_path: Path, sql: str, timeout_ms: int, pool: dict | None) -> Exe
 
     connection = idle = None
     if pool is not None:
-        idle = pool.setdefault(str(db_path), [])
+        idle = pool.setdefault(db_path, [])
         with suppress(IndexError):  # list.pop is atomic: no two threads take one connection
             connection = idle.pop()
     if connection is None:
@@ -252,29 +255,29 @@ def _cells_equal(a, b, float_tolerance: float) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _sorts_natively(column: list) -> bool:
+def _sorts_natively(rows: tuple[tuple, ...], column: int) -> bool:
     """Whether Python's own order sorts the column as _cell_sort_key does:
     only str, only bytes, or only int and float with every int within
-    +-2**53, where its conversion to float is exact."""
-    kinds = set(map(type, column))
+    +-2**53, where its conversion to float is exact. The column is read
+    in passes over the rows, never copied into a list."""
+    cells = itemgetter(column)
+    kinds = set(map(type, map(cells, rows)))
     if kinds == {str} or kinds == {bytes}:
         return True
     if not kinds <= {int, float}:
         return False
     if int not in kinds:
         return True
-    ints = column if kinds == {int} else [c for c in column if type(c) is int]
-    return -_EXACT_INT_BOUND <= min(ints) and max(ints) <= _EXACT_INT_BOUND
+    ints = map(cells, rows) if kinds == {int} else (c for c in map(cells, rows) if type(c) is int)
+    return max(map(abs, ints)) <= _EXACT_INT_BOUND
 
 
 def _sorted_by_key(table: ResultTable) -> list[tuple]:
     """The rows stably sorted by _cell_sort_key, with no key computed per
     cell when every column sorts natively."""
-    rows = list(table.rows)
-    columns = (list(map(itemgetter(i), rows)) for i in range(table.column_count))
-    native = all(map(_sorts_natively, columns))
-    rows.sort(key=None if native else lambda row: tuple(map(_cell_sort_key, row)))
-    return rows
+    rows = table.rows
+    native = all(_sorts_natively(rows, i) for i in range(table.column_count))
+    return sorted(rows, key=None if native else lambda row: tuple(map(_cell_sort_key, row)))
 
 
 def _narrowing_order(rows: list[tuple], float_tolerance: float) -> list[int]:

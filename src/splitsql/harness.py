@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
@@ -669,7 +670,7 @@ def run_benchmark(
             return shared
 
     run_dir = Path(config.run_dir)
-    traces_dir = run_dir / "traces"
+    traces_dir = str(run_dir / "traces")  # joined as a str: pathlib interns every path part
     cache = None if config.cache_dir is None else CompletionCache(config.cache_dir)
     connections: dict = {}  # execution_memo's pool: idle connections per database
 
@@ -720,9 +721,9 @@ def run_benchmark(
                     setattr(record, f"final_sql_{which}", trace.final_sql)
                     # A routed example runs one arm; its trace lists the judge's call first.
                     trace.transcript[:0] = router_transcript
-                    path = traces_dir / f"{example_id}_{which}.json"
+                    path = os.path.join(traces_dir, f"{example_id}_{which}.json")
                     write_trace(path, trace)
-                    trace_paths[which] = str(path)
+                    trace_paths[which] = path
         except (DatasetIntegrityError, DatabaseOpenError) as exc:
             table_count = 0 if schema is None else schema.table_count
             failed = PerExampleRecord(example_id, example.db_id, table_count, error=str(exc))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextvars
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -427,9 +428,10 @@ def canonical_trace_bytes(trace: PipelineTrace) -> bytes:
 
 
 def write_trace(path: str | Path, trace: PipelineTrace) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    # No Path is built: pathlib interns every part of every path it parses.
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # Compact, so that json uses its C encoder; canonical_trace_bytes keeps
     # the indented form for byte comparison.
     text = json.dumps(trace, sort_keys=True, default=_fields)
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)

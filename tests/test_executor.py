@@ -4,7 +4,9 @@ import itertools
 import math
 import random
 import sqlite3
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -780,6 +782,23 @@ def test_compare_big_integers_line_up_like_their_floats():
     pred = _table((2**53, "a"), (2**53 + 1, "b"))
     assert compare_results(gold, pred, False).equal
     assert compare_results(pred, gold, False).equal
+
+
+def test_an_unordered_comparison_holds_only_its_two_sorted_copies():
+    # Rows that differ as tuples until both sides are sorted. Reversed rows
+    # sort in place, so the comparison's heap is the two sorted copies plus
+    # what a column scan holds, which must not be a copy of the column.
+    rows = tuple((i, i * 0.5) for i in range(10_000))
+    gold, pred = ResultTable(2, rows), ResultTable(2, rows[::-1])
+    copies = 2 * sys.getsizeof(list(rows))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert compare_results(gold, pred, False).equal
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert transient < copies + 16_000, (transient, copies)
 
 
 # Numbers within the tolerance of their neighbours in this list (1.0 and

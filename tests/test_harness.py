@@ -567,6 +567,39 @@ def test_run_benchmark_both_arms(run_config):
     assert not (run_config.run_dir / "transcripts").exists()
 
 
+def test_a_run_interns_as_many_strings_at_any_example_count(
+    run_config, schemas, tmp_path, monkeypatch
+):
+    """No path is parsed per example or per query: CPython 3.11's pathlib
+    interns every part of every path it parses, and those strings, released
+    each pass, grow the interned-string table over a long run. On a Python
+    whose pathlib does not intern, both counts are 0 and the test passes
+    trivially."""
+    interned = []
+    intern = sys.intern
+
+    def counting(text):
+        interned.append(text)
+        return intern(text)
+
+    def endpoints_for(example_id, example):
+        return scripted_pair(gold_answer_script(example, schemas[example.db_id]))
+
+    counts = []
+    for limit in (2, 20):
+        run_config.limit = limit
+        run_config.run_dir = tmp_path / f"run{limit}"
+        run_config.cache_dir = tmp_path / f"cache{limit}"
+        interned.clear()
+        monkeypatch.setattr(sys, "intern", counting)
+        records = run_benchmark(run_config, ARM_BOTH, endpoints_for=endpoints_for)
+        monkeypatch.setattr(sys, "intern", intern)
+        assert len(records) == limit
+        assert all(r.baseline_correct == r.module_correct == 1 for r in records)
+        counts.append(len(interned))
+    assert counts[0] == counts[1]
+
+
 def test_run_benchmark_single_arm_leaves_other_bit_unset(run_config):
     def baseline_only_factory(example_id, example):
         script = [_scripts_for_first_three()[example.question][0]]
@@ -850,7 +883,7 @@ def _run_outputs(run_config, monkeypatch, created=None, arm=ARM_BOTH):
     write_trace = harness.write_trace
 
     def keep(path, trace):
-        kept[path.name] = canonical_trace_bytes(trace)
+        kept[Path(path).name] = canonical_trace_bytes(trace)
         write_trace(path, trace)
 
     monkeypatch.setattr(harness, "write_trace", keep)
@@ -1578,7 +1611,7 @@ def test_run_closes_its_model_connections_when_it_raises(
     write_trace = harness.write_trace
 
     def failing(path, trace):
-        if path.name.startswith("ex0003"):
+        if Path(path).name.startswith("ex0003"):
             raise RuntimeError("disk full")
         write_trace(path, trace)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -528,7 +529,7 @@ def test_bundled_corpus_traces_match_the_reference_serializer(
 
     def keep(path, trace):
         write(path, trace)
-        kept.append((path, trace))
+        kept.append((Path(path), trace))
 
     def endpoints_for(example_id, example):
         return scripted_pair(gold_answer_script(example, schemas[example.db_id]))
