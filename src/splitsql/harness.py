@@ -35,6 +35,7 @@ from .llm import (KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, Provider
                   ProviderError, _fields, connection_pool)
 from .pipeline import (
     PipelineConfig,
+    _map_threads,
     run_baseline,
     run_divide_and_merge,
     write_trace,
@@ -735,13 +736,7 @@ def run_benchmark(
         return record
 
     try:
-        if config.worker_count == 1:
-            records = [process(item) for item in enumerate(examples)]
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # only a threaded run loads it
-
-            with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-                records = list(pool.map(process, enumerate(examples)))
+        records = _map_threads(process, list(enumerate(examples)), config.worker_count)
     finally:
         for idle in connections.values():
             for connection in idle:

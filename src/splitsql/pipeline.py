@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -367,6 +368,37 @@ def run_divide_and_merge(
         trace.final_sql = trace.merged_sql
 
 
+def _map_threads(fn, items, width: int) -> list:
+    """[fn(item) for item in items] on at most width threads, the caller one of them and
+    each helper in a copy of its context. No item starts after a failure; once all are
+    joined the lowest failed index raises, as a plain loop would: every lower one started."""
+    results, errors = [None] * len(items), {}
+    indices, lock = iter(range(len(items))), threading.Lock()
+
+    def take():
+        with lock:  # failures are recorded under it too, so none starts after one
+            return None if errors else next(indices, None)
+
+    def work():
+        for i in iter(take, None):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(min(width, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()  # it raises nothing: a failure of fn is recorded
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _generate_all(
     ctx: StageContext,
     subquestions: list[SubQuestion],
@@ -374,24 +406,12 @@ def _generate_all(
     config: PipelineConfig,
 ) -> list[SubQuery]:
     if config.parallel_subqueries and len(subquestions) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only fan-out loads it
-
-        # Fan out with per-task transcripts, reassembled in index order so
-        # the trace does not depend on completion order. Prior sub-queries
-        # do not exist yet in this mode, so prompts carry none.
+        # Fan out with per-task transcripts, reassembled in index order so the trace does
+        # not depend on completion order. Prior sub-queries do not exist yet, so prompts carry none.
         sides = [replace(ctx, transcript=[]) for _ in subquestions]
-
-        def task(i: int) -> SubQuery:
-            return generate_subquery(sides[i], subquestions[i], reduced)
-
-        # Each task runs in a copy of this context, so in the example's execution_memo().
-        width = min(config.subquery_fanout_width, len(subquestions))
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, task, i)
-                       for i in range(len(subquestions))]
-            results = [future.result() for future in futures]
-        for side in sides:
-            ctx.transcript.extend(side.transcript)
+        results = _map_threads(lambda i: generate_subquery(sides[i], subquestions[i], reduced),
+                               range(len(subquestions)), config.subquery_fanout_width)
+        ctx.transcript.extend(entry for side in sides for entry in side.transcript)
         return results
 
     subqueries: list[SubQuery] = []

@@ -705,7 +705,7 @@ def test_fanout_run_opens_at_most_workers_times_one_plus_width_connections(
 
     records = _stressed_run(run_config, ARM_BOTH, endpoints_for)
     assert all(r.baseline_correct == r.module_correct == 1 and not r.error for r in records)
-    _assert_pool_bound(connections, records, workers * (1 + width))
+    _assert_pool_bound(connections, records, workers * width)
 
 
 def test_fanout_scoring_reuses_the_fanout_threads_outcomes(run_config, schemas, opened):

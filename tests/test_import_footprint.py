@@ -1,7 +1,7 @@
-"""numpy loads only for logistic routing, http.client and ssl only for an
-HTTP call, and concurrent.futures (with the logging it imports) only for a
-run that starts threads; urllib3 never loads. The package imports nothing
-that pyproject.toml does not declare.
+"""numpy loads only for logistic routing, and http.client and ssl only for an
+HTTP call; urllib3 never loads, and neither does concurrent.futures (with the
+logging it imports), even for a run that starts threads. The package imports
+nothing that pyproject.toml does not declare.
 
 The footprint checks run in a fresh interpreter: other test modules load
 these modules into this one.
@@ -146,7 +146,7 @@ def test_a_heuristic_scripted_run_loads_neither_numpy_nor_urllib3(corpus_root, t
     result = _probe(_PROBE, corpus_root, tmp_path)
     assert result["errors"] == {"both": [], "routed": []}
     assert result["loaded"] == []
-    assert result["threaded"] == ["concurrent.futures", "logging"]
+    assert result["threaded"] == []
     assert result["numpy_after"] is True
 
 

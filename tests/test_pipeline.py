@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from splitsql.pipeline import (
     StageContext,
     SubQuery,
     SubQuestion,
+    _map_threads,
     canonical_trace_bytes,
     column_select,
     decompose,
@@ -642,6 +645,139 @@ def test_fan_out_transcript_follows_subquestion_order(avg_example, orders_schema
         assert "first step" in generation[0] and "second step" in generation[1]
         traces.append(trace)
     assert canonical_trace_bytes(traces[0]) == canonical_trace_bytes(traces[1])
+
+
+def test_a_fan_out_failure_starts_no_further_subquery(avg_example, orders_schema, orders_db):
+    # Sub-question 1 has no script entry, so its call raises ProviderError;
+    # the other three are answerable but must never be asked.
+    script = [
+        ("table names", "Products"),
+        ("sub-questions", "1. step one\n2. step two\n3. step three\n4. step four"),
+        ("step two", "SELECT 2"),
+        ("step three", "SELECT 3"),
+        ("step four", "SELECT 4"),
+    ]
+    errors = []
+    for parallel in (False, True):
+        state = ScriptState(script)
+        endpoint = ModelEndpoint(ProviderConfig(kind=KIND_SCRIPTED, script=state), "scripted")
+        config = PipelineConfig(
+            merge_strategy=MERGE_LAST_SUBQUERY, column_selection_enabled=False,
+            parallel_subqueries=parallel, subquery_fanout_width=1,
+        )
+        trace = run_divide_and_merge(
+            avg_example, orders_schema, config, ModelPair(endpoint, endpoint), orders_db
+        )
+        assert state.call_count == 3  # table selection, decomposition, sub-question 1
+        assert trace.final_sql == "" and trace.subqueries == []
+        errors.append(trace.error)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("provider error: no unused script entry matches")
+
+
+def _run_threads(fn, items, width):
+    before = threading.active_count()
+    try:
+        return _map_threads(fn, items, width)
+    finally:
+        assert threading.active_count() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 10),
+    width=st.integers(1, 4),
+    failing=st.sets(st.integers(0, 9), max_size=3),
+)
+def test_map_threads_runs_each_item_once_in_order_and_raises_the_lowest_failure(
+    n, width, failing
+):
+    failing = {i for i in failing if i < n}
+    lock = threading.Lock()
+    started = []
+
+    def fn(i):
+        with lock:
+            started.append(i)
+        if i in failing:
+            raise ValueError(i)
+        return i * i
+
+    if not failing:
+        assert _run_threads(fn, range(n), width) == [i * i for i in range(n)]
+        assert sorted(started) == list(range(n))
+        return
+    with pytest.raises(ValueError) as raised:
+        _run_threads(fn, range(n), width)
+    first = min(failing)
+    assert raised.value.args == (first,)
+    # Every item below the first failure started, none twice; at width 1
+    # nothing after it did.
+    assert len(started) == len(set(started))
+    assert set(range(first + 1)) <= set(started)
+    if width == 1:
+        assert started == list(range(first + 1))
+
+
+@pytest.mark.parametrize("width, n", [(2, 2), (3, 7), (4, 9)])
+def test_map_threads_reaches_but_never_exceeds_width_with_the_caller_working(width, n):
+    var = contextvars.ContextVar("map_threads_test")
+    var.set("caller's")
+    barrier = threading.Barrier(width)
+    lock = threading.Lock()
+    running, peak, seen = [0], [0], []
+
+    def fn(i):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            seen.append((threading.get_ident(), var.get(None)))
+        if i < width:  # the first width items meet, so width threads must run them
+            barrier.wait(timeout=10)
+        with lock:
+            running[0] -= 1
+        return i
+
+    assert _run_threads(fn, range(n), width) == list(range(n))
+    assert peak[0] == width
+    threads = {ident for ident, _ in seen}
+    assert len(threads) == width and threading.get_ident() in threads
+    assert {value for _, value in seen} == {"caller's"}
+
+
+def test_map_threads_raises_the_lowest_of_several_failures():
+    # Items 0-2 are in flight together and fail highest first.
+    barrier = threading.Barrier(3)
+
+    def fn(i):
+        barrier.wait(timeout=10)
+        time.sleep(0.03 * (2 - i))
+        raise ValueError(i)
+
+    with pytest.raises(ValueError) as raised:
+        _run_threads(fn, range(5), 3)
+    assert raised.value.args == (0,)
+
+
+def test_map_threads_starts_no_item_after_a_failure():
+    # Item 1 runs while item 0 fails, and returns once the failure is
+    # recorded; its thread then finds the failure and takes no item 2.
+    failing = threading.Event()
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            assert failing.wait(timeout=10)
+            raise ValueError(i)
+        if i == 1:
+            failing.set()
+            time.sleep(0.05)
+        return i
+
+    with pytest.raises(ValueError):
+        _run_threads(fn, range(6), 2)
+    assert sorted(started) == [0, 1]
 
 
 def test_refinement_exhaustion_full_run(orders_schema, orders_db, avg_example):
