@@ -184,6 +184,8 @@ def load_examples(path: str | Path) -> list[BenchmarkExample]:
         for field_name in ("question", "query", "db_id"):
             if field_name not in record:
                 raise CorpusParseError(f"{path}: record {index} is missing {field_name!r}")
+            if not isinstance(record[field_name], str):
+                raise CorpusParseError(f"{path}: record {index} has non-string {field_name!r}")
             if not record[field_name]:
                 raise CorpusParseError(f"{path}: record {index} has empty {field_name!r}")
         examples.append(

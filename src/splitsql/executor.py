@@ -7,11 +7,11 @@ import re
 import sqlite3
 import time
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict, deque
+from collections import deque
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,7 +36,7 @@ MAX_VALUE_BYTES = 10_000_000
 # Integers up to this magnitude convert to float exactly.
 _EXACT_INT_BOUND = 2**53
 
-# Bisections and search edges the tolerant row matching may take, a few
+# Row comparisons and search edges the tolerant row matching may take, a few
 # seconds at most, before it calls two tables unequal.
 _MATCH_STEPS = 1_000_000
 
@@ -255,125 +255,113 @@ def _cells_equal(a, b, float_tolerance: float) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _sorts_natively(rows: tuple[tuple, ...], column: int) -> bool:
-    """Whether Python's own order sorts the column as _cell_sort_key does:
-    only str, only bytes, or only int and float with every int within
-    +-2**53, where its conversion to float is exact. The column is read
-    in passes over the rows, never copied into a list."""
+def _column_kinds(rows: tuple, column: int, float_tolerance: float) -> tuple[bool, bool]:
+    """(native, soft): whether Python's own order sorts the column as _cell_sort_key does
+    (only str, only bytes, or only int and float, every int within +-2**53), and whether
+    two of its cells can be equal without being identical (a float, an int past +-2**53,
+    or any int under a tolerance of 1 or more). Read in passes over the rows, never copied."""
     cells = itemgetter(column)
     kinds = set(map(type, map(cells, rows)))
-    if kinds == {str} or kinds == {bytes}:
-        return True
-    if not kinds <= {int, float}:
-        return False
-    if int not in kinds:
-        return True
     ints = map(cells, rows) if kinds == {int} else (c for c in map(cells, rows) if type(c) is int)
-    return max(map(abs, ints)) <= _EXACT_INT_BOUND
+    big = int in kinds and max(map(abs, ints)) > _EXACT_INT_BOUND
+    native = kinds == {str} or kinds == {bytes} or (kinds <= {int, float} and not big)
+    return native, float in kinds or (int in kinds and (big or float_tolerance >= 1))
 
 
-def _sorted_by_key(table: ResultTable) -> list[tuple]:
+def _sorted_by_key(table: ResultTable, float_tolerance: float) -> tuple[list[tuple], list]:
     """The rows stably sorted by _cell_sort_key, with no key computed per
-    cell when every column sorts natively."""
-    rows = table.rows
-    native = all(_sorts_natively(rows, i) for i in range(table.column_count))
-    return sorted(rows, key=None if native else lambda row: tuple(map(_cell_sort_key, row)))
+    cell when every column sorts natively, and each column's _column_kinds."""
+    kinds = [_column_kinds(table.rows, i, float_tolerance) for i in range(table.column_count)]
+    key = None if all(n for n, _ in kinds) else lambda row: tuple(map(_cell_sort_key, row))
+    return sorted(table.rows, key=key), kinds
 
 
-def _narrowing_order(rows: list[tuple], float_tolerance: float) -> list[int]:
-    """The column indices, most distinct values first, counted over about
-    1,000 rows with numbers at twice the tolerance's grain. Narrowing first
-    on a column whose values all lie within the tolerance of one another
-    would leave every row a candidate."""
+def _rows_equal(gold_row: tuple, pred_row: tuple, float_tolerance: float) -> bool:
+    return all(map(_cells_equal, gold_row, pred_row, repeat(float_tolerance)))
+
+
+def _narrowing_order(rows: list[tuple], columns: list[int], float_tolerance: float) -> list[int]:
+    """The columns, most distinct values first over about 1,000 rows, numbers
+    counted at twice the tolerance's grain: narrowing first on a column whose
+    values all lie within the tolerance would leave every row a candidate."""
     sample, grain = rows[:: len(rows) // 1000 + 1], 2 * float_tolerance
 
     def distinct(column: int) -> int:
         cells = map(itemgetter(column), sample)
         return len({c // grain if grain and type(c) in (int, float) else c for c in cells})
 
-    return sorted(range(len(rows[0])), key=distinct, reverse=True)
+    return sorted(columns, key=distinct, reverse=True)
 
 
-def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], float_tolerance: float) -> bool:
-    """Whether the rows, each list sorted as _sorted_by_key sorts it, pair off
-    one to one with every pair equal cell by cell under _cells_equal.
+def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], gold_kinds: list,
+                   pred_kinds: list, float_tolerance: float) -> bool:
+    """Whether the rows, sorted by _sorted_by_key with these _column_kinds, pair
+    off one to one under _cells_equal. A column soft in neither table is exact:
+    its cells equal only identical ones. With at most one soft column, both lists
+    are re-sorted in place, exact columns first, and the aligned rows decide: on
+    a line, sorted order pairs the rows if any order does. Else _match decides."""
+    columns = range(len(gold_kinds))
+    soft = [c for c in columns if gold_kinds[c][1] or pred_kinds[c][1]]
+    exact = [c for c in columns if c not in soft]
+    if len(soft) > 1:
+        return _match(gold_rows, pred_rows, exact, soft, float_tolerance)
+    if soft != list(columns[len(exact):]):  # the soft column comes before an exact one
+        for rows, kinds in ((gold_rows, gold_kinds), (pred_rows, pred_kinds)):
+            for c in reversed(exact):  # stable passes, the first exact column last
+                rows.sort(key=itemgetter(c) if kinds[c][0] else lambda row: _cell_sort_key(row[c]))
+    return all(map(_rows_equal, gold_rows, pred_rows, repeat(float_tolerance)))
 
-    A maximum flow: each row of each class of identical prediction rows, in
-    order, takes a row of a gold run (rows with equal sort keys) it equals,
-    moving rows that earlier classes took along an augmenting path where it
-    must. Candidates are narrowed column by column, in _narrowing_order. It
-    stops at the first prediction row that no gold row equals, and gives up,
-    as unequal, after _MATCH_STEPS bisections and search edges.
-    """
-    order = _narrowing_order(gold_rows, float_tolerance)
-    if order != sorted(order):  # the same pairing problem, with the columns reordered
-        reorder = itemgetter(*order)
-        gold_rows = _sorted_by_key(ResultTable(len(order), tuple(map(reorder, gold_rows))))
-        pred_rows = list(map(reorder, pred_rows))
+
+def _match(gold: list, pred: list, exact: list, soft: list, float_tolerance: float) -> bool:
+    """Whether the rows pair off under _cells_equal. Each predicted row, fewest
+    candidates first, takes a gold row it equals, moving earlier ones along an
+    augmenting path where it must; candidates are bisected on the exact cells,
+    then on the first soft column in _narrowing_order. Unequal after
+    _MATCH_STEPS row comparisons and search edges."""
+    column = _narrowing_order(gold, soft, float_tolerance)[0]
+    key = lambda row, last: (*(_cell_sort_key(row[c]) for c in exact), last)  # noqa: E731
+    gold_key = lambda g: key(gold[g], _cell_sort_key(gold[g][column]))  # noqa: E731
+    order = sorted(range(len(gold)), key=gold_key)
+    keys = list(map(gold_key, order))
     steps = 0
-
-    def candidates(row: tuple) -> list[tuple[int, int]]:
-        # Inside a run of equal keys in the columns before it, the gold rows
-        # whose cell in this column may equal row's are contiguous: the same
-        # key, or for a number any float within twice the tolerance. A run
-        # of one row is checked whole.
-        nonlocal steps
-        found, spans = [], [(0, len(gold_rows), 0)]
-        while spans and steps < _MATCH_STEPS:
-            start, stop, column = spans.pop()
-            if column == len(row) or stop - start == 1:
-                if all(map(_cells_equal, row, gold_rows[start], repeat(float_tolerance))):
-                    found.append((start, stop))
-                continue
-            key = lambda gold_row, column=column: _cell_sort_key(gold_row[column])  # noqa: E731
+    reach = []  # predicted row -> the gold rows it equals
+    for p, row in enumerate(pred):
+        if not p or row != pred[p - 1]:  # identical rows, adjacent once sorted, share candidates
             low = high = _cell_sort_key(row[column])
             if low[0] == 1:
                 low, high = (1, low[1] - 2 * float_tolerance), (1, low[1] + 2 * float_tolerance)
-            start = bisect_left(gold_rows, low, start, stop, key=key)
-            stop = bisect_right(gold_rows, high, start, stop, key=key)
-            steps += 2
-            while start < stop:
-                steps += 1
-                end = bisect_right(gold_rows, key(gold_rows[start]), start, stop, key=key)
-                spans.append((start, end, column + 1))
-                start = end
-        return found
-
-    free: dict[int, int] = {}  # gold run start -> its rows no class has taken
-    taken: dict[int, Counter] = defaultdict(Counter)  # gold run start -> rows each class holds
-    reach: list[list[int]] = []  # class -> starts of the gold runs it equals
-    for row, same in groupby(pred_rows):
-        runs = candidates(row)
-        if not runs or steps >= _MATCH_STEPS:
-            return False
-        for start, stop in runs:
-            free.setdefault(start, stop - start)
-        reach.append([start for start, _ in runs])
-        for _ in same:
-            # Breadth-first from this class to a run with a free row: a full
-            # run passes a row on when a class holding one reaches another run.
-            came_from = dict.fromkeys(reach[-1], (None, len(reach) - 1))
-            queue = deque(reach[-1])
-            while queue and not free[queue[0]]:
-                run = queue.popleft()
-                for held_by in +taken[run]:
-                    for other in reach[held_by]:
-                        steps += 1
-                        if other not in came_from:
-                            came_from[other] = (run, held_by)
-                            queue.append(other)
-                if steps >= _MATCH_STEPS:
-                    return False
-            if not queue:
+            window = order[bisect_left(keys, key(row, low)):bisect_right(keys, key(row, high))]
+            steps += len(window)
+            if steps > _MATCH_STEPS:
                 return False
-            run = queue[0]
-            free[run] -= 1
-            while run is not None:
-                previous, moved = came_from[run]
-                taken[run][moved] += 1
-                if previous is not None:
-                    taken[previous][moved] -= 1
-                run = previous
+            candidates = [g for g in window if _rows_equal(row, gold[g], float_tolerance)]
+        reach.append(candidates)
+    holder = [None] * len(gold)  # gold row -> the predicted row paired with it
+    taken = {}  # candidate list -> how many of its gold rows are taken, for good, from its start
+    for p, candidates in sorted(enumerate(reach), key=lambda item: len(item[1])):  # fewest first
+        first = taken.get(id(candidates), 0)
+        while first < len(candidates) and holder[candidates[first]] is not None:
+            first += 1
+        taken[id(candidates)] = first
+        # gold row -> the predicted row that reached it and the gold row that row leaves
+        came_from = dict.fromkeys(candidates[first:first + 1] or candidates, (p, None))
+        queue, expanded = deque(came_from), {id(candidates)}
+        while queue and holder[queue[0]] is not None and steps <= _MATCH_STEPS:
+            left = queue.popleft()
+            other = holder[left]
+            if id(reach[other]) in expanded:  # an identical row's, whose rows are all reached
+                continue
+            expanded.add(id(reach[other]))
+            steps += len(reach[other])
+            for g in reach[other]:
+                if g not in came_from:
+                    came_from[g] = (other, left)
+                    queue.append(g)
+        if not queue or steps > _MATCH_STEPS:
+            return False
+        g = queue[0]
+        while g is not None:  # each row on the path moves to the gold row it reached
+            holder[g], g = came_from[g]
     return True
 
 
@@ -417,19 +405,20 @@ def compare_results(
 
     gold_rows, pred_rows = gold.rows, pred.rows
     if not order_sensitive:
-        gold_rows, pred_rows = _sorted_by_key(gold), _sorted_by_key(pred)
+        gold_rows, gold_kinds = _sorted_by_key(gold, float_tolerance)
+        pred_rows, pred_kinds = _sorted_by_key(pred, float_tolerance)
         if gold_rows == pred_rows:
             return ComparisonVerdict(equal=True)
 
     for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):
-        for gold_cell, pred_cell in zip(gold_row, pred_row):
-            if not _cells_equal(gold_cell, pred_cell, float_tolerance):
-                if not order_sensitive and _rows_pair_off(gold_rows, pred_rows, float_tolerance):
-                    return ComparisonVerdict(equal=True)
-                return ComparisonVerdict(
-                    equal=False,
-                    reason=f"row {index} differs: expected {gold_row!r}, got {pred_row!r}",
-                )
+        if not _rows_equal(gold_row, pred_row, float_tolerance):
+            if not order_sensitive and _rows_pair_off(gold_rows, pred_rows, gold_kinds,
+                                                      pred_kinds, float_tolerance):
+                return ComparisonVerdict(equal=True)
+            return ComparisonVerdict(
+                equal=False,
+                reason=f"row {index} differs: expected {gold_row!r}, got {pred_row!r}",
+            )
     return ComparisonVerdict(equal=True)
 
 

@@ -212,15 +212,26 @@ def save_router_model(model: RouterModel, path: str | Path) -> None:
 
 
 def load_router_model(path: str | Path) -> RouterModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The model save_router_model wrote. A file that is not a JSON object, lacks a
+    field, or holds a field that is not a list of numbers (one number for bias) raises
+    ValueError naming the file; RouterModel rejects a wrong length or a non-finite value."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: router model file is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: router model file does not hold a JSON object")
     names = payload.get("feature_names")
-    if names is not None and tuple(names) != FEATURE_NAMES:
+    if names is not None and names != list(FEATURE_NAMES):
         raise ValueError(
-            f"router model feature order {names} does not match {list(FEATURE_NAMES)}"
+            f"{path}: router model feature order {names} does not match {list(FEATURE_NAMES)}"
         )
-    return RouterModel(
-        weights=tuple(payload["weights"]),
-        bias=float(payload["bias"]),
-        feature_means=tuple(payload["feature_means"]),
-        feature_stds=tuple(payload["feature_stds"]),
-    )
+    fields = {}
+    for name in ("weights", "bias", "feature_means", "feature_stds"):
+        if name not in payload:
+            raise ValueError(f"{path}: router model file lacks {name!r}")
+        numbers = [payload[name]] if name == "bias" else payload[name]
+        if not isinstance(numbers, list) or not all(type(n) in (int, float) for n in numbers):
+            raise ValueError(f"{path}: router model {name!r} is not numbers: {payload[name]!r}")
+        fields[name] = float(payload[name]) if name == "bias" else tuple(payload[name])
+    return RouterModel(**fields)

@@ -150,6 +150,20 @@ def test_load_examples_rejects_empty_fields(tmp_path):
         load_examples(path)
 
 
+@pytest.mark.parametrize("field_name", ["question", "query", "db_id"])
+@pytest.mark.parametrize(
+    "value", [12, 1.5, True, ["SELECT 1"], {"text": "q"}],
+    ids=["int", "float", "bool", "array", "object"],
+)
+def test_load_examples_rejects_a_field_that_is_not_a_string(tmp_path, field_name, value):
+    # Such a record used to load, and the run died later inside prompt rendering.
+    path = tmp_path / "dev.json"
+    good = {"question": "q", "query": "SELECT 1", "db_id": "d"}
+    path.write_text(json.dumps([good, {**good, field_name: value}]))
+    with pytest.raises(CorpusParseError, match=rf"dev\.json: record 1 .*'{field_name}'"):
+        load_examples(path)
+
+
 def test_reduce_keeps_requested_tables_in_source_order(schemas):
     schema = schemas["customer_orders"]
     reduced = reduce_schema(schema, ["Order_Items", "Products"])

@@ -864,14 +864,126 @@ def test_unordered_verdict_ignores_row_order_and_jitter_within_the_tolerance(pai
 
 
 def test_the_row_matching_gives_up_after_its_step_budget(monkeypatch):
-    # The first cells are all within the tolerance of one another, so each
-    # predicted row looks at all 40 gold rows before the second cell decides.
-    gold = _table(*[(i * 1e-12, i) for i in range(40)])
-    pred = _table(*[((39 - i) * 1e-12, i) for i in range(40)])
+    # Both columns are soft, and the first cells all lie within the tolerance
+    # of one another, so each predicted row is compared with the 20 gold rows
+    # that share its second cell.
+    gold = _table(*[(i * 1e-12, float(i % 2)) for i in range(40)])
+    pred = _table(*[((39 - i) * 1e-12, float(i % 2)) for i in range(40)])
     assert compare_results(gold, pred, False).equal
     monkeypatch.setattr(executor, "_MATCH_STEPS", 100)
     verdict = compare_results(gold, pred, False)
     assert not verdict.equal and verdict.reason.startswith("row 0 differs")
+
+
+def test_one_soft_column_pairs_off_by_sorting_without_the_step_budget(monkeypatch):
+    # The float cells all lie within the tolerance of one another and the int
+    # column is exact, so sorting on the int first lines the rows up.
+    n = 400
+    gold = _table(*[(i * 1e-12, i % 2) for i in range(n)])
+    pred = _table(*[((n - 1 - i) * 1e-12, i % 2) for i in range(n)])
+    monkeypatch.setattr(executor, "_MATCH_STEPS", 100)
+    assert compare_results(gold, pred, False).equal
+    assert compare_results(pred, gold, False).equal
+
+
+def test_many_identical_rows_over_two_soft_columns_pair_off():
+    # Each predicted (1.0000002, 1.0000004) equals both gold rows, each
+    # (1.0000003, 0.9999995) only (1.0, 1.0); the rows do not line up once
+    # sorted. Matching the 2,000 rows one by one in sorted order would move
+    # a thousand rows along a path a thousand times and exhaust the budget.
+    gold = _table(*[(1.0, 1.0)] * 1000, *[(1.0000008, 1.0000008)] * 1000)
+    pred = _table(*[(1.0000002, 1.0000004)] * 1000, *[(1.0000003, 0.9999995)] * 1000)
+    assert not compare_results(gold, pred, True).equal
+    assert compare_results(gold, pred, False).equal
+    assert compare_results(pred, gold, False).equal
+
+
+def test_a_column_of_ints_in_one_table_and_floats_in_the_other_is_soft():
+    # Gold's first column holds only ints, the prediction's only floats
+    # within the tolerance of them; the two float columns leave the rows
+    # unaligned once sorted, and only (1.0000001, 1.0000002, 1.0000004)
+    # can take the gold row (1, 1.0000008, 1.0000008).
+    gold = _table((1, 1.0, 1.0), (1, 1.0000008, 1.0000008))
+    pred = _table((1.0000001, 1.0000002, 1.0000004), (1.0000001, 1.0000003, 0.9999995))
+    assert not compare_results(gold, pred, True).equal
+    assert compare_results(gold, pred, False).equal
+    assert compare_results(pred, gold, False).equal
+
+
+def test_integers_are_soft_once_the_tolerance_reaches_one():
+    # Under a tolerance of 1, 2 equals both 1 and 3, so the int column is no
+    # exact key: (2, 0.0) pairs with (3, 0.0), and (2, 10.0) with (1, 10.0).
+    gold = _table((1, 10.0), (3, 0.0))
+    pred = _table((2, 0.0), (2, 10.0))
+    assert compare_results(gold, pred, False, float_tolerance=1.0).equal
+    assert not compare_results(gold, pred, False, float_tolerance=0.5).equal
+
+
+def _paired_by_exact_cells(gold, pred, float_column, tolerance):
+    """Written apart from executor: group the rows by their cells outside
+    float_column, and pair each group's sorted floats in order."""
+    def groups(table):
+        found = {}
+        for row in table.rows:
+            exact = tuple(c for i, c in enumerate(row) if i != float_column)
+            found.setdefault(exact, []).append(row[float_column])
+        return {exact: sorted(numbers) for exact, numbers in found.items()}
+
+    gold_groups, pred_groups = groups(gold), groups(pred)
+    return gold_groups.keys() == pred_groups.keys() and all(
+        len(numbers) == len(pred_groups[exact])
+        and all(abs(g - p) <= tolerance for g, p in zip(numbers, pred_groups[exact]))
+        for exact, numbers in gold_groups.items()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=20, max_value=300),
+    st.sampled_from([1e-12, 1e-8, 2e-7]),
+    st.booleans(),
+    st.sampled_from(["jittered", "moved", "relabelled"]),
+    st.randoms(use_true_random=False),
+)
+@example(300, 1e-12, True, "jittered", random.Random(0))  # a search would exhaust its budget
+def test_one_soft_column_pairs_off_as_its_sorted_groups_do(size, step, float_first, change, rng):
+    # A near-constant float column beside a low-cardinality exact one: many
+    # rows are candidates for each other, which a budgeted search cannot afford.
+    tolerance = executor.DEFAULT_FLOAT_TOLERANCE
+    floats = [1.0 + i * step for i in range(size)]
+    rng.shuffle(floats)
+    rows = [(number, rng.choice([0, 1, "a"])) for number in floats]
+    shuffled = [(number + rng.uniform(-0.4, 0.4) * tolerance, exact) for number, exact in rows]
+    rng.shuffle(shuffled)
+    if change == "moved":
+        number, exact = shuffled[0]
+        shuffled[0] = (number + rng.choice([-1.5, 1.5]) * tolerance, exact)
+    elif change == "relabelled":
+        shuffled[0] = (shuffled[0][0], rng.choice([0, 1, "a"]))
+    order = (lambda row: row) if float_first else (lambda row: row[::-1])
+    gold = _table(*map(order, rows))
+    pred = _table(*map(order, shuffled))
+    expected = _paired_by_exact_cells(gold, pred, 0 if float_first else 1, tolerance)
+    assert compare_results(gold, pred, False).equal == expected
+    assert compare_results(pred, gold, False).equal == expected
+    if change == "jittered":
+        assert expected
+
+
+def test_one_soft_column_before_an_exact_one_takes_under_a_megabyte():
+    # The float cells all lie within the tolerance of one another, and the
+    # predicted rows pair off with the gold rows only by their int cells.
+    n = 10_000
+    gold = _table(*[(i * 1e-12, i) for i in range(n)])
+    pred = _table(*[((n - 1 - i) * 1e-12, i) for i in range(n)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert compare_results(gold, pred, False).equal
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert transient < 1_000_000, transient
 
 
 @pytest.mark.parametrize("size", [2_000, 100_000])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,6 +281,25 @@ def test_a_model_file_holding_nan_fails_when_it_loads(tmp_path):
     payload["weights"][0] = math.nan
     path.write_text(json.dumps(payload))  # json writes NaN, and reads it back
     with pytest.raises(ValueError, match="^weights must be finite"):
+        load_router_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: [payload["weights"]],  # not a JSON object
+    lambda payload: {k: v for k, v in payload.items() if k != "bias"},
+    lambda payload: {k: v for k, v in payload.items() if k != "feature_stds"},
+    lambda payload: {**payload, "weights": ["0.5"] * 6},
+    lambda payload: {**payload, "feature_means": [None] * 6},
+    lambda payload: {**payload, "feature_stds": 1.0},
+    lambda payload: {**payload, "bias": "0.5"},
+    lambda payload: {**payload, "bias": True},
+], ids=["array", "no-bias", "no-stds", "text-weights", "null-means", "scalar-stds",
+        "text-bias", "bool-bias"])
+def test_a_malformed_model_file_names_itself_when_it_loads(tmp_path, edit):
+    path = tmp_path / "router.json"
+    save_router_model(train_logistic(_separable_dataset(), epochs=10), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: router model"):
         load_router_model(path)
 
 
