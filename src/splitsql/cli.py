@@ -15,6 +15,7 @@ from .harness import (
     ARM_BOTH,
     ARMS,
     EXAMPLE_ID,
+    RecordsFileError,
     build_report,
     emit_report,
     load_config,
@@ -275,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecordsFileError as exc:  # a --records, --reference, --a or --b file
+        print(f"splitsql: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -77,6 +77,11 @@ class UndefinedCorrelationError(ValueError):
     """Correlation is undefined: zero variance or too few groups."""
 
 
+class RecordsFileError(ValueError, TypeError):
+    """A records file that cannot be read or does not hold a list of record objects.
+    It is a TypeError too, as the record constructor's own error for a missing field is."""
+
+
 @dataclass
 class PerExampleRecord:
     """Per-question outcome of a benchmark run.
@@ -603,7 +608,22 @@ def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
 
 
 def load_records(path: str | Path) -> list[PerExampleRecord]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The records write_records wrote. RecordsFileError names the file when it cannot be
+    read, is not JSON, or is not a list of objects that each give the fields without a default."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise RecordsFileError(f"{path}: cannot read records: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise RecordsFileError(f"{path}: records file is not JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise RecordsFileError(f"{path}: a records file must hold a JSON array")
+    for index, row in enumerate(data):
+        if not isinstance(row, dict):
+            raise RecordsFileError(f"{path}: record {index} is not a JSON object")
+        missing = [name for name in ("example_id", "db_id", "table_count") if name not in row]
+        if missing:
+            raise RecordsFileError(f"{path}: record {index} lacks {', '.join(missing)}")
     return [record_from_dict(row) for row in data]
 
 

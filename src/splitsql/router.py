@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 
 from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES
@@ -111,12 +112,11 @@ def train_logistic(
     Features are standardized per coordinate over the training data (std
     floored at 1e-9); the standardization parameters are stored on the model.
     """
-    import numpy as np
-    if learning_rate <= 0:
+    if not learning_rate > 0:  # also rejects NaN
         raise ValueError("learning_rate must be positive")
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    if l2 < 0:
+    if not l2 >= 0:
         raise ValueError("l2 must be >= 0")
     if learning_rate * l2 >= 2:  # no such run converges
         raise RouterTrainingError(
@@ -125,59 +125,69 @@ def train_logistic(
         )
     if len(rows) < 2:
         raise RouterTrainingError("need at least 2 rows to train")
-    features = np.array([fv.as_tuple() for fv, _ in rows], dtype=np.float64)
-    labels = np.array([label for _, label in rows], dtype=np.float64)
-    if labels.min() == labels.max():
+    labels = [label for _, label in rows]
+    if min(labels) == max(labels):
         raise RouterTrainingError("training data contains a single class")
 
-    means = features.mean(axis=0)
-    stds = np.maximum(features.std(axis=0), _STD_FLOOR)
-    standardized = (features - means) / stds
+    n = len(rows)
+    raw = list(zip(*(fv.as_tuple() for fv, _ in rows)))
+    means = [math.fsum(column) / n for column in raw]
+    stds = [max(math.sqrt(math.fsum((x - m) ** 2 for x in column) / n), _STD_FLOOR)
+            for column, m in zip(raw, means)]
+    columns = [[(x - m) / s for x in column] for column, m, s in zip(raw, means, stds)]
 
-    n = len(labels)
-    # Steps converge when learning_rate * (L + l2) < 2, where L bounds the
-    # logistic loss's curvature: the largest eigenvalue of Z'Z / (4n) for the
-    # standardized features Z with a ones column for the bias.
-    design = np.column_stack([standardized, np.ones(n)])
-    smoothness = float(np.linalg.eigvalsh(design.T @ design)[-1]) / (4 * n)
+    # Steps converge when learning_rate * (L + l2) < 2, where L bounds the logistic loss's
+    # curvature: the largest eigenvalue of Z'Z / (4n), Z the standardized features and ones.
+    smoothness = _largest_eigenvalue([*columns, [1.0] * n]) / (4 * n)
     if learning_rate * (smoothness + l2) >= 2:
         raise RouterTrainingError(
             f"training cannot converge: learning_rate * (L + l2) = "
             f"{learning_rate * (smoothness + l2):g}, where L = {smoothness:g} is the"
             f" curvature bound of this data's loss; keep the product below 2"
         )
-    weights = np.zeros(_FEATURE_COUNT)
+    weights = [0.0] * _FEATURE_COUNT
     bias = 0.0
-    for _ in range(epochs):
-        logits = standardized @ weights + bias
-        probabilities = 1.0 / (1.0 + np.exp(-logits))
-        residual = probabilities - labels
-        grad_weights = standardized.T @ residual / n + l2 * weights
-        grad_bias = residual.mean()
-        weights = weights - learning_rate * grad_weights
-        bias = bias - learning_rate * grad_bias
-    if not (np.isfinite(weights).all() and math.isfinite(bias)):
-        raise RouterTrainingError("training diverged; lower the learning rate or l2")
+    try:  # a run that diverges ends in fsum's overflow or inf - inf, or in a non-finite model
+        for _ in range(epochs):
+            residual = [_sigmoid(math.fsum(map(mul, z, weights)) + bias) - label
+                        for z, label in zip(zip(*columns), labels)]
+            weights = [w - learning_rate * (math.fsum(map(mul, column, residual)) / n + l2 * w)
+                       for w, column in zip(weights, columns)]
+            bias = bias - learning_rate * (math.fsum(residual) / n)
+        return RouterModel(tuple(weights), bias, tuple(means), tuple(stds))
+    except (OverflowError, ValueError):
+        raise RouterTrainingError("training diverged; lower the learning rate or l2") from None
 
-    return RouterModel(
-        weights=tuple(float(w) for w in weights),
-        bias=float(bias),
-        feature_means=tuple(float(m) for m in means),
-        feature_stds=tuple(float(s) for s in stds),
-    )
+
+def _largest_eigenvalue(columns: list[list[float]]) -> float:
+    """The largest eigenvalue of Z'Z, Z the matrix of these columns, by cyclic Jacobi rotations."""
+    a = [[math.fsum(map(mul, left, right)) for right in columns] for left in columns]
+    for _ in range(50):  # a 7 x 7 matrix needs under ten sweeps; the rest rotate nothing
+        for p, q in ((p, q) for q in range(len(a)) for p in range(q)):
+            if abs(a[p][q]) > 1e-18 * (abs(a[p][p]) + abs(a[q][q])):  # else below rounding
+                theta = (a[q][q] - a[p][p]) / (2 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c, s = 1 / math.hypot(t, 1.0), t / math.hypot(t, 1.0)
+                for row in a:  # A J, then J'(A J), for the rotation J in the (p, q) plane
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+                a[p][q] = a[q][p] = 0.0
+    return max(a[i][i] for i in range(len(a)))
+
+
+def _sigmoid(logit: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:  # a logit below about -709: the true score is under 1e-307
+        return 0.0
 
 
 def route_logistic(model: RouterModel, features: FeatureVector) -> RouteDecision:
-    import numpy as np
-    raw = np.array(features.as_tuple())
-    standardized = (raw - np.array(model.feature_means)) / np.array(model.feature_stds)
-    logit = float(standardized @ np.array(model.weights) + model.bias)
-    try:
-        score = 1.0 / (1.0 + math.exp(-logit))
-    except OverflowError:  # a logit below about -709: the true score is under 1e-307
-        score = 0.0
-    branch = BRANCH_DIVIDE_AND_MERGE if score >= 0.5 else BRANCH_BASELINE
-    return RouteDecision(branch, score)
+    standardized = [(x - mean) / std for x, mean, std in
+                    zip(features.as_tuple(), model.feature_means, model.feature_stds)]
+    score = _sigmoid(math.fsum(map(mul, standardized, model.weights)) + model.bias)
+    return RouteDecision(BRANCH_DIVIDE_AND_MERGE if score >= 0.5 else BRANCH_BASELINE, score)
 
 
 def route_judge(

@@ -193,10 +193,10 @@ def test_route_train_looks_up_a_schema_only_for_a_training_row(
 
 # The model file route-train writes for _both_arm_records() over the bundled
 # corpus at the default settings, and each bundled example's logistic route
-# under it (branch, score as float.hex), both as numpy-backed training first
-# produced them.
+# under it (branch, score as float.hex). Every sum in training and routing is
+# a math.fsum, so no summation order of a linear-algebra library enters them.
 ROUTE_TRAIN_MODEL = """{
-  "bias": 0.4998743387935595,
+  "bias": 0.49987433879355964,
   "feature_means": [
     5.428571428571429,
     27.571428571428573,
@@ -214,20 +214,20 @@ ROUTE_TRAIN_MODEL = """{
     "question_has_superlative_keyword"
   ],
   "feature_stds": [
-    2.9692299558323607,
-    14.35127811985641,
+    2.969229955832361,
+    14.351278119856412,
     3.4641016151377544,
     4.8064582403602065,
-    0.49487165930539345,
+    0.4948716593053935,
     0.3499271061118826
   ],
   "weights": [
+    1.6241545292528663,
     1.6241545292528667,
-    1.6241545292528667,
-    1.6241545292528667,
-    0.18593185540033652,
-    -0.08104331052496618,
-    0.2643979958630889
+    1.6241545292528672,
+    0.1859318554003366,
+    -0.0810433105249662,
+    0.26439799586308876
   ]
 }"""
 ROUTE_TRAIN_DECISIONS = [
@@ -245,10 +245,10 @@ ROUTE_TRAIN_DECISIONS = [
     ("baseline", "0x1.39d43fc1d2174p-2"),
     ("baseline", "0x1.424f9e41187bdp-2"),
     ("baseline", "0x1.53a360adbe4adp-2"),
-    ("baseline", "0x1.50566ffa16d83p-8"),
-    ("baseline", "0x1.22eff57a3e37dp-8"),
-    ("baseline", "0x1.6e84f4c92511fp-8"),
-    ("baseline", "0x1.60afc49295df1p-8"),
+    ("baseline", "0x1.50566ffa16d88p-8"),
+    ("baseline", "0x1.22eff57a3e381p-8"),
+    ("baseline", "0x1.6e84f4c925125p-8"),
+    ("baseline", "0x1.60afc49295df7p-8"),
     ("baseline", "0x1.2ba74b1c215d8p-8"),
     ("baseline", "0x1.376a8a806b6dap-8"),
 ]
@@ -297,8 +297,11 @@ def test_route_train_reports_a_diverged_model_and_writes_no_file(tmp_path, corpu
         (["--epochs", "0"], "epochs must be positive"),
         (["--l2", "-1"], "l2 must be >= 0"),
         (["--lr", "1", "--l2", "1.99", "--epochs", "700"], "training cannot converge"),
+        (["--lr", "nan"], "learning_rate must be positive"),
+        (["--l2", "nan"], "l2 must be >= 0"),
     ],
-    ids=["lr-l2-5", "lr-l2-2", "lr-0", "epochs-0", "l2-negative", "lr-1-l2-1.99"],
+    ids=["lr-l2-5", "lr-l2-2", "lr-0", "epochs-0", "l2-negative", "lr-1-l2-1.99", "lr-nan",
+         "l2-nan"],
 )
 def test_route_train_rejects_hyper_parameters_that_cannot_train(
     tmp_path, corpus_root, capsys, options, message
@@ -344,6 +347,41 @@ def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command
     out, err = capsys.readouterr()
     assert err.startswith("splitsql: ") and message in err and err.count("\n") == 1
     assert not out and not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "sweep", "compare", "route-train"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "records.json: cannot read records: No such file or directory"),
+        ("[{not json", "records.json: records file is not JSON: Expecting property name"),
+        ('{"example_id": "ex0000"}', "records.json: a records file must hold a JSON array"),
+        ('["ex0000"]', "records.json: record 0 is not a JSON object"),
+        ('[{"example_id": "ex0000"}]', "records.json: record 0 lacks db_id, table_count"),
+    ],
+    ids=["missing", "not-json", "object", "string-row", "lacking-fields"],
+)
+def test_a_bad_records_file_prints_one_line_and_exits_2(
+    tmp_path, corpus_root, capsys, command, content, message
+):
+    records_path = tmp_path / "records.json"
+    if content is not None:
+        records_path.write_text(content)
+    good = tmp_path / "good.json"
+    write_records(good, _both_arm_records())
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    model_path = tmp_path / "router.json"
+    options = {
+        "report": ["--records", str(records_path), "--out", str(tmp_path)],
+        "sweep": ["--records", str(records_path)],
+        "compare": ["--a", str(good), "--b", str(records_path)],
+        "route-train": ["--records", str(records_path), "--config", str(config),
+                        "--out", str(model_path)],
+    }[command]
+    assert main([command, *options]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"splitsql: {tmp_path / message}") and err.count("\n") == 1
+    assert not model_path.exists() and not (tmp_path / "report.md").exists()
 
 
 @pytest.mark.parametrize("arm", ["baseline", "module", "both", "routed"])

@@ -1,7 +1,8 @@
-"""numpy loads only for logistic routing, and http.client and ssl only for an
-HTTP call; urllib3 never loads, and neither does concurrent.futures (with the
-logging it imports), even for a run that starts threads. The package imports
-nothing that pyproject.toml does not declare.
+"""numpy never loads, not even for route-train or logistic routing, and
+http.client and ssl load only for an HTTP call; urllib3 never loads, and
+neither does concurrent.futures (with the logging it imports), even for a run
+that starts threads. The package imports nothing that pyproject.toml does not
+declare, and it declares nothing.
 
 The footprint checks run in a fresh interpreter: other test modules load
 these modules into this one.
@@ -23,15 +24,22 @@ TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = TESTS_DIR.parent / "src"
 
 _PROBE = """
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
+
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
 
 import splitsql
 import splitsql.cli
 from helpers import scripted_pair
 from splitsql.dataset import load_schemas
-from splitsql.harness import ARM_BOTH, ARM_ROUTED, RunConfig, build_report, emit_report, run_benchmark
+from splitsql.harness import (
+    ARM_BOTH, ARM_ROUTED, EXAMPLE_ID, PerExampleRecord, RunConfig, build_report, emit_report,
+    run_benchmark, write_records,
+)
 from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig
 
 corpus, out = Path(sys.argv[1]), Path(sys.argv[2])
@@ -61,21 +69,28 @@ for arm in (ARM_BOTH, ARM_ROUTED):
     report = build_report(records)
     emit_report(report, "json", out / arm / "report.json")
     emit_report(report, "markdown", out / arm / "report.md")
-# Both runs above have 1 worker and no fan-out, so they start no thread.
+
+# Train a logistic router on records where the arms take turns being right, then route by it.
+records = [PerExampleRecord(EXAMPLE_ID.format(i), "db", 0, i % 2, 1 - i % 2) for i in range(20)]
+write_records(out / "train.json", records)
+(out / "config.json").write_text(json.dumps({"dataset": {"root": str(corpus)}}))
+with contextlib.redirect_stdout(io.StringIO()):
+    trained = splitsql.cli.main(["route-train", "--records", str(out / "train.json"), "--config",
+                                 str(out / "config.json"), "--out", str(out / "router.json")])
+config.router_kind, config.router_model_file = "logistic", out / "router.json"
+config.run_dir = out / "logistic"
+records = run_benchmark(config, ARM_ROUTED, endpoints_for=endpoints_for)
+errors["logistic"] = [record.error or record.route_taken for record in records
+                      if record.error or not record.route_taken]
+# The runs above have 1 worker and no fan-out, so they start no thread.
 loaded = sorted(
-    {"numpy", "urllib3", "http.client", "ssl", "concurrent.futures", "logging"} & set(sys.modules)
+    {"urllib3", "http.client", "ssl", "concurrent.futures", "logging"} & set(sys.modules)
 )
 config.worker_count = 2
 run_benchmark(config, ARM_BOTH, endpoints_for=endpoints_for)
 threaded = sorted({"concurrent.futures", "logging"} & set(sys.modules))
-
-from splitsql.dataset import FeatureVector
-from splitsql.router import RouterModel, route_logistic
-
-model = RouterModel((0.0,) * 6, 0.0, (0.0,) * 6, (1.0,) * 6)
-route_logistic(model, FeatureVector(1, 1, 1, 1, 1, 1))
-print(json.dumps({"errors": errors, "loaded": loaded, "threaded": threaded,
-                  "numpy_after": "numpy" in sys.modules}))
+print(json.dumps({"errors": errors, "loaded": loaded, "threaded": threaded, "trained": trained,
+                  "numpy_never_loaded": sys.modules["numpy"] is None}))
 """
 
 
@@ -144,10 +159,11 @@ def _probe(source: str, *args) -> dict:
 
 def test_a_heuristic_scripted_run_loads_neither_numpy_nor_urllib3(corpus_root, tmp_path):
     result = _probe(_PROBE, corpus_root, tmp_path)
-    assert result["errors"] == {"both": [], "routed": []}
+    assert result["errors"] == {"both": [], "routed": [], "logistic": []}
     assert result["loaded"] == []
     assert result["threaded"] == []
-    assert result["numpy_after"] is True
+    assert result["trained"] == 0
+    assert result["numpy_never_loaded"] is True
 
 
 def test_a_judge_routed_http_run_never_imports_urllib3(corpus_root, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import scripted_endpoint
-from splitsql.dataset import FeatureVector
+from splitsql.dataset import FeatureVector, extract_features
 from splitsql.harness import PerExampleRecord, realized_router_accuracy
 from splitsql.router import (
     BRANCH_BASELINE,
@@ -16,6 +16,7 @@ from splitsql.router import (
     RouterModel,
     RouterTrainingError,
     UndefinedAccuracyError,
+    _largest_eigenvalue,
     dataset_from_outcomes,
     load_router_model,
     oracle_branch,
@@ -353,6 +354,106 @@ def test_model_file_rejects_reordered_features(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match="feature order"):
         load_router_model(path)
+
+
+# ---------------------------------------------------------------------------
+# numpy reference: the logistic router as it was trained with numpy. numpy is
+# only in the dev extra, so these tests skip without it.
+# ---------------------------------------------------------------------------
+
+
+def _noisy_dataset() -> Rows:
+    return _separable_dataset()[:80] + [(_features(table_count=10), 0)]
+
+
+def _bundled_dataset(schemas, examples) -> Rows:
+    """The rows route-train trains on for the CLI tests' records over the bundled
+    corpus: the pipeline alone is right on the first 8 examples, the baseline
+    alone on the last 6."""
+    bits = [(0, 1)] * 8 + [(1, 1)] * 6 + [(1, 0)] * 6
+    return dataset_from_outcomes([
+        (extract_features(example.question, schemas[example.db_id]), *pair)
+        for example, pair in zip(examples, bits)
+    ])
+
+
+@pytest.fixture(params=["separable", "noisy", "bundled"])
+def dataset(request, schemas, examples) -> Rows:
+    if request.param == "bundled":
+        return _bundled_dataset(schemas, examples)
+    return _separable_dataset() if request.param == "separable" else _noisy_dataset()
+
+
+def _reference_train(rows: Rows, learning_rate: float, epochs: int, l2: float):
+    """The deleted numpy training loop: (weights, bias, means, stds, design), the
+    design being the standardized features with a ones column."""
+    np = pytest.importorskip("numpy")
+    features = np.array([fv.as_tuple() for fv, _ in rows], dtype=np.float64)
+    labels = np.array([label for _, label in rows], dtype=np.float64)
+    means = features.mean(axis=0)
+    stds = np.maximum(features.std(axis=0), 1e-9)
+    standardized = (features - means) / stds
+    n = len(labels)
+    weights = np.zeros(features.shape[1])
+    bias = 0.0
+    for _ in range(epochs):
+        residual = 1.0 / (1.0 + np.exp(-(standardized @ weights + bias))) - labels
+        weights = weights - learning_rate * (standardized.T @ residual / n + l2 * weights)
+        bias = bias - learning_rate * residual.mean()
+    return weights, bias, means, stds, np.column_stack([standardized, np.ones(n)])
+
+
+def _reference_eigenvalue(design) -> float:
+    np = pytest.importorskip("numpy")
+    return float(np.linalg.eigvalsh(design.T @ design)[-1])
+
+
+def test_the_largest_eigenvalue_matches_numpy_on_the_test_datasets(dataset):
+    *_, design = _reference_train(dataset, 0.1, 0, 0.0)
+    ours = _largest_eigenvalue([list(column) for column in design.T])
+    assert math.isclose(ours, _reference_eigenvalue(design), rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.lists(st.integers(-10**6, 10**6).map(lambda k: k / 1000), min_size=7, max_size=7),
+    min_size=1, max_size=40,
+))
+def test_the_largest_eigenvalue_matches_numpy_on_any_gram_matrix(rows):
+    np = pytest.importorskip("numpy")
+    design = np.array(rows, dtype=np.float64)
+    ours = _largest_eigenvalue([list(column) for column in design.T])
+    reference = _reference_eigenvalue(design)
+    assert math.isclose(ours, reference, rel_tol=1e-12) or ours == reference == 0.0
+
+
+def _reference_score(weights, bias, means, stds, features: FeatureVector) -> float:
+    """The deleted numpy route_logistic's score."""
+    np = pytest.importorskip("numpy")
+    logit = float((np.array(features.as_tuple()) - means) / stds @ weights + bias)
+    try:
+        return 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:
+        return 0.0
+
+
+@pytest.mark.parametrize("learning_rate, epochs, l2", [(0.1, 500, 0.0), (0.5, 200, 0.01)])
+def test_training_matches_the_numpy_reference(
+    dataset, examples, schemas, learning_rate, epochs, l2
+):
+    weights, bias, means, stds, _ = _reference_train(dataset, learning_rate, epochs, l2)
+    model = train_logistic(dataset, learning_rate, epochs, l2)
+    assert max(abs(ours - theirs) for ours, theirs in zip(model.weights, weights)) <= 1e-12
+    assert abs(model.bias - bias) <= 1e-12
+    assert all(map(math.isclose, model.feature_means, means))
+    assert all(map(math.isclose, model.feature_stds, stds))
+
+    # No decision flips at the score 0.5, on a training row or on a bundled example.
+    evaluation = [fv for fv, _ in dataset]
+    evaluation += [extract_features(ex.question, schemas[ex.db_id]) for ex in examples]
+    for features in evaluation:
+        reference = _reference_score(weights, bias, means, stds, features)
+        assert (route_logistic(model, features).score >= 0.5) == (reference >= 0.5)
 
 
 # ---------------------------------------------------------------------------
