@@ -102,7 +102,7 @@ def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
     The synthetic leading ``[-1, "*"]`` column is dropped and all column
     references are re-based to (table index, table-local column index).
     Database file paths are derived as ``<dir>/database/<db_id>/<db_id>.sqlite``
-    relative to the tables file.
+    relative to the tables file. Two records with one db_id raise CorpusParseError.
     """
     path = Path(path)
     records = _read_json_array(path)
@@ -117,6 +117,8 @@ def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
             schema = _schema_from_record(record, database_dir)
         except (KeyError, TypeError) as exc:
             raise CorpusParseError(f"{path}: malformed schema record {db_id!r}: {exc}") from exc
+        if db_id in schemas:
+            raise CorpusParseError(f"{path}: two schema records with db_id {db_id!r}")
         schemas[db_id] = schema
     return schemas
 

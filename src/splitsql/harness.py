@@ -600,6 +600,22 @@ def record_from_dict(data: dict) -> PerExampleRecord:
     return record
 
 
+# What each field of a records file may hold: a test, and what a failing value should be.
+_A_STRING = (lambda value: isinstance(value, str), "a string")
+_A_BIT = (lambda value: value is None or type(value) is int and value in (0, 1), "0, 1 or null")
+_RECORD_FIELD_CHECKS = {
+    **dict.fromkeys(("example_id", "db_id", "final_sql_baseline", "final_sql_module", "error"),
+                    _A_STRING),
+    "table_count": (lambda value: type(value) is int, "an int"),
+    "baseline_correct": _A_BIT,
+    "module_correct": _A_BIT,
+    "trace_paths": (lambda value: isinstance(value, list) and len(value) == 2
+                    and all(isinstance(path, str) for path in value), "two strings"),
+    "route_taken": (lambda value: value in ("", BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE),
+                    f'"", "{BRANCH_BASELINE}" or "{BRANCH_DIVIDE_AND_MERGE}"'),
+}
+
+
 def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -609,7 +625,8 @@ def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
 
 def load_records(path: str | Path) -> list[PerExampleRecord]:
     """The records write_records wrote. RecordsFileError names the file when it cannot be
-    read, is not JSON, or is not a list of objects that each give the fields without a default."""
+    read, is not JSON, or is not a list of objects that each give the fields without a default;
+    it names the record and the field too when a field holds what write_records never writes."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -624,6 +641,10 @@ def load_records(path: str | Path) -> list[PerExampleRecord]:
         missing = [name for name in ("example_id", "db_id", "table_count") if name not in row]
         if missing:
             raise RecordsFileError(f"{path}: record {index} lacks {', '.join(missing)}")
+        for name, (valid, wanted) in _RECORD_FIELD_CHECKS.items():
+            if name in row and not valid(row[name]):
+                raise RecordsFileError(f"{path}: record {index} field {name} must be {wanted},"
+                                       f" not {json.dumps(row[name])}")
     return [record_from_dict(row) for row in data]
 
 

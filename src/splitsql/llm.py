@@ -392,7 +392,8 @@ class CompletionCache:
     """Model replies kept under a directory, keyed by the full request.
 
     Hits come only from the ``*.jsonl`` files present when the cache opens;
-    a line that cannot be read back is skipped, so its call is made again.
+    a line that cannot be read back, or whose key or reply field is not of its
+    JSON type, is skipped, so its call is made again.
     New replies go to a file of this cache's own, created on the first
     ``put``, one flushed JSON line each. A cold run with a cache therefore
     makes the same calls as a run without one, and two runs never append to
@@ -408,10 +409,14 @@ class CompletionCache:
             for line in path.read_bytes().splitlines():
                 try:
                     entry = json.loads(line)
-                    response = CompletionResponse(**entry["response"])
-                    self._replies.setdefault(entry["key"], response)
+                    key, response = entry["key"], CompletionResponse(**entry["response"])
                 except (ValueError, KeyError, TypeError):
                     continue
+                counts = (response.prompt_tokens, response.completion_tokens,
+                          response.latency_ms, response.retries)
+                if isinstance(key, str) and isinstance(response.text, str) and all(
+                        type(count) is int for count in counts):
+                    self._replies.setdefault(key, response)
 
     def get(self, key: str) -> CompletionResponse | None:
         return self._replies.get(key)

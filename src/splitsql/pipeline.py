@@ -36,11 +36,8 @@ from .prompts import (
     STAGE_REFINEMENT,
     STAGE_SUBQUERY_GENERATION,
     STAGE_TABLE_SELECTION,
-    FewShotExample,
-    PromptTemplate,
     SqlExtractionError,
     extract_sql,
-    format_fewshot,
     load_fewshot,
     load_templates,
     parse_subquestions,
@@ -127,7 +124,7 @@ class StageContext:
     max_refinements: int
     fewshot: str = ""
     timeout_ms: int = DEFAULT_TIMEOUT_MS
-    templates: dict[str, PromptTemplate] = field(default_factory=load_templates)
+    templates: dict[str, str] = field(default_factory=load_templates)
     transcript: list[TranscriptEntry] = field(default_factory=list)
 
     def ask(self, endpoint: ModelEndpoint, stage: str, bindings: dict[str, str]) -> str:
@@ -294,8 +291,8 @@ def _arm(stages):
     arm(example, schema, config, models, db_path, *, example_id, templates,
     fewshot, timeout_ms) -> PipelineTrace: the one signature both arms share.
 
-    The arm builds its trace and StageContext, with the few-shot text
-    formatted once, and runs the stages timed as "total". A provider failure
+    The arm builds its trace and StageContext (a fewshot of None is the
+    shipped pairs' text) and runs the stages timed as "total". A provider failure
     inside them ends the arm: the trace keeps the stages done so far, an
     error annotation and empty final SQL.
     """
@@ -308,13 +305,13 @@ def _arm(stages):
         db_path: str | Path,
         *,
         example_id: str = "",
-        templates: dict[str, PromptTemplate] | None = None,
-        fewshot: list[FewShotExample] | None = None,
+        templates: dict[str, str] | None = None,
+        fewshot: str | None = None,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
     ) -> PipelineTrace:
         trace = PipelineTrace(example_id=example_id or example.db_id)
-        fewshot_text = format_fewshot(load_fewshot() if fewshot is None else fewshot)
-        ctx = StageContext(example.question, models, db_path, config.max_refinements, fewshot_text,
+        fewshot = load_fewshot() if fewshot is None else fewshot
+        ctx = StageContext(example.question, models, db_path, config.max_refinements, fewshot,
                            timeout_ms, templates or load_templates(), trace.transcript)
         with _timed(trace, "total"):
             try:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .executor import _TOKEN_RE
@@ -30,7 +29,7 @@ STAGE_COLUMN_SELECTION = "column_selection"
 STAGE_BASELINE = "baseline"
 STAGE_JUDGE = "judge"
 
-# Placeholders each shipped stage template must bind.
+# Placeholders each stage's template must hold; load_templates checks every file.
 REQUIRED_PLACEHOLDERS = {
     STAGE_TABLE_SELECTION: frozenset({"question", "schema"}),
     STAGE_DECOMPOSITION: frozenset({"question", "schema"}),
@@ -46,48 +45,13 @@ REQUIRED_PLACEHOLDERS = {
 _PLACEHOLDER_RE = re.compile(r"\{(" + "|".join(PLACEHOLDER_NAMES) + r")\}")
 
 
-class RenderError(ValueError):
-    def __init__(self, placeholder: str):
-        super().__init__(f"missing required placeholder binding: {placeholder!r}")
-        self.placeholder = placeholder
-
-
 class SqlExtractionError(ValueError):
     """The model reply contains nothing recognizable as SQL."""
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    stage_label: str
-    body: str
-    required_placeholders: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        present = set(_PLACEHOLDER_RE.findall(self.body))
-        missing = self.required_placeholders - present
-        if missing:
-            raise ValueError(
-                f"template {self.stage_label!r} body lacks required"
-                f" placeholder(s) {sorted(missing)}"
-            )
-
-
-@dataclass(frozen=True)
-class FewShotExample:
-    question: str
-    sql: str
-
-    def __post_init__(self):
-        if not self.question or not self.sql:
-            raise ValueError("few-shot question and sql must be non-empty")
-
-
-def render(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Pure textual substitution; unbound optional placeholders become ''."""
-    for name in template.required_placeholders:
-        if name not in bindings:
-            raise RenderError(name)
-    return _PLACEHOLDER_RE.sub(lambda m: bindings.get(m.group(1), ""), template.body)
+def render(template: str, bindings: dict[str, str]) -> str:
+    """Pure textual substitution; unbound placeholders become ''."""
+    return _PLACEHOLDER_RE.sub(lambda m: bindings.get(m.group(1), ""), template)
 
 
 _NUMBERED_RE = re.compile(
@@ -157,28 +121,34 @@ def builtin_template_dir() -> Path:
     return Path(__file__).parent / "templates"
 
 
-def load_templates(directory: str | Path | None = None) -> dict[str, PromptTemplate]:
-    """Load all stage templates from a directory (defaults to the shipped set)."""
+def load_templates(directory: str | Path | None = None) -> dict[str, str]:
+    """Load all stage templates from a directory (defaults to the shipped set).
+    A file that lacks a placeholder its stage binds raises ValueError naming it."""
     directory = Path(directory) if directory else builtin_template_dir()
     templates = {}
     for stage, required in REQUIRED_PLACEHOLDERS.items():
         path = directory / f"{stage}.txt"
         if not path.is_file():
             raise FileNotFoundError(f"missing prompt template: {path}")
-        templates[stage] = PromptTemplate(
-            stage_label=stage,
-            body=path.read_text(encoding="utf-8"),
-            required_placeholders=required,
-        )
+        templates[stage] = path.read_text(encoding="utf-8")
+        missing = required - set(_PLACEHOLDER_RE.findall(templates[stage]))
+        if missing:
+            raise ValueError(f"{path}: template lacks required placeholder(s) {sorted(missing)}")
     return templates
 
 
-def load_fewshot(path: str | Path | None = None) -> list[FewShotExample]:
+def load_fewshot(path: str | Path | None = None) -> str:
+    """The {examples} text of a few-shot file: a JSON array of objects with
+    non-empty string question and sql. Anything else raises ValueError naming it."""
     path = Path(path) if path else builtin_template_dir() / "fewshot.json"
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return [FewShotExample(question=row["question"], sql=row["sql"]) for row in data]
-
-
-def format_fewshot(examples: list[FewShotExample]) -> str:
-    blocks = [f"Question: {ex.question}\nSQL: {ex.sql}" for ex in examples]
-    return "\n\n".join(blocks)
+    try:
+        rows = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a JSON array of question/sql pairs")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, dict) and all(
+                isinstance(row.get(key), str) and row[key] for key in ("question", "sql"))):
+            raise ValueError(f"{path}: pair {i} needs non-empty string question and sql")
+    return "\n\n".join(f"Question: {row['question']}\nSQL: {row['sql']}" for row in rows)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .dataset import DatabaseSchema, FeatureVector, FEATURE_NAMES
 from .llm import ModelEndpoint, TranscriptEntry, _fields
-from .prompts import STAGE_JUDGE, PromptTemplate, load_templates, render
+from .prompts import STAGE_JUDGE, load_templates, render
 
 BRANCH_BASELINE = "baseline"
 BRANCH_DIVIDE_AND_MERGE = "divide_and_merge"
@@ -195,7 +195,7 @@ def route_judge(
     schema: DatabaseSchema,
     reasoning_model: ModelEndpoint,
     *,
-    templates: dict[str, PromptTemplate] | None = None,
+    templates: dict[str, str] | None = None,
     transcript: list[TranscriptEntry] | None = None,
 ) -> RouteDecision:
     """Ask the reasoning model for a single SIMPLE/COMPLEX verdict.

@@ -349,6 +349,14 @@ def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command
     assert not out and not model_path.exists()
 
 
+def _records_text(*overrides, **fields) -> str:
+    """A records file of one record per override (one when none is given),
+    each a well-formed record with the override's fields and then these."""
+    base = {"example_id": "ex0000", "db_id": "d", "table_count": 3,
+            "baseline_correct": 1, "module_correct": 0}
+    return json.dumps([{**base, **override, **fields} for override in overrides or ({},)])
+
+
 @pytest.mark.parametrize("command", ["report", "sweep", "compare", "route-train"])
 @pytest.mark.parametrize(
     "content, message",
@@ -358,8 +366,27 @@ def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command
         ('{"example_id": "ex0000"}', "records.json: a records file must hold a JSON array"),
         ('["ex0000"]', "records.json: record 0 is not a JSON object"),
         ('[{"example_id": "ex0000"}]', "records.json: record 0 lacks db_id, table_count"),
+        (_records_text(baseline_correct=2),
+         "records.json: record 0 field baseline_correct must be 0, 1 or null, not 2"),
+        (_records_text(module_correct=True),
+         "records.json: record 0 field module_correct must be 0, 1 or null, not true"),
+        (_records_text(example_id=5), "records.json: record 0 field example_id must be a string"),
+        (_records_text(db_id=None), "records.json: record 0 field db_id must be a string, not null"),
+        (_records_text(final_sql_module=["SELECT 1"]),
+         "records.json: record 0 field final_sql_module must be a string"),
+        (_records_text(error=0), "records.json: record 0 field error must be a string, not 0"),
+        (_records_text({}, {"table_count": "3"}),
+         'records.json: record 1 field table_count must be an int, not "3"'),
+        (_records_text(table_count=True),
+         "records.json: record 0 field table_count must be an int, not true"),
+        (_records_text(trace_paths=["a.json"]),
+         'records.json: record 0 field trace_paths must be two strings, not ["a.json"]'),
+        (_records_text(route_taken="x"),
+         'records.json: record 0 field route_taken must be "", "baseline" or "divide_and_merge"'),
     ],
-    ids=["missing", "not-json", "object", "string-row", "lacking-fields"],
+    ids=["missing", "not-json", "object", "string-row", "lacking-fields", "bit-2", "bit-true",
+         "int-example-id", "null-db-id", "list-sql", "int-error", "string-table-count",
+         "bool-table-count", "one-trace-path", "unknown-route"],
 )
 def test_a_bad_records_file_prints_one_line_and_exits_2(
     tmp_path, corpus_root, capsys, command, content, message

@@ -113,6 +113,17 @@ def test_a_malformed_schema_record_is_a_parse_error_naming_file_and_db_id(tmp_pa
         load_schemas(path)
 
 
+def test_two_schema_records_with_one_db_id_are_a_parse_error(tmp_path):
+    def record(table):
+        return {"db_id": "twice", "table_names_original": [table],
+                "column_names_original": [[-1, "*"], [0, "a"]], "foreign_keys": []}
+
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([record("first"), record("second")]))
+    with pytest.raises(CorpusParseError, match=r"tables\.json: two schema records with db_id 'twice'"):
+        load_schemas(path)
+
+
 def test_malformed_json_reports_byte_offset(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text('[{"db_id": }]')

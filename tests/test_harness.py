@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import gold_answer_script, scripted_pair
-from splitsql import dataset, executor, harness, llm
+from splitsql import dataset, executor, harness, llm, pipeline, router
 from splitsql.harness import (
     ARM_BASELINE,
     ARM_BOTH,
@@ -61,7 +61,7 @@ from splitsql.llm import (
     connection_pool,
 )
 from splitsql.pipeline import MERGE_LAST_SUBQUERY, PipelineConfig, canonical_trace_bytes
-from splitsql.prompts import builtin_template_dir, format_fewshot, load_fewshot
+from splitsql.prompts import REQUIRED_PLACEHOLDERS, builtin_template_dir, load_fewshot, load_templates
 from splitsql.router import BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE
 
 
@@ -1023,6 +1023,12 @@ def _cache_lines(run_config) -> list[str]:
     ]
 
 
+def _with_reply_fields(lines: list[str], **fields) -> list[str]:
+    entry = json.loads(lines[0])
+    entry["response"].update(fields)
+    return [json.dumps(entry)] + lines[1:]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -1030,8 +1036,12 @@ def _cache_lines(run_config) -> list[str]:
         lambda lines: ["[1, 2]"] + lines[1:],
         lambda lines: ['{"key": ' + json.dumps(json.loads(lines[0])["key"]) + "}"] + lines[1:],
         lambda lines: lines[1:] + [lines[0][: len(lines[0]) // 2]],
+        lambda lines: _with_reply_fields(lines, text=None),
+        lambda lines: _with_reply_fields(lines, text=7),
+        lambda lines: _with_reply_fields(lines, retries=True),
     ],
-    ids=["bad_json", "not_an_object", "no_fields", "cut_last_line"],
+    ids=["bad_json", "not_an_object", "no_fields", "cut_last_line", "null_text", "int_text",
+         "bool_retries"],
 )
 def test_corrupt_cache_entry_counts_as_a_miss(run_config, tmp_path, damage):
     # Each damage hits the line of the first call (ex0000's baseline), whose
@@ -1186,7 +1196,7 @@ def test_the_prompt_settings_reach_every_prompt(
 
     records = run_benchmark(run_config, arm, endpoints_for=endpoints_for)
     assert all(r.module_correct == 1 and not r.error for r in records)
-    examples_text = format_fewshot(load_fewshot(tmp_path / "fewshot.json"))
+    examples_text = load_fewshot(tmp_path / "fewshot.json")
     seen = Counter()
     for path in (run_config.run_dir / "traces").iterdir():
         for entry in json.loads(path.read_text())["transcript"]:
@@ -1202,6 +1212,37 @@ def test_the_prompt_settings_reach_every_prompt(
                 "merge_executor", "column_selection"}
     expected |= {"baseline", "refinement"} if arm == ARM_BOTH else {"judge"}
     assert set(seen) == expected and seen["subquery_generation"] == 2 * len(records)
+
+
+@pytest.mark.parametrize("arm", [ARM_BOTH, ARM_ROUTED], ids=["both", "judge-routed"])
+def test_every_stage_binds_its_required_placeholders(run_config, schemas, monkeypatch, arm):
+    # Templates are checked for their placeholders when they load; this checks the
+    # other half, that each stage's code binds every one its template must hold.
+    stage_of = {text: stage for stage, text in load_templates().items()}
+    assert len(stage_of) == len(REQUIRED_PLACEHOLDERS)  # a template's text names its stage
+    unbound = Counter()
+
+    def checked(render):
+        def wrapper(template, bindings):
+            stage = stage_of[template]
+            unbound[stage] += len(REQUIRED_PLACEHOLDERS[stage] - set(bindings))
+            return render(template, bindings)
+        return wrapper
+
+    for module in (pipeline, router):
+        monkeypatch.setattr(module, "render", checked(module.render))
+    run_config.pipeline, run_config.router_kind = PipelineConfig(), "judge"
+
+    def endpoints_for(example_id, example):
+        judge = [("SIMPLE or COMPLEX", "COMPLEX")] if arm == ARM_ROUTED else []
+        return scripted_pair(judge + gold_answer_script(example, schemas[example.db_id]))
+
+    records = run_benchmark(run_config, arm, endpoints_for=endpoints_for)
+    assert all(r.module_correct == 1 and not r.error for r in records)
+    expected = {"table_selection", "decomposition", "subquery_generation", "merge_planner",
+                "merge_executor", "column_selection"}
+    expected |= {"baseline", "refinement"} if arm == ARM_BOTH else {"judge"}
+    assert unbound == dict.fromkeys(expected, 0)
 
 
 def test_each_schema_is_rendered_once_per_judge_routed_run(run_config, monkeypatch):

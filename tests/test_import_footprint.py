@@ -2,7 +2,7 @@
 http.client and ssl load only for an HTTP call; urllib3 never loads, and
 neither does concurrent.futures (with the logging it imports), even for a run
 that starts threads. The package imports nothing that pyproject.toml does not
-declare, and it declares nothing.
+declare, and it declares nothing; no module of it imports a name it never uses.
 
 The footprint checks run in a fresh interpreter: other test modules load
 these modules into this one.
@@ -184,3 +184,19 @@ def test_the_declared_dependencies_are_the_imported_ones():
     pyproject = tomllib.loads((SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8"))
     declared = {re.match(r"[\w.-]+", spec).group() for spec in pyproject["project"]["dependencies"]}
     assert third_party == declared
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((SRC_DIR / "splitsql").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []

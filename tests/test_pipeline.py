@@ -574,7 +574,7 @@ def test_each_schema_is_serialized_once_per_arm(
     baseline_rendered = len(rendered)
     run_baseline(
         avg_example, schema, PipelineConfig(),
-        scripted_pair([("in one step", AVG_ORDERED_SQL)]), orders_db, fewshot=[],
+        scripted_pair([("in one step", AVG_ORDERED_SQL)]), orders_db, fewshot="",
     )
     # The text belongs to the schema object, so the baseline arm renders nothing.
     assert rendered[baseline_rendered:] == []
@@ -817,7 +817,7 @@ def test_provider_failure_yields_error_trace(orders_schema, orders_db, avg_examp
 def test_stage_timing_keys_per_arm(orders_schema, orders_db, avg_example):
     baseline = run_baseline(
         avg_example, orders_schema, PipelineConfig(max_refinements=3),
-        scripted_pair(baseline_wrong_avg_script()), orders_db, fewshot=[],
+        scripted_pair(baseline_wrong_avg_script()), orders_db, fewshot="",
     )
     assert set(baseline.stage_timings_ms) == {"baseline", "total"}
 
@@ -842,7 +842,7 @@ def test_stage_timing_keys_per_arm(orders_schema, orders_db, avg_example):
 def test_run_baseline_wrong_answer_traced(avg_example, orders_schema, orders_db):
     pair = scripted_pair(baseline_wrong_avg_script())
     trace = run_baseline(
-        avg_example, orders_schema, PipelineConfig(max_refinements=3), pair, orders_db, fewshot=[]
+        avg_example, orders_schema, PipelineConfig(max_refinements=3), pair, orders_db, fewshot=""
     )
     assert trace.subquestions == []
     assert trace.subqueries == []
@@ -854,7 +854,7 @@ def test_run_baseline_wrong_answer_traced(avg_example, orders_schema, orders_db)
 def test_run_baseline_gold_reply_scores_equal(avg_example, orders_schema, orders_db):
     pair = scripted_pair([("in one step", avg_example.gold_sql)])
     trace = run_baseline(
-        avg_example, orders_schema, PipelineConfig(max_refinements=3), pair, orders_db, fewshot=[]
+        avg_example, orders_schema, PipelineConfig(max_refinements=3), pair, orders_db, fewshot=""
     )
     assert execution_accuracy(avg_example, trace.final_sql, orders_db).verdict.equal
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,12 +9,9 @@ from splitsql.prompts import (
     _FENCE_RE,
     _SQL_START_RE,
     REQUIRED_PLACEHOLDERS,
-    FewShotExample,
-    PromptTemplate,
-    RenderError,
     SqlExtractionError,
+    builtin_template_dir,
     extract_sql,
-    format_fewshot,
     load_fewshot,
     load_templates,
     parse_subquestions,
@@ -26,40 +25,51 @@ from splitsql.prompts import (
 
 
 def test_render_substitutes():
-    template = PromptTemplate("t", "Q: {question}", frozenset({"question"}))
-    assert render(template, {"question": "x"}) == "Q: x"
-
-
-def test_render_missing_required_names_placeholder():
-    template = PromptTemplate("t", "S: {schema}", frozenset({"schema"}))
-    with pytest.raises(RenderError, match="schema"):
-        render(template, {})
+    assert render("Q: {question}", {"question": "x"}) == "Q: x"
 
 
 def test_render_unbound_optional_becomes_empty():
-    template = PromptTemplate("t", "A{examples}B", frozenset())
-    assert render(template, {}) == "AB"
+    assert render("A{examples}B", {}) == "AB"
 
 
-def test_render_includes_all_fewshot_pairs():
-    examples = [FewShotExample(f"q{i}", f"SELECT {i}") for i in range(3)]
-    template = PromptTemplate("t", "{examples}", frozenset())
-    rendered = render(template, {"examples": format_fewshot(examples)})
-    for i in range(3):
-        assert f"q{i}" in rendered
-        assert f"SELECT {i}" in rendered
+def test_render_includes_all_fewshot_pairs(tmp_path):
+    pairs = [{"question": f"q{i}", "sql": f"SELECT {i}"} for i in range(3)]
+    (tmp_path / "fewshot.json").write_text(json.dumps(pairs))
+    rendered = render("{examples}", {"examples": load_fewshot(tmp_path / "fewshot.json")})
+    assert rendered == "Question: q0\nSQL: SELECT 0\n\nQuestion: q1\nSQL: SELECT 1" \
+        "\n\nQuestion: q2\nSQL: SELECT 2"
 
 
-def test_template_body_must_contain_required_placeholders():
-    with pytest.raises(ValueError):
-        PromptTemplate("t", "no placeholders", frozenset({"question"}))
+def test_template_body_must_contain_required_placeholders(tmp_path):
+    for template in builtin_template_dir().glob("*.txt"):
+        (tmp_path / template.name).write_bytes(template.read_bytes())
+    (tmp_path / "judge.txt").write_text("Is {question} hard?")
+    with pytest.raises(ValueError, match=r"judge\.txt: .*\['schema'\]"):
+        load_templates(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        ("[{", "not JSON"),
+        ('{"question": "q", "sql": "SELECT 1"}', "expected a JSON array"),
+        ('[{"question": "q"}]', "pair 0 needs"),
+        ('[{"question": "q", "sql": "SELECT 1"}, {"question": 5, "sql": "SELECT 1"}]', "pair 1 needs"),
+        ('[{"question": "", "sql": "SELECT 1"}]', "pair 0 needs"),
+        ('["q"]', "pair 0 needs"),
+    ],
+    ids=["not-json", "object", "no-sql", "int-question", "empty-question", "string-row"],
+)
+def test_a_bad_fewshot_file_is_a_value_error_naming_it(tmp_path, content, problem):
+    path = tmp_path / "fewshot.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"fewshot.json: {problem}"):
+        load_fewshot(path)
 
 
 def test_render_is_idempotent_on_rendered_text():
-    template = PromptTemplate("t", "Q: {question} S: {schema}", frozenset({"question"}))
-    rendered = render(template, {"question": "who?", "schema": "t (a)"})
-    again = render(PromptTemplate("t", rendered, frozenset()), {})
-    assert again == rendered
+    rendered = render("Q: {question} S: {schema}", {"question": "who?", "schema": "t (a)"})
+    assert render(rendered, {}) == rendered
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +299,9 @@ def test_shipped_templates_load_and_bind():
     templates = load_templates()
     assert set(templates) == set(REQUIRED_PLACEHOLDERS)
     for stage, template in templates.items():
-        assert template.stage_label == stage
+        assert template == (builtin_template_dir() / f"{stage}.txt").read_text(encoding="utf-8")
 
 
 def test_shipped_fewshot_has_five_pairs():
     fewshot = load_fewshot()
-    assert len(fewshot) == 5
+    assert fewshot.count("Question: ") == fewshot.count("\nSQL: ") == 5
