@@ -15,7 +15,7 @@ from .harness import (
     ARM_BOTH,
     ARMS,
     EXAMPLE_ID,
-    RecordsFileError,
+    InputFileError,
     build_report,
     emit_report,
     load_config,
@@ -29,7 +29,6 @@ from .pipeline import MERGE_LAST_SUBQUERY, MERGE_PLANNER_EXECUTOR
 from .router import (
     BRANCH_DIVIDE_AND_MERGE,
     UndefinedAccuracyError,
-    dataset_from_outcomes,
     oracle_branch,
     route_logistic,
     save_router_model,
@@ -129,7 +128,7 @@ def _cmd_route_train(args) -> int:
     examples = load_examples(config.examples_file)
 
     by_id = {EXAMPLE_ID.format(index): example for index, example in enumerate(examples)}
-    outcomes = []
+    rows = []  # (features, 1 when the pipeline alone was correct, 0 when the baseline was)
     for record in records:
         if record.baseline_correct is None or record.module_correct is None:
             continue
@@ -140,8 +139,9 @@ def _cmd_route_train(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        if oracle_branch(record.baseline_correct, record.module_correct) is None:
-            continue  # only disagreement rows train
+        branch = oracle_branch(record.baseline_correct, record.module_correct)
+        if branch is None:
+            continue  # only disagreement rows train: elsewhere both arms score alike
         schema = schemas.get(example.db_id)
         if schema is None:
             print(
@@ -151,9 +151,8 @@ def _cmd_route_train(args) -> int:
             )
             return 1
         features = extract_features(example.question, schema)
-        outcomes.append((features, record.baseline_correct, record.module_correct))
+        rows.append((features, int(branch == BRANCH_DIVIDE_AND_MERGE)))
 
-    rows = dataset_from_outcomes(outcomes)
     if not rows:
         print("no disagreement examples; nothing to train on", file=sys.stderr)
         return 1
@@ -278,7 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RecordsFileError as exc:  # a --records, --reference, --a or --b file
+    except InputFileError as exc:  # a --records, --reference, --a or --b file, or a run's input
         print(f"splitsql: {exc}", file=sys.stderr)
         return 2
 

@@ -11,14 +11,13 @@ from collections import deque
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
 from .dataset import BenchmarkExample
 
 DEFAULT_TIMEOUT_MS = 30000
-DEFAULT_FLOAT_TOLERANCE = 1e-6
+FLOAT_TOLERANCE = 1e-6
 
 # How many SQLite VM instructions run between progress-handler checks.
 _PROGRESS_INTERVAL = 1000
@@ -41,7 +40,7 @@ _EXACT_INT_BOUND = 2**53
 _MATCH_STEPS = 1_000_000
 
 # The current execution_memo() scope: its memo (outcomes by (db path, sql, timeout_ms), gold
-# order modes by gold SQL, accuracy outcomes by (that key, gold SQL, tolerance)) and its
+# order modes by gold SQL, accuracy outcomes by (that key, gold SQL)) and its
 # connection pool or None; None outside any scope.
 _MEMO: ContextVar[tuple | None] = ContextVar("splitsql_execution_memo", default=None)
 
@@ -248,43 +247,43 @@ def _cell_sort_key(cell):
     return (1, float(cell))
 
 
-def _cells_equal(a, b, float_tolerance: float) -> bool:
+def _cells_equal(a, b) -> bool:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         fa, fb = float(a), float(b)
-        return fa == fb or abs(fa - fb) <= float_tolerance
+        return fa == fb or abs(fa - fb) <= FLOAT_TOLERANCE
     return type(a) is type(b) and a == b
 
 
-def _column_kinds(rows: tuple, column: int, float_tolerance: float) -> tuple[bool, bool]:
+def _column_kinds(rows: tuple, column: int) -> tuple[bool, bool]:
     """(native, soft): whether Python's own order sorts the column as _cell_sort_key does
     (only str, only bytes, or only int and float, every int within +-2**53), and whether
-    two of its cells can be equal without being identical (a float, an int past +-2**53,
-    or any int under a tolerance of 1 or more). Read in passes over the rows, never copied."""
+    two of its cells can be equal without being identical (a float or an int past
+    +-2**53). Read in passes over the rows, never copied."""
     cells = itemgetter(column)
     kinds = set(map(type, map(cells, rows)))
     ints = map(cells, rows) if kinds == {int} else (c for c in map(cells, rows) if type(c) is int)
     big = int in kinds and max(map(abs, ints)) > _EXACT_INT_BOUND
     native = kinds == {str} or kinds == {bytes} or (kinds <= {int, float} and not big)
-    return native, float in kinds or (int in kinds and (big or float_tolerance >= 1))
+    return native, float in kinds or big
 
 
-def _sorted_by_key(table: ResultTable, float_tolerance: float) -> tuple[list[tuple], list]:
+def _sorted_by_key(table: ResultTable) -> tuple[list[tuple], list]:
     """The rows stably sorted by _cell_sort_key, with no key computed per
     cell when every column sorts natively, and each column's _column_kinds."""
-    kinds = [_column_kinds(table.rows, i, float_tolerance) for i in range(table.column_count)]
+    kinds = [_column_kinds(table.rows, i) for i in range(table.column_count)]
     key = None if all(n for n, _ in kinds) else lambda row: tuple(map(_cell_sort_key, row))
     return sorted(table.rows, key=key), kinds
 
 
-def _rows_equal(gold_row: tuple, pred_row: tuple, float_tolerance: float) -> bool:
-    return all(map(_cells_equal, gold_row, pred_row, repeat(float_tolerance)))
+def _rows_equal(gold_row: tuple, pred_row: tuple) -> bool:
+    return all(map(_cells_equal, gold_row, pred_row))
 
 
-def _narrowing_order(rows: list[tuple], columns: list[int], float_tolerance: float) -> list[int]:
+def _narrowing_order(rows: list[tuple], columns: list[int]) -> list[int]:
     """The columns, most distinct values first over about 1,000 rows, numbers
     counted at twice the tolerance's grain: narrowing first on a column whose
     values all lie within the tolerance would leave every row a candidate."""
-    sample, grain = rows[:: len(rows) // 1000 + 1], 2 * float_tolerance
+    sample, grain = rows[:: len(rows) // 1000 + 1], 2 * FLOAT_TOLERANCE
 
     def distinct(column: int) -> int:
         cells = map(itemgetter(column), sample)
@@ -294,7 +293,7 @@ def _narrowing_order(rows: list[tuple], columns: list[int], float_tolerance: flo
 
 
 def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], gold_kinds: list,
-                   pred_kinds: list, float_tolerance: float) -> bool:
+                   pred_kinds: list) -> bool:
     """Whether the rows, sorted by _sorted_by_key with these _column_kinds, pair
     off one to one under _cells_equal. A column soft in neither table is exact:
     its cells equal only identical ones. With at most one soft column, both lists
@@ -304,21 +303,21 @@ def _rows_pair_off(gold_rows: list[tuple], pred_rows: list[tuple], gold_kinds: l
     soft = [c for c in columns if gold_kinds[c][1] or pred_kinds[c][1]]
     exact = [c for c in columns if c not in soft]
     if len(soft) > 1:
-        return _match(gold_rows, pred_rows, exact, soft, float_tolerance)
+        return _match(gold_rows, pred_rows, exact, soft)
     if soft != list(columns[len(exact):]):  # the soft column comes before an exact one
         for rows, kinds in ((gold_rows, gold_kinds), (pred_rows, pred_kinds)):
             for c in reversed(exact):  # stable passes, the first exact column last
                 rows.sort(key=itemgetter(c) if kinds[c][0] else lambda row: _cell_sort_key(row[c]))
-    return all(map(_rows_equal, gold_rows, pred_rows, repeat(float_tolerance)))
+    return all(map(_rows_equal, gold_rows, pred_rows))
 
 
-def _match(gold: list, pred: list, exact: list, soft: list, float_tolerance: float) -> bool:
+def _match(gold: list, pred: list, exact: list, soft: list) -> bool:
     """Whether the rows pair off under _cells_equal. Each predicted row, fewest
     candidates first, takes a gold row it equals, moving earlier ones along an
     augmenting path where it must; candidates are bisected on the exact cells,
     then on the first soft column in _narrowing_order. Unequal after
     _MATCH_STEPS row comparisons and search edges."""
-    column = _narrowing_order(gold, soft, float_tolerance)[0]
+    column = _narrowing_order(gold, soft)[0]
     key = lambda row, last: (*(_cell_sort_key(row[c]) for c in exact), last)  # noqa: E731
     gold_key = lambda g: key(gold[g], _cell_sort_key(gold[g][column]))  # noqa: E731
     order = sorted(range(len(gold)), key=gold_key)
@@ -329,12 +328,12 @@ def _match(gold: list, pred: list, exact: list, soft: list, float_tolerance: flo
         if not p or row != pred[p - 1]:  # identical rows, adjacent once sorted, share candidates
             low = high = _cell_sort_key(row[column])
             if low[0] == 1:
-                low, high = (1, low[1] - 2 * float_tolerance), (1, low[1] + 2 * float_tolerance)
+                low, high = (1, low[1] - 2 * FLOAT_TOLERANCE), (1, low[1] + 2 * FLOAT_TOLERANCE)
             window = order[bisect_left(keys, key(row, low)):bisect_right(keys, key(row, high))]
             steps += len(window)
             if steps > _MATCH_STEPS:
                 return False
-            candidates = [g for g in window if _rows_equal(row, gold[g], float_tolerance)]
+            candidates = [g for g in window if _rows_equal(row, gold[g])]
         reach.append(candidates)
     holder = [None] * len(gold)  # gold row -> the predicted row paired with it
     taken = {}  # candidate list -> how many of its gold rows are taken, for good, from its start
@@ -369,13 +368,12 @@ def compare_results(
     gold: ResultTable,
     pred: ResultTable,
     order_sensitive: bool,
-    float_tolerance: float = DEFAULT_FLOAT_TOLERANCE,
 ) -> ComparisonVerdict:
     """Compare two result tables.
 
     Rows are multisets unless order_sensitive; duplicate rows count. Column
     order within a row always matters. Numeric cells (integer or real)
-    compare within the absolute tolerance, text and blobs byte-exact, and
+    compare within the absolute FLOAT_TOLERANCE, text and blobs byte-exact, and
     null equals only null. Unordered rows are equal when they pair off one
     to one under these rules, whatever order sorting gives rows that differ
     within the tolerance.
@@ -405,15 +403,15 @@ def compare_results(
 
     gold_rows, pred_rows = gold.rows, pred.rows
     if not order_sensitive:
-        gold_rows, gold_kinds = _sorted_by_key(gold, float_tolerance)
-        pred_rows, pred_kinds = _sorted_by_key(pred, float_tolerance)
+        gold_rows, gold_kinds = _sorted_by_key(gold)
+        pred_rows, pred_kinds = _sorted_by_key(pred)
         if gold_rows == pred_rows:
             return ComparisonVerdict(equal=True)
 
     for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):
-        if not _rows_equal(gold_row, pred_row, float_tolerance):
+        if not _rows_equal(gold_row, pred_row):
             if not order_sensitive and _rows_pair_off(gold_rows, pred_rows, gold_kinds,
-                                                      pred_kinds, float_tolerance):
+                                                      pred_kinds):
                 return ComparisonVerdict(equal=True)
             return ComparisonVerdict(
                 equal=False,
@@ -427,7 +425,6 @@ def execution_accuracy(
     predicted_sql: str,
     db_path: str | Path,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
-    float_tolerance: float = DEFAULT_FLOAT_TOLERANCE,
 ) -> AccuracyOutcome:
     """Score a prediction by comparing execution results against the gold query.
 
@@ -459,7 +456,7 @@ def execution_accuracy(
         return AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=None)
 
     key = (str(db_path), predicted_sql, timeout_ms)
-    scored_key = (key, example.gold_sql, float_tolerance)
+    scored_key = (key, example.gold_sql)
     if scored_key in memo:
         return memo[scored_key]
     pred_outcome = execute_sql(db_path, predicted_sql, timeout_ms)
@@ -470,7 +467,7 @@ def execution_accuracy(
         )
     else:
         verdict = compare_results(
-            gold_outcome.result, pred_outcome.result, order_sensitive, float_tolerance
+            gold_outcome.result, pred_outcome.result, order_sensitive
         )
         if key in memo and key != gold_key:  # the gold rows stay for the other arm
             memo[key] = pred_outcome = _SCORED

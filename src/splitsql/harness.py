@@ -24,7 +24,6 @@ from .dataset import (
     load_schemas,
 )
 from .executor import (
-    DEFAULT_FLOAT_TOLERANCE,
     DEFAULT_TIMEOUT_MS,
     DatabaseOpenError,
     DatasetIntegrityError,
@@ -77,9 +76,9 @@ class UndefinedCorrelationError(ValueError):
     """Correlation is undefined: zero variance or too few groups."""
 
 
-class RecordsFileError(ValueError, TypeError):
-    """A records file that cannot be read or does not hold a list of record objects.
-    It is a TypeError too, as the record constructor's own error for a missing field is."""
+class InputFileError(ValueError):
+    """A file a run or report reads (tables, examples, prompts, few-shot pairs, router
+    model or records) that is not given, cannot be read, or holds what it must not."""
 
 
 @dataclass
@@ -166,7 +165,6 @@ class RunConfig:
     worker_count: int = 1
     cache_dir: Path | None = None
     timeout_ms: int = DEFAULT_TIMEOUT_MS
-    float_tolerance: float = DEFAULT_FLOAT_TOLERANCE
     prompts_dir: Path | None = None
     fewshot_file: Path | None = None
     limit: int | None = None
@@ -180,8 +178,6 @@ class RunConfig:
             raise ValueError(f"unknown router kind {self.router_kind!r}")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
-        if not self.float_tolerance >= 0:  # also rejects NaN
-            raise ValueError("float_tolerance must be >= 0")
 
 
 # The settings a config file may give, as (section, JSON key, field name);
@@ -192,7 +188,6 @@ _PIPELINE_KEYS = (
     ("pipeline", "column_selection", "column_selection_enabled"),
     ("pipeline", "max_refinements", "max_refinements"),
     ("pipeline", "parallel_subqueries", "parallel_subqueries"),
-    ("pipeline", "subquery_fanout_width", "subquery_fanout_width"),
 )
 _RUN_KEYS = (
     ("dataset", "tables", "tables_file"),
@@ -207,14 +202,13 @@ _RUN_KEYS = (
     ("harness", "cache_dir", "cache_dir"),
     ("harness", "limit", "limit"),
     ("executor", "timeout_ms", "timeout_ms"),
-    ("executor", "float_tolerance", "float_tolerance"),
     ("prompts", "dir", "prompts_dir"),
     ("prompts", "fewshot_file", "fewshot_file"),
 )
-# Every setting a config file may give, by dotted name; harness.run_seed is retired and ignored.
+# Every setting a config file may give, by dotted name.
 _CONFIG_KEYS = frozenset(
     [f"{section}.{key}" for section, key, _ in _PIPELINE_KEYS + _RUN_KEYS]
-    + ["dataset.root", "harness.run_seed"]
+    + ["dataset.root"]
     + [f"llm.{role}.{field.name}" for section, role, _ in _RUN_KEYS if section == "llm"
        for field in fields(EndpointSpec)]
 )
@@ -591,15 +585,6 @@ def emit_report(report: EvalReport, fmt: str, path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(PerExampleRecord))
-
-
-def record_from_dict(data: dict) -> PerExampleRecord:
-    record = PerExampleRecord(**{name: data[name] for name in _RECORD_FIELDS if name in data})
-    record.trace_paths = tuple(record.trace_paths)
-    return record
-
-
 # What each field of a records file may hold: a test, and what a failing value should be.
 _A_STRING = (lambda value: isinstance(value, str), "a string")
 _A_BIT = (lambda value: value is None or type(value) is int and value in (0, 1), "0, 1 or null")
@@ -624,28 +609,33 @@ def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
 
 
 def load_records(path: str | Path) -> list[PerExampleRecord]:
-    """The records write_records wrote. RecordsFileError names the file when it cannot be
+    """The records write_records wrote. InputFileError names the file when it cannot be
     read, is not JSON, or is not a list of objects that each give the fields without a default;
     it names the record and the field too when a field holds what write_records never writes."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise RecordsFileError(f"{path}: cannot read records: {exc.strerror or exc}") from exc
+        raise InputFileError(f"{path}: cannot read records: {exc.strerror or exc}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise RecordsFileError(f"{path}: records file is not JSON: {exc}") from exc
+        raise InputFileError(f"{path}: records file is not JSON: {exc}") from exc
     if not isinstance(data, list):
-        raise RecordsFileError(f"{path}: a records file must hold a JSON array")
+        raise InputFileError(f"{path}: a records file must hold a JSON array")
+    records = []
     for index, row in enumerate(data):
         if not isinstance(row, dict):
-            raise RecordsFileError(f"{path}: record {index} is not a JSON object")
+            raise InputFileError(f"{path}: record {index} is not a JSON object")
         missing = [name for name in ("example_id", "db_id", "table_count") if name not in row]
         if missing:
-            raise RecordsFileError(f"{path}: record {index} lacks {', '.join(missing)}")
+            raise InputFileError(f"{path}: record {index} lacks {', '.join(missing)}")
         for name, (valid, wanted) in _RECORD_FIELD_CHECKS.items():
             if name in row and not valid(row[name]):
-                raise RecordsFileError(f"{path}: record {index} field {name} must be {wanted},"
-                                       f" not {json.dumps(row[name])}")
-    return [record_from_dict(row) for row in data]
+                raise InputFileError(f"{path}: record {index} field {name} must be {wanted},"
+                                     f" not {json.dumps(row[name])}")
+        # The checks name every field; a key that names none is not read.
+        record = PerExampleRecord(**{k: v for k, v in row.items() if k in _RECORD_FIELD_CHECKS})
+        record.trace_paths = tuple(record.trace_paths)
+        records.append(record)
+    return records
 
 
 def run_benchmark(
@@ -673,17 +663,18 @@ def run_benchmark(
     # Check the settings again: a config may have been changed since it was built.
     config = replace(config, pipeline=replace(config.pipeline))
 
-    schemas = load_schemas(config.tables_file)
-    examples = load_examples(config.examples_file)[: config.limit]
-
-    templates = load_templates(config.prompts_dir)
-    fewshot = load_fewshot(config.fewshot_file)
-
-    router_model = None
-    if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
-        if config.router_model_file is None:
-            raise ValueError("logistic routing requires router.model_file")
-        router_model = load_router_model(config.router_model_file)
+    try:
+        schemas = load_schemas(config.tables_file)
+        examples = load_examples(config.examples_file)[: config.limit]
+        templates = load_templates(config.prompts_dir)
+        fewshot = load_fewshot(config.fewshot_file)
+        router_model = None
+        if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
+            if config.router_model_file is None:
+                raise ValueError("logistic routing requires router.model_file")
+            router_model = load_router_model(config.router_model_file)
+    except (OSError, ValueError) as exc:
+        raise InputFileError(str(exc)) from exc
 
     def route(example, schema, pair, transcript):  # a routed run's RouteDecision
         if config.router_kind == KIND_JUDGE:
@@ -757,7 +748,6 @@ def run_benchmark(
                             trace.final_sql,
                             schema.db_file_path,
                             timeout_ms=config.timeout_ms,
-                            float_tolerance=config.float_tolerance,
                         ).verdict.equal)
                     setattr(record, f"{which}_correct", bit)
                     setattr(record, f"final_sql_{which}", trace.final_sql)

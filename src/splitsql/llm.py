@@ -79,8 +79,8 @@ class CompletionRequest:
             raise ValueError("messages must be non-empty")
         if self.messages[-1].role != "user":
             raise ValueError("last message must have role 'user'")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):  # also refuses NaN, which JSON cannot send
+            raise ValueError("temperature must be finite and >= 0")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
 

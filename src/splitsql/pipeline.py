@@ -51,6 +51,8 @@ MERGE_STRATEGIES = (MERGE_LAST_SUBQUERY, MERGE_PLANNER_EXECUTOR)
 
 # Hard safety cap on the refinement loop, regardless of configuration.
 MAX_REFINEMENT_CAP = 10
+# The most sub-questions of one example that a fan-out generates at once.
+SUBQUERY_FANOUT_WIDTH = 4
 
 
 @dataclass
@@ -59,7 +61,6 @@ class PipelineConfig:
     column_selection_enabled: bool = True
     max_refinements: int = 3
     parallel_subqueries: bool = False
-    subquery_fanout_width: int = 4
 
     def __post_init__(self):
         if self.merge_strategy not in MERGE_STRATEGIES:
@@ -68,8 +69,6 @@ class PipelineConfig:
             raise ValueError(
                 f"max_refinements must be in 0..{MAX_REFINEMENT_CAP}"
             )
-        if self.subquery_fanout_width < 1:
-            raise ValueError("subquery_fanout_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -407,7 +406,7 @@ def _generate_all(
         # not depend on completion order. Prior sub-queries do not exist yet, so prompts carry none.
         sides = [replace(ctx, transcript=[]) for _ in subquestions]
         results = _map_threads(lambda i: generate_subquery(sides[i], subquestions[i], reduced),
-                               range(len(subquestions)), config.subquery_fanout_width)
+                               range(len(subquestions)), SUBQUERY_FANOUT_WIDTH)
         ctx.transcript.extend(entry for side in sides for entry in side.transcript)
         return results
 

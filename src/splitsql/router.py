@@ -77,23 +77,6 @@ def oracle_branch(baseline_bit: int | None, module_bit: int | None) -> str | Non
     return None
 
 
-def dataset_from_outcomes(
-    outcomes: list[tuple[FeatureVector, int, int]],
-) -> list[tuple[FeatureVector, int]]:
-    """The (features, label) routing rows of (features, baseline bit, module bit) triples.
-
-    Only disagreement examples carry a label: 1 when the pipeline alone was
-    correct, 0 when the baseline alone was. Agreement examples are skipped
-    because either routing choice gives the same outcome.
-    """
-    rows = []
-    for features, baseline_bit, module_bit in outcomes:
-        branch = oracle_branch(baseline_bit, module_bit)
-        if branch is not None:
-            rows.append((features, int(branch == BRANCH_DIVIDE_AND_MERGE)))
-    return rows
-
-
 def route_heuristic(features: FeatureVector, table_threshold: int) -> RouteDecision:
     """Route on schema size alone: big schemas go to the pipeline."""
     if features.table_count >= table_threshold:

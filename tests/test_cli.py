@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -9,6 +10,7 @@ import pytest
 from splitsql.cli import main
 from splitsql.dataset import extract_features
 from splitsql.harness import PerExampleRecord, write_records
+from splitsql.prompts import builtin_template_dir
 from splitsql.router import load_router_model, route_logistic
 
 
@@ -447,13 +449,19 @@ def test_a_bad_override_or_limit_prints_one_line_and_exits_2(
     assert not (tmp_path / "run").exists()
 
 
+# A retired setting (the float tolerance and the fan-out width are constants now) is refused
+# whatever its value, as an unknown key of the config file; the file's path opens the line.
+RETIRED_KEY = "<unknown key> "
+
+
 @pytest.mark.parametrize(
     "section, key, value, message",
     [
         (("executor",), "timeout_ms", 0, "timeout_ms must be positive"),
         (("executor",), "timeout_ms", -5, "timeout_ms must be positive"),
-        (("executor",), "float_tolerance", -1e-6, "float_tolerance must be >= 0"),
-        (("executor",), "float_tolerance", float("nan"), "float_tolerance must be >= 0"),
+        (("executor",), "float_tolerance", -1e-6, RETIRED_KEY + "executor.float_tolerance"),
+        (("executor",), "float_tolerance", float("nan"),
+         RETIRED_KEY + "executor.float_tolerance"),
         (("llm", "coding_model"), "request_timeout_ms", 0, "timeouts and backoff must be positive"),
         (("llm", "reasoning_model"), "max_tokens", 0, "max_tokens must be positive"),
         (("harness",), "worker_count", "2", 'harness.worker_count must be an integer, not "2"'),
@@ -461,12 +469,11 @@ def test_a_bad_override_or_limit_prints_one_line_and_exits_2(
         (("harness",), "limit", "5", 'harness.limit must be an integer or null, not "5"'),
         (("executor",), "timeout_ms", "10", 'executor.timeout_ms must be an integer, not "10"'),
         (("executor",), "timeout_ms", None, "executor.timeout_ms must be an integer, not null"),
-        (("executor",), "float_tolerance", "0.1",
-         'executor.float_tolerance must be a number, not "0.1"'),
+        (("executor",), "float_tolerance", "0.1", RETIRED_KEY + "executor.float_tolerance"),
         (("pipeline",), "max_refinements", "3",
          'pipeline.max_refinements must be an integer, not "3"'),
         (("pipeline",), "subquery_fanout_width", "4",
-         'pipeline.subquery_fanout_width must be an integer, not "4"'),
+         RETIRED_KEY + "pipeline.subquery_fanout_width"),
         (("router",), "table_threshold", "5",
          'router.table_threshold must be an integer, not "5"'),
         (("llm",), "reasoning_model", "x",
@@ -478,12 +485,21 @@ def test_a_bad_override_or_limit_prints_one_line_and_exits_2(
          "llm.reasoning_model.base_url must be given"),
         (("llm", "coding_model"), "base_url", "http://127.0.0.1:9/v 1",
          "base_url contains a space or control character: 'http://127.0.0.1:9/v 1'"),
+        (("llm", "coding_model"), "base_url", "", "http provider requires base_url"),
+        (("llm", "reasoning_model"), "max_retries", -1, "max_retries must be >= 0"),
+        (("llm", "reasoning_model"), "temperature", -1, "temperature must be finite and >= 0"),
+        (("llm", "reasoning_model"), "temperature", float("nan"),
+         "temperature must be finite and >= 0"),
+        (("llm", "coding_model"), "temperature", float("inf"),
+         "temperature must be finite and >= 0"),
     ],
     ids=["timeout-0", "timeout-minus-5", "tolerance-negative", "tolerance-nan",
          "request-timeout-0", "max-tokens-0", "worker-count-string", "worker-count-bool",
          "limit-string", "timeout-string", "timeout-null", "tolerance-string",
          "refinements-string", "fanout-string", "threshold-string", "role-string",
-         "base-url-number", "root-number", "base-url-missing", "base-url-space"],
+         "base-url-number", "root-number", "base-url-missing", "base-url-space",
+         "base-url-empty", "max-retries-minus-1", "temperature-minus-1", "temperature-nan",
+         "temperature-inf"],
 )
 def test_a_bad_run_or_endpoint_setting_prints_one_line_and_exits_2(
     tmp_path, corpus_root, capsys, section, key, value, message
@@ -497,6 +513,7 @@ def test_a_bad_run_or_endpoint_setting_prints_one_line_and_exits_2(
     config.write_text(json.dumps(payload))
     assert main(["run", "--config", str(config), "--arm", "baseline", "--limit", "1"]) == 2
     out, err = capsys.readouterr()
+    message = message.replace(RETIRED_KEY, f"{config}: unknown config key(s): ")
     assert (out, err) == ("", f"splitsql: {message}\n")
     assert not (tmp_path / "run").exists()
 
@@ -512,6 +529,103 @@ def test_sweep_rejects_a_bad_point_in_one_line_with_exit_2(tmp_path, capsys, poi
     write_records(records_path, _both_arm_records())
     assert main(["sweep", "--records", str(records_path), "--points", points]) == 2
     assert capsys.readouterr() == ("", f"splitsql: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("executor", "float_tolerance", 1e-06), ("pipeline", "subquery_fanout_width", 4),
+     ("harness", "run_seed", 7)],
+    ids=["float-tolerance", "fanout-width", "run-seed"],
+)
+def test_a_retired_setting_is_an_unknown_config_key(
+    tmp_path, corpus_root, capsys, section, key, value
+):
+    config = _write_config(tmp_path, corpus_root, "http://127.0.0.1:9")
+    payload = json.loads(config.read_text())
+    payload.setdefault(section, {})[key] = value
+    config.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config), "--arm", "baseline"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"splitsql: {config}: unknown config key(s): {section}.{key}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def _template_dir_without_the_question(tmp_path):
+    directory = tmp_path / "templates"
+    shutil.copytree(builtin_template_dir(), directory)
+    (directory / "baseline.txt").write_text("Answer in SQL.\n")
+    return "templates"
+
+
+@pytest.mark.parametrize(
+    "write, settings, message",
+    [
+        (lambda tmp: (tmp / "tables.json").write_text("{}"), {"dataset": {"tables": "tables.json"}},
+         "tables.json: expected a top-level JSON array"),
+        (lambda tmp: (tmp / "dev.json").write_text("{}"), {"dataset": {"examples": "dev.json"}},
+         "dev.json: expected a top-level JSON array"),
+        (_template_dir_without_the_question, {"prompts": {"dir": "templates"}},
+         "baseline.txt: template lacks required placeholder(s)"),
+        (lambda tmp: (tmp / "few.json").write_text('{"q": 1}'),
+         {"prompts": {"fewshot_file": "few.json"}},
+         "few.json: expected a JSON array of question/sql pairs"),
+        (lambda tmp: (tmp / "router.json").write_text("[]"),
+         {"router": {"kind": "logistic", "model_file": "router.json"}},
+         "router.json: router model file does not hold a JSON object"),
+        (lambda tmp: None, {"router": {"kind": "logistic"}},
+         "logistic routing requires router.model_file"),
+    ],
+    ids=["tables", "examples", "template", "fewshot", "router-model", "router-model-unset"],
+)
+def test_a_bad_run_input_file_prints_one_line_and_exits_2(
+    tmp_path, corpus_root, capsys, write, settings, message
+):
+    config = _write_config(tmp_path, corpus_root, "http://127.0.0.1:9")
+    payload = json.loads(config.read_text())
+    write(tmp_path)
+    for section, values in settings.items():
+        payload.setdefault(section, {}).update(values)
+    config.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config), "--arm", "routed", "--limit", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("splitsql: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_report_scores_routed_decisions_against_a_reference(tmp_path, capsys):
+    # Disagreements: the pipeline alone is right on ex0000-ex0007, the
+    # baseline alone on ex0014-ex0019; routing ex0000 and ex0001 to the
+    # baseline gets 12 of those 14 right.
+    reference = tmp_path / "both.json"
+    write_records(reference, _both_arm_records())
+    routed = []
+    for index, record in enumerate(_both_arm_records()):
+        branch = "divide_and_merge" if 2 <= index < 14 else "baseline"
+        bit = record.module_correct if branch == "divide_and_merge" else record.baseline_correct
+        arm = "module" if branch == "divide_and_merge" else "baseline"
+        routed.append(PerExampleRecord(record.example_id, "db", record.table_count,
+                                       route_taken=branch, **{f"{arm}_correct": bit}))
+    records_path = tmp_path / "routed.json"
+    write_records(records_path, routed)
+    out_dir = tmp_path / "report"
+    assert main(["report", "--records", str(records_path), "--reference", str(reference),
+                 "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["realized_router_accuracy"] == round(12 / 14, 4)
+    assert report["ex_routed"] == 90.0
+    assert "Realized router accuracy: 0.8571" in capsys.readouterr().out
+
+
+def test_sweep_writes_its_points_to_the_out_file(tmp_path, capsys):
+    # Every example has a right arm and 6 of 20 have two: EX runs from 30 to 100.
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--records", str(records_path), "--points", "0,0.5,1",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == [[0.0, 30.0], [0.5, 65.0], [1.0, 100.0]]
+    assert capsys.readouterr().out.endswith(f"sweep written to {out}\n")
 
 
 def test_an_error_inside_the_run_stays_loud(tmp_path, corpus_root):

@@ -695,9 +695,7 @@ def _reference_cells_equal(a, b, float_tolerance):
     return a == b
 
 
-def _reference_compare(
-    gold, pred, order_sensitive, float_tolerance=executor.DEFAULT_FLOAT_TOLERANCE
-):
+def _reference_compare(gold, pred, order_sensitive):
     """The comparison with no fast path and its own cell rules: a stable sort
     by _reference_sort_key, then a cell-by-cell comparison of the aligned rows.
     Unordered rows that differ there are still equal when some permutation of
@@ -721,7 +719,8 @@ def _reference_compare(
         pred_rows.sort(key=key)
     def rows_equal(gold_row, pred_row):
         return all(
-            _reference_cells_equal(g, p, float_tolerance) for g, p in zip(gold_row, pred_row)
+            _reference_cells_equal(g, p, executor.FLOAT_TOLERANCE)
+            for g, p in zip(gold_row, pred_row)
         )
 
     for index, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows)):
@@ -818,7 +817,7 @@ def _near_table_pairs(draw):
     if draw(st.booleans()):
         pred = [tuple(draw(_near_cell) for _ in range(width)) for _ in range(height)]
     else:
-        tolerance = executor.DEFAULT_FLOAT_TOLERANCE
+        tolerance = executor.FLOAT_TOLERANCE
         near = {n: [m for m in _NEAR_NUMBERS if abs(m - n) <= tolerance] for n in _NEAR_NUMBERS}
         pred = draw(st.permutations(
             [tuple(draw(st.sampled_from(near.get(c, [c]))) for c in row) for row in gold]
@@ -834,7 +833,7 @@ def _shuffled(table, rng):
 
 def _jittered(table, rng):
     """Every number moved by at most 0.4 of the default tolerance."""
-    reach = 0.4 * executor.DEFAULT_FLOAT_TOLERANCE
+    reach = 0.4 * executor.FLOAT_TOLERANCE
     return ResultTable(table.column_count, tuple(
         tuple(c + rng.uniform(-reach, reach) if type(c) in (int, float) else c for c in row)
         for row in table.rows
@@ -910,13 +909,20 @@ def test_a_column_of_ints_in_one_table_and_floats_in_the_other_is_soft():
     assert compare_results(pred, gold, False).equal
 
 
-def test_integers_are_soft_once_the_tolerance_reaches_one():
-    # Under a tolerance of 1, 2 equals both 1 and 3, so the int column is no
-    # exact key: (2, 0.0) pairs with (3, 0.0), and (2, 10.0) with (1, 10.0).
-    gold = _table((1, 10.0), (3, 0.0))
-    pred = _table((2, 0.0), (2, 10.0))
-    assert compare_results(gold, pred, False, float_tolerance=1.0).equal
-    assert not compare_results(gold, pred, False, float_tolerance=0.5).equal
+def test_the_row_matching_moves_a_paired_row_along_an_augmenting_path():
+    # Cells are k * 0.7e-6: neighbours on that grid are within the tolerance,
+    # any other two at least 1.4e-6 apart. Each predicted row equals two gold
+    # rows; only (1, 3) can take (1, 4), so if it is first paired with (2, 2),
+    # the row that finds both its gold rows taken must move it along.
+    def grid(*rows):
+        return _table(*[tuple(k * 0.7e-6 for k in row) for row in rows])
+
+    gold = grid((2, 0), (1, 4), (2, 2))
+    pred = grid((1, 3), (1, 1), (2, 1))
+    assert not compare_results(gold, pred, True).equal
+    assert compare_results(gold, pred, False) == _reference_compare(gold, pred, False)
+    assert compare_results(gold, pred, False).equal
+    assert compare_results(pred, gold, False).equal
 
 
 def _paired_by_exact_cells(gold, pred, float_column, tolerance):
@@ -949,7 +955,7 @@ def _paired_by_exact_cells(gold, pred, float_column, tolerance):
 def test_one_soft_column_pairs_off_as_its_sorted_groups_do(size, step, float_first, change, rng):
     # A near-constant float column beside a low-cardinality exact one: many
     # rows are candidates for each other, which a budgeted search cannot afford.
-    tolerance = executor.DEFAULT_FLOAT_TOLERANCE
+    tolerance = executor.FLOAT_TOLERANCE
     floats = [1.0 + i * step for i in range(size)]
     rng.shuffle(floats)
     rows = [(number, rng.choice([0, 1, "a"])) for number in floats]
@@ -1062,7 +1068,7 @@ def _spider_cases(draw):
 def test_the_verdict_differs_from_result_eq_only_in_the_three_named_rules(case):
     gold, pred, sql = case
     ours = compare_results(gold, pred, has_top_level_order_by(sql)).equal
-    tolerance = executor.DEFAULT_FLOAT_TOLERANCE
+    tolerance = executor.FLOAT_TOLERANCE
     assert ours == _result_eq(gold, pred, sql, any_column_order=False,
                               float_tolerance=tolerance, order_by_anywhere=False)
     if ours != _result_eq(gold, pred, sql):

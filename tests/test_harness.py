@@ -29,6 +29,7 @@ from splitsql.harness import (
     EmptyRecordsError,
     EndpointSpec,
     EvalReport,
+    InputFileError,
     PerExampleRecord,
     RunConfig,
     UndefinedCorrelationError,
@@ -694,11 +695,12 @@ def test_run_opens_one_connection_per_thread_and_database(run_config, connection
 
 @pytest.mark.parametrize("workers, width", [(1, 2), (2, 2), (3, 4)])
 def test_fanout_run_opens_at_most_workers_times_one_plus_width_connections(
-    run_config, schemas, connections, workers, width
+    run_config, schemas, connections, monkeypatch, workers, width
 ):
     run_config.limit = None
     run_config.worker_count = workers
-    run_config.pipeline = PipelineConfig(parallel_subqueries=True, subquery_fanout_width=width)
+    run_config.pipeline = PipelineConfig(parallel_subqueries=True)
+    monkeypatch.setattr(pipeline, "SUBQUERY_FANOUT_WIDTH", width)
 
     def endpoints_for(example_id, example):
         return scripted_pair(gold_answer_script(example, schemas[example.db_id]))
@@ -952,9 +954,8 @@ def test_warm_cache_follows_the_router_threshold(run_config, tmp_path):
         lambda c: setattr(c.pipeline, "max_refinements", 1),
         lambda c: setattr(c.pipeline, "parallel_subqueries", True),
         lambda c: setattr(c, "timeout_ms", 1234),
-        lambda c: setattr(c, "float_tolerance", 1e-3),
     ],
-    ids=["max_refinements", "parallel_subqueries", "timeout_ms", "float_tolerance"],
+    ids=["max_refinements", "parallel_subqueries", "timeout_ms"],
 )
 def test_warm_cache_misses_when_a_setting_changes(run_config, tmp_path, change):
     run_config.cache_dir = tmp_path / "cache"
@@ -1349,7 +1350,7 @@ def test_records_file_matches_the_reference_serializer(tmp_path_factory, records
         row = _reference_record_dict(records[0])
         del row[name]
         path.write_text(json.dumps([row]), encoding="utf-8")
-        with pytest.raises((KeyError, TypeError), match=name):
+        with pytest.raises(InputFileError, match=name):
             load_records(path)
 
 
@@ -1437,16 +1438,15 @@ def test_load_config_round_trip(tmp_path, corpus_root):
     assert config.reasoning.model_id == "r"
 
     # A file that gives only its dataset leaves every other setting at its
-    # dataclass default; a harness.run_seed left in an old file is ignored.
-    for extra in ({}, {"harness": {"run_seed": 7}}):
-        path.write_text(json.dumps({"dataset": {"root": str(corpus_root)}, **extra}))
-        config = load_config(path)
-        assert config == RunConfig(
-            tables_file=corpus_root / "tables.json",
-            examples_file=corpus_root / "examples.json",
-            run_dir=tmp_path / "runs" / "latest",
-        )
-        assert config.pipeline == PipelineConfig()
+    # dataclass default.
+    path.write_text(json.dumps({"dataset": {"root": str(corpus_root)}}))
+    config = load_config(path)
+    assert config == RunConfig(
+        tables_file=corpus_root / "tables.json",
+        examples_file=corpus_root / "examples.json",
+        run_dir=tmp_path / "runs" / "latest",
+    )
+    assert config.pipeline == PipelineConfig()
 
 
 _ENDPOINT = {"base_url": "http://localhost:8000/v1", "model_id": "r"}
@@ -1459,14 +1459,27 @@ def test_load_config_takes_an_integer_for_a_number_and_null_where_the_default_is
     path.write_text(json.dumps({
         "dataset": {"root": str(corpus_root)},
         "llm": {"reasoning_model": {**_ENDPOINT, "temperature": 1}, "coding_model": None},
-        "executor": {"float_tolerance": 0},
         "router": {"model_file": None},
         "harness": {"limit": None, "cache_dir": "cache"},
     }))
     config = load_config(path)
-    assert (config.reasoning.temperature, config.float_tolerance) == (1, 0)
+    assert config.reasoning.temperature == 1
     assert (config.coding, config.router_model_file, config.limit) == (None, None, None)
     assert config.cache_dir == tmp_path / "cache"
+
+
+def test_the_readme_config_example_loads(tmp_path, corpus_root):
+    # Fails when the README's example names a key the loader refuses.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    payload = json.loads(example)
+    payload["dataset"]["root"] = str(corpus_root)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    config = load_config(path)
+    assert (config.tables_file, config.examples_file) == (
+        corpus_root / "tables.json", corpus_root / "examples.json")
+    assert config.reasoning.model_id == "my-reasoning-model"
 
 
 @pytest.mark.parametrize(
@@ -1699,7 +1712,6 @@ def test_pooled_connection_closed_unannounced_is_not_a_retry(counting_server):
 
 def test_parallel_fanout_stays_within_the_pool(http_run_config, counting_server, kept_pools):
     http_run_config.pipeline.parallel_subqueries = True
-    http_run_config.pipeline.subquery_fanout_width = 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # six threads share one pool: switch often to expose a race
     try:

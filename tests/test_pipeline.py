@@ -587,8 +587,7 @@ def test_parallel_and_serial_produce_identical_subqueries(
         avg_example, orders_schema, orders_db, parallel_subqueries=False
     )
     parallel = _run_avg_scenario(
-        avg_example, orders_schema, orders_db, parallel_subqueries=True,
-        subquery_fanout_width=4,
+        avg_example, orders_schema, orders_db, parallel_subqueries=True
     )
     assert serial.final_sql == parallel.final_sql
     assert serial.subqueries == parallel.subqueries
@@ -647,9 +646,12 @@ def test_fan_out_transcript_follows_subquestion_order(avg_example, orders_schema
     assert canonical_trace_bytes(traces[0]) == canonical_trace_bytes(traces[1])
 
 
-def test_a_fan_out_failure_starts_no_further_subquery(avg_example, orders_schema, orders_db):
+def test_a_fan_out_failure_starts_no_further_subquery(
+    avg_example, orders_schema, orders_db, monkeypatch
+):
     # Sub-question 1 has no script entry, so its call raises ProviderError;
     # the other three are answerable but must never be asked.
+    monkeypatch.setattr(pipeline, "SUBQUERY_FANOUT_WIDTH", 1)
     script = [
         ("table names", "Products"),
         ("sub-questions", "1. step one\n2. step two\n3. step three\n4. step four"),
@@ -663,7 +665,7 @@ def test_a_fan_out_failure_starts_no_further_subquery(avg_example, orders_schema
         endpoint = ModelEndpoint(ProviderConfig(kind=KIND_SCRIPTED, script=state), "scripted")
         config = PipelineConfig(
             merge_strategy=MERGE_LAST_SUBQUERY, column_selection_enabled=False,
-            parallel_subqueries=parallel, subquery_fanout_width=1,
+            parallel_subqueries=parallel,
         )
         trace = run_divide_and_merge(
             avg_example, orders_schema, config, ModelPair(endpoint, endpoint), orders_db

@@ -17,7 +17,6 @@ from splitsql.router import (
     RouterTrainingError,
     UndefinedAccuracyError,
     _largest_eigenvalue,
-    dataset_from_outcomes,
     load_router_model,
     oracle_branch,
     route_heuristic,
@@ -370,11 +369,11 @@ def _bundled_dataset(schemas, examples) -> Rows:
     """The rows route-train trains on for the CLI tests' records over the bundled
     corpus: the pipeline alone is right on the first 8 examples, the baseline
     alone on the last 6."""
-    bits = [(0, 1)] * 8 + [(1, 1)] * 6 + [(1, 0)] * 6
-    return dataset_from_outcomes([
-        (extract_features(example.question, schemas[example.db_id]), *pair)
-        for example, pair in zip(examples, bits)
-    ])
+    labels = [1] * 8 + [None] * 6 + [0] * 6
+    return [
+        (extract_features(example.question, schemas[example.db_id]), label)
+        for example, label in zip(examples, labels) if label is not None
+    ]
 
 
 @pytest.fixture(params=["separable", "noisy", "bundled"])
@@ -489,14 +488,6 @@ def test_judge_unparseable_falls_back_with_note(schemas):
 # ---------------------------------------------------------------------------
 
 
-def test_dataset_from_outcomes_labels_disagreements_only():
-    fv = _features()
-    rows = dataset_from_outcomes(
-        [(fv, 0, 1), (fv, 1, 0), (fv, 1, 1), (fv, 0, 0)]
-    )
-    assert [label for _, label in rows] == [1, 0]
-
-
 @pytest.mark.parametrize(
     "baseline_bit, module_bit, branch",
     [
@@ -523,15 +514,6 @@ _ROUTE = st.sampled_from([BRANCH_BASELINE, BRANCH_DIVIDE_AND_MERGE])
 @given(st.lists(st.tuples(_BIT, _BIT, _ROUTE), max_size=20))
 def test_only_oracle_examples_are_labelled_and_scored(rows):
     oracles = [oracle_branch(b, m) for b, m, _ in rows]
-    labelled = dataset_from_outcomes(
-        [(_features(table_count=i), b, m) for i, (b, m, _) in enumerate(rows)]
-    )
-    assert [(fv.table_count, label) for fv, label in labelled] == [
-        (i, int(oracle == BRANCH_DIVIDE_AND_MERGE))
-        for i, oracle in enumerate(oracles)
-        if oracle is not None
-    ]
-
     reference = [PerExampleRecord(f"ex{i:04d}", "db", 3, b, m) for i, (b, m, _) in enumerate(rows)]
     routed = [
         PerExampleRecord(f"ex{i:04d}", "db", 3, route_taken=route)
