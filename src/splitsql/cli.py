@@ -10,12 +10,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import minicorpus
-from .dataset import extract_features, load_examples, load_schemas
+from .dataset import InputFileError, extract_features, load_examples, load_schemas
 from .harness import (
     ARM_BOTH,
     ARMS,
     EXAMPLE_ID,
-    InputFileError,
     build_report,
     emit_report,
     load_config,
@@ -41,17 +40,16 @@ _MERGE_STRATEGIES = {"last": MERGE_LAST_SUBQUERY, "planner": MERGE_PLANNER_EXECU
 
 def _load_config(path: str, pipeline: dict | None = None, run: dict | None = None):
     """The run configuration, with each pipeline or run setting given here that is
-    not None in place of the file's and checked as the file's are; or None after
-    printing why the file or a setting cannot serve. Errors of the run stay loud."""
+    not None in place of the file's and checked as the file's are. A file or setting
+    that cannot serve raises InputFileError; errors of the run stay loud."""
     def given(settings: dict | None) -> dict:
         return {name: value for name, value in (settings or {}).items() if value is not None}
 
     try:
         config = load_config(path)
         return replace(config, pipeline=replace(config.pipeline, **given(pipeline)), **given(run))
-    except (OSError, ValueError) as exc:
-        print(f"splitsql: {exc}", file=sys.stderr)
-        return None
+    except ValueError as exc:
+        raise InputFileError(str(exc)) from exc
 
 
 def _cmd_run(args) -> int:
@@ -61,9 +59,6 @@ def _cmd_run(args) -> int:
         {"merge_strategy": _MERGE_STRATEGIES.get(args.merge), "column_selection_enabled": cs},
         {"worker_count": args.workers, "limit": args.limit, "run_dir": args.run_dir},
     )
-    if config is None:
-        return 2
-
     records = run_benchmark(config, args.arm)
     report = build_report(records)
     run_dir = Path(config.run_dir)
@@ -122,8 +117,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_route_train(args) -> int:
     records = load_records(args.records)
     config = _load_config(args.config)
-    if config is None:
-        return 2
     schemas = load_schemas(config.tables_file)
     examples = load_examples(config.examples_file)
 
@@ -277,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFileError as exc:  # a --records, --reference, --a or --b file, or a run's input
+    except InputFileError as exc:  # a config, records or corpus file, or another run input
         print(f"splitsql: {exc}", file=sys.stderr)
         return 2
 

@@ -14,11 +14,12 @@ AGGREGATION_KEYWORDS = ("average", "count", "sum", "total", "number of")
 SUPERLATIVE_KEYWORDS = ("most", "least", "highest", "lowest", "maximum", "minimum")
 
 
-class CorpusParseError(ValueError):
-    """A corpus file could not be parsed into records."""
+class InputFileError(ValueError):
+    """A file a run or report reads (config, tables, examples, prompts, few-shot pairs,
+    router model or records) that is not given, cannot be read, or holds what it must not."""
 
 
-class SchemaIntegrityError(ValueError):
+class SchemaIntegrityError(InputFileError):
     """A schema record references table/column indices that do not exist."""
 
 
@@ -83,16 +84,29 @@ class FeatureVector:
 FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
-def _read_json_array(path: Path) -> list:
-    text = path.read_text(encoding="utf-8")
+def read_text(path: str | Path, what: str, form: str = "UTF-8 text") -> str:
+    """The text of a UTF-8 file; `what` names the kind of file in errors. InputFileError names
+    the file when it cannot be read, or when it is not UTF-8 and so not the form it must be."""
     try:
-        data = json.loads(text)
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except OSError as exc:
+        raise InputFileError(f"{path}: cannot read {what}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path}: {what} is not {form}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str, kind: type = list):
+    """The value of a JSON file, which must be a list (or a dict, for kind=dict).
+    InputFileError names the file when it cannot be read, is not JSON, or holds another value."""
+    try:
+        data = json.loads(read_text(path, what, "JSON"))
     except json.JSONDecodeError as exc:
-        raise CorpusParseError(
-            f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, list):
-        raise CorpusParseError(f"{path}: expected a top-level JSON array")
+        raise InputFileError(f"{path}: {what} is not JSON: {exc}") from exc
+    if not isinstance(data, kind):
+        article = "an" if what[0] in "aeiou" else "a"
+        shape = "array" if kind is list else "object"
+        raise InputFileError(f"{path}: {article} {what} must hold a JSON {shape}")
     return data
 
 
@@ -102,30 +116,30 @@ def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
     The synthetic leading ``[-1, "*"]`` column is dropped and all column
     references are re-based to (table index, table-local column index).
     Database file paths are derived as ``<dir>/database/<db_id>/<db_id>.sqlite``
-    relative to the tables file. Two records with one db_id raise CorpusParseError.
+    relative to the tables file. Two records with one db_id raise InputFileError.
     """
     path = Path(path)
-    records = _read_json_array(path)
+    records = read_json(path, "tables file")
     database_dir = path.parent / "database"
 
     schemas: dict[str, DatabaseSchema] = {}
     for record in records:
         db_id = record.get("db_id") if isinstance(record, dict) else None
         if not db_id:
-            raise CorpusParseError(f"{path}: schema record without db_id")
+            raise InputFileError(f"{path}: schema record without db_id")
         try:
             schema = _schema_from_record(record, database_dir)
         except (KeyError, TypeError) as exc:
-            raise CorpusParseError(f"{path}: malformed schema record {db_id!r}: {exc}") from exc
+            raise InputFileError(f"{path}: malformed schema record {db_id!r}: {exc}") from exc
         if db_id in schemas:
-            raise CorpusParseError(f"{path}: two schema records with db_id {db_id!r}")
+            raise InputFileError(f"{path}: two schema records with db_id {db_id!r}")
         schemas[db_id] = schema
     return schemas
 
 
 def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
     """A record's schema. A record of the wrong shape raises KeyError or TypeError (which
-    load_schemas reports as CorpusParseError); a dangling reference SchemaIntegrityError."""
+    load_schemas reports as InputFileError); a dangling reference SchemaIntegrityError."""
     db_id = record["db_id"]
     table_names = record["table_names_original"]
     if not isinstance(table_names, list) or not all(isinstance(n, str) for n in table_names):
@@ -177,19 +191,18 @@ def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
 
 def load_examples(path: str | Path) -> list[BenchmarkExample]:
     """Load a Spider-layout ``dev.json``/``test.json`` example file."""
-    path = Path(path)
-    records = _read_json_array(path)
+    records = read_json(path, "examples file")
     examples = []
     for index, record in enumerate(records):
         if not isinstance(record, dict):
-            raise CorpusParseError(f"{path}: record {index} is not an object")
+            raise InputFileError(f"{path}: record {index} is not an object")
         for field_name in ("question", "query", "db_id"):
             if field_name not in record:
-                raise CorpusParseError(f"{path}: record {index} is missing {field_name!r}")
+                raise InputFileError(f"{path}: record {index} is missing {field_name!r}")
             if not isinstance(record[field_name], str):
-                raise CorpusParseError(f"{path}: record {index} has non-string {field_name!r}")
+                raise InputFileError(f"{path}: record {index} has non-string {field_name!r}")
             if not record[field_name]:
-                raise CorpusParseError(f"{path}: record {index} has empty {field_name!r}")
+                raise InputFileError(f"{path}: record {index} has empty {field_name!r}")
         examples.append(
             BenchmarkExample(
                 question=record["question"],

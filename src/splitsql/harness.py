@@ -19,9 +19,11 @@ from pathlib import Path
 
 from .dataset import (
     BenchmarkExample,
+    InputFileError,
     extract_features,
     load_examples,
     load_schemas,
+    read_json,
 )
 from .executor import (
     DEFAULT_TIMEOUT_MS,
@@ -74,11 +76,6 @@ class EmptyRecordsError(ValueError):
 
 class UndefinedCorrelationError(ValueError):
     """Correlation is undefined: zero variance or too few groups."""
-
-
-class InputFileError(ValueError):
-    """A file a run or report reads (tables, examples, prompts, few-shot pairs, router
-    model or records) that is not given, cannot be read, or holds what it must not."""
 
 
 @dataclass
@@ -257,12 +254,7 @@ def _setting(name: str, value, owner: type, field_name: str, base: Path):
 def load_config(path: str | Path) -> RunConfig:
     """Load the JSON run configuration (paths resolve relative to the file)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not a valid JSON config file: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: a config file must hold a JSON object")
+    raw = read_json(path, "config file", dict)
     unknown = _unknown_keys(raw)
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
@@ -609,17 +601,12 @@ def write_records(path: str | Path, records: list[PerExampleRecord]) -> None:
 
 
 def load_records(path: str | Path) -> list[PerExampleRecord]:
-    """The records write_records wrote. InputFileError names the file when it cannot be
-    read, is not JSON, or is not a list of objects that each give the fields without a default;
-    it names the record and the field too when a field holds what write_records never writes."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputFileError(f"{path}: cannot read records: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise InputFileError(f"{path}: records file is not JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise InputFileError(f"{path}: a records file must hold a JSON array")
+    """The records write_records wrote. InputFileError names the file when it cannot be read,
+    is not JSON, or is not a non-empty list of objects that each give the fields without a
+    default; it names the record and field too when a field holds what write_records never wrote."""
+    data = read_json(path, "records file")
+    if not data:
+        raise InputFileError(f"{path}: a records file holds no records")
     records = []
     for index, row in enumerate(data):
         if not isinstance(row, dict):
@@ -663,18 +650,15 @@ def run_benchmark(
     # Check the settings again: a config may have been changed since it was built.
     config = replace(config, pipeline=replace(config.pipeline))
 
-    try:
-        schemas = load_schemas(config.tables_file)
-        examples = load_examples(config.examples_file)[: config.limit]
-        templates = load_templates(config.prompts_dir)
-        fewshot = load_fewshot(config.fewshot_file)
-        router_model = None
-        if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
-            if config.router_model_file is None:
-                raise ValueError("logistic routing requires router.model_file")
-            router_model = load_router_model(config.router_model_file)
-    except (OSError, ValueError) as exc:
-        raise InputFileError(str(exc)) from exc
+    schemas = load_schemas(config.tables_file)
+    examples = load_examples(config.examples_file)[: config.limit]
+    templates = load_templates(config.prompts_dir)
+    fewshot = load_fewshot(config.fewshot_file)
+    router_model = None
+    if arm == ARM_ROUTED and config.router_kind == KIND_LOGISTIC:
+        if config.router_model_file is None:
+            raise InputFileError("logistic routing requires router.model_file")
+        router_model = load_router_model(config.router_model_file)
 
     def route(example, schema, pair, transcript):  # a routed run's RouteDecision
         if config.router_kind == KIND_JUDGE:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
+from .dataset import InputFileError, read_json, read_text
 from .executor import _TOKEN_RE
 
 PLACEHOLDER_NAMES = (
@@ -122,33 +122,27 @@ def builtin_template_dir() -> Path:
 
 
 def load_templates(directory: str | Path | None = None) -> dict[str, str]:
-    """Load all stage templates from a directory (defaults to the shipped set).
-    A file that lacks a placeholder its stage binds raises ValueError naming it."""
+    """Load all stage templates from a directory (defaults to the shipped set). A file
+    that is missing or lacks a placeholder its stage binds raises InputFileError naming it."""
     directory = Path(directory) if directory else builtin_template_dir()
     templates = {}
     for stage, required in REQUIRED_PLACEHOLDERS.items():
         path = directory / f"{stage}.txt"
-        if not path.is_file():
-            raise FileNotFoundError(f"missing prompt template: {path}")
-        templates[stage] = path.read_text(encoding="utf-8")
+        templates[stage] = read_text(path, "prompt template")
         missing = required - set(_PLACEHOLDER_RE.findall(templates[stage]))
         if missing:
-            raise ValueError(f"{path}: template lacks required placeholder(s) {sorted(missing)}")
+            raise InputFileError(
+                f"{path}: template lacks required placeholder(s) {sorted(missing)}")
     return templates
 
 
 def load_fewshot(path: str | Path | None = None) -> str:
     """The {examples} text of a few-shot file: a JSON array of objects with
-    non-empty string question and sql. Anything else raises ValueError naming it."""
-    path = Path(path) if path else builtin_template_dir() / "fewshot.json"
-    try:
-        rows = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(rows, list):
-        raise ValueError(f"{path}: expected a JSON array of question/sql pairs")
+    non-empty string question and sql. Anything else raises InputFileError naming it."""
+    path = path or builtin_template_dir() / "fewshot.json"
+    rows = read_json(path, "few-shot file")
     for i, row in enumerate(rows):
         if not (isinstance(row, dict) and all(
                 isinstance(row.get(key), str) and row[key] for key in ("question", "sql"))):
-            raise ValueError(f"{path}: pair {i} needs non-empty string question and sql")
+            raise InputFileError(f"{path}: pair {i} needs non-empty string question and sql")
     return "\n\n".join(f"Question: {row['question']}\nSQL: {row['sql']}" for row in rows)

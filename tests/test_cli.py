@@ -328,7 +328,7 @@ def test_route_train_rejects_hyper_parameters_that_cannot_train(
         ('{"pipeline": {"colum_selection": false}}',
          "bad.json: unknown config key(s): pipeline.colum_selection"),
         ('{"pipeline": {"merge_strategy": "vote"}}', "unknown merge strategy 'vote'"),
-        ("{not json", "bad.json: not a valid JSON config file: Expecting property name"),
+        ("{not json", "bad.json: config file is not JSON: Expecting property name"),
         ('{"router": {"kind": "logstic"}}', "unknown router kind 'logstic'"),
         (None, "No such file or directory"),
         ("[]", "bad.json: a config file must hold a JSON object"),
@@ -363,7 +363,7 @@ def _records_text(*overrides, **fields) -> str:
 @pytest.mark.parametrize(
     "content, message",
     [
-        (None, "records.json: cannot read records: No such file or directory"),
+        (None, "records.json: cannot read records file: No such file or directory"),
         ("[{not json", "records.json: records file is not JSON: Expecting property name"),
         ('{"example_id": "ex0000"}', "records.json: a records file must hold a JSON array"),
         ('["ex0000"]', "records.json: record 0 is not a JSON object"),
@@ -385,10 +385,11 @@ def _records_text(*overrides, **fields) -> str:
          'records.json: record 0 field trace_paths must be two strings, not ["a.json"]'),
         (_records_text(route_taken="x"),
          'records.json: record 0 field route_taken must be "", "baseline" or "divide_and_merge"'),
+        ("[]", "records.json: a records file holds no records"),
     ],
     ids=["missing", "not-json", "object", "string-row", "lacking-fields", "bit-2", "bit-true",
          "int-example-id", "null-db-id", "list-sql", "int-error", "string-table-count",
-         "bool-table-count", "one-trace-path", "unknown-route"],
+         "bool-table-count", "one-trace-path", "unknown-route", "empty"],
 )
 def test_a_bad_records_file_prints_one_line_and_exits_2(
     tmp_path, corpus_root, capsys, command, content, message
@@ -561,17 +562,17 @@ def _template_dir_without_the_question(tmp_path):
     "write, settings, message",
     [
         (lambda tmp: (tmp / "tables.json").write_text("{}"), {"dataset": {"tables": "tables.json"}},
-         "tables.json: expected a top-level JSON array"),
+         "tables.json: a tables file must hold a JSON array"),
         (lambda tmp: (tmp / "dev.json").write_text("{}"), {"dataset": {"examples": "dev.json"}},
-         "dev.json: expected a top-level JSON array"),
+         "dev.json: an examples file must hold a JSON array"),
         (_template_dir_without_the_question, {"prompts": {"dir": "templates"}},
          "baseline.txt: template lacks required placeholder(s)"),
         (lambda tmp: (tmp / "few.json").write_text('{"q": 1}'),
          {"prompts": {"fewshot_file": "few.json"}},
-         "few.json: expected a JSON array of question/sql pairs"),
+         "few.json: a few-shot file must hold a JSON array"),
         (lambda tmp: (tmp / "router.json").write_text("[]"),
          {"router": {"kind": "logistic", "model_file": "router.json"}},
-         "router.json: router model file does not hold a JSON object"),
+         "router.json: a router model file must hold a JSON object"),
         (lambda tmp: None, {"router": {"kind": "logistic"}},
          "logistic routing requires router.model_file"),
     ],
@@ -591,6 +592,86 @@ def test_a_bad_run_input_file_prints_one_line_and_exits_2(
     assert not out and err.startswith("splitsql: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "write, dataset, message",
+    [
+        (lambda tmp: (tmp / "bad_tables.json").write_text("{}"), {"tables": "bad_tables.json"},
+         "bad_tables.json: a tables file must hold a JSON array"),
+        (lambda tmp: None, {"examples": "missing.json"},
+         "missing.json: cannot read examples file: No such file or directory"),
+    ],
+    ids=["tables-object", "examples-missing"],
+)
+def test_a_bad_corpus_file_makes_route_train_print_one_line_and_exit_2(
+    tmp_path, corpus_root, capsys, write, dataset, message
+):
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    payload = json.loads(config.read_text())
+    payload["dataset"].update(dataset)
+    config.write_text(json.dumps(payload))
+    write(tmp_path)
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    model_path = tmp_path / "router.json"
+    assert main(["route-train", "--records", str(records_path), "--config", str(config),
+                 "--out", str(model_path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"splitsql: {tmp_path / message}\n"
+    assert not model_path.exists()
+
+
+def test_run_counts_the_records_with_error_notes(tmp_path, corpus_root, constant_server, capsys):
+    examples = json.loads((corpus_root / "examples.json").read_text())[:2]
+    examples.append({"question": "q", "query": "SELECT 1", "db_id": "no_such_db"})
+    (tmp_path / "examples.json").write_text(json.dumps(examples))
+    config = _write_config(tmp_path, corpus_root, constant_server)
+    payload = json.loads(config.read_text())
+    payload["dataset"]["examples"] = str(tmp_path / "examples.json")
+    config.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config), "--arm", "baseline", "--workers", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "examples: 3\n" in out and "records with error notes: 1\n" in out
+    records = json.loads((tmp_path / "run" / "records.json").read_text())
+    assert [bool(record["error"]) for record in records] == [False, False, True]
+
+
+def test_report_with_a_reference_of_no_disagreement_says_why_it_has_no_accuracy(
+    tmp_path, capsys
+):
+    agreeing = [PerExampleRecord(f"ex{i:04d}", "db", 3, 1, 1) for i in range(4)]
+    reference = tmp_path / "both.json"
+    write_records(reference, agreeing)
+    out_dir = tmp_path / "report"
+    assert main(["report", "--records", str(reference), "--reference", str(reference),
+                 "--out", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("realized router accuracy unavailable: ") and err.count("\n") == 1
+    assert json.loads((out_dir / "report.json").read_text())["realized_router_accuracy"] is None
+
+
+def test_route_train_with_no_disagreement_rows_trains_nothing(tmp_path, corpus_root, capsys):
+    records_path = tmp_path / "records.json"
+    write_records(records_path, [PerExampleRecord(f"ex{i:04d}", "db", 3, 1, 1) for i in range(4)])
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    model_path = tmp_path / "router.json"
+    assert main(["route-train", "--records", str(records_path), "--config", str(config),
+                 "--out", str(model_path)]) == 1
+    assert capsys.readouterr() == ("", "no disagreement examples; nothing to train on\n")
+    assert not model_path.exists()
+
+
+def test_compare_ablation_needs_module_ex_in_both_runs(tmp_path, capsys):
+    both = tmp_path / "both.json"
+    write_records(both, _both_arm_records())
+    baseline_only = tmp_path / "baseline.json"
+    write_records(baseline_only, [PerExampleRecord("ex0000", "db", 3, baseline_correct=1)])
+    out = tmp_path / "ablation.md"
+    assert main(["compare", "--a", str(baseline_only), "--b", str(both),
+                 "--ablation", "Planner&Executor", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ablation output needs module EX in both runs\n"
+    assert not out.exists()
 
 
 def test_report_scores_routed_decisions_against_a_reference(tmp_path, capsys):

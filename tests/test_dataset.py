@@ -6,7 +6,7 @@ import sqlite3
 import pytest
 
 from splitsql.dataset import (
-    CorpusParseError,
+    InputFileError,
     DatabaseSchema,
     SchemaIntegrityError,
     SchemaReductionError,
@@ -109,8 +109,35 @@ def test_a_malformed_schema_record_is_a_parse_error_naming_file_and_db_id(tmp_pa
     }
     path = tmp_path / "tables.json"
     path.write_text(json.dumps([record]))
-    with pytest.raises(CorpusParseError, match=r"tables\.json: malformed schema record 'bad'"):
+    with pytest.raises(InputFileError, match=r"tables\.json: malformed schema record 'bad'"):
         load_schemas(path)
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"db_id": ""}, InputFileError, r"tables\.json: schema record without db_id"),
+        ({"table_names_original": []}, SchemaIntegrityError, "^bad: schema has no tables"),
+        ({"column_names_original": [[-1, "*"], [0, "a"], [3, "b"]]}, SchemaIntegrityError,
+         "^bad: column 'b' references table index 3"),
+        ({"table_names_original": ["t", "T"]}, SchemaIntegrityError,
+         "^bad: duplicate table name 'T'"),
+    ],
+    ids=["no-db-id", "no-tables", "table-index-out-of-range", "duplicate-table"],
+)
+def test_a_schema_record_that_cannot_serve_is_an_input_file_error(tmp_path, change, error, message):
+    record = {
+        "db_id": "bad",
+        "table_names_original": ["t"],
+        "column_names_original": [[-1, "*"], [0, "a"], [0, "b"]],
+        "foreign_keys": [],
+        **change,
+    }
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([record]))
+    with pytest.raises(error, match=message) as failure:
+        load_schemas(path)
+    assert isinstance(failure.value, InputFileError)
 
 
 def test_two_schema_records_with_one_db_id_are_a_parse_error(tmp_path):
@@ -120,14 +147,14 @@ def test_two_schema_records_with_one_db_id_are_a_parse_error(tmp_path):
 
     path = tmp_path / "tables.json"
     path.write_text(json.dumps([record("first"), record("second")]))
-    with pytest.raises(CorpusParseError, match=r"tables\.json: two schema records with db_id 'twice'"):
+    with pytest.raises(InputFileError, match=r"tables\.json: two schema records with db_id 'twice'"):
         load_schemas(path)
 
 
 def test_malformed_json_reports_byte_offset(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text('[{"db_id": }]')
-    with pytest.raises(CorpusParseError, match="byte offset"):
+    with pytest.raises(InputFileError, match=r"tables\.json: tables file is not JSON: .*\(char 11\)"):
         load_schemas(path)
 
 
@@ -150,14 +177,21 @@ def test_load_examples_empty_array(tmp_path):
 def test_load_examples_missing_field_names_index(tmp_path):
     path = tmp_path / "dev.json"
     path.write_text(json.dumps([{"question": "q", "db_id": "d"}]))
-    with pytest.raises(CorpusParseError, match="record 0"):
+    with pytest.raises(InputFileError, match="record 0"):
+        load_examples(path)
+
+
+def test_an_examples_record_that_is_not_an_object_names_file_and_index(tmp_path):
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": "q", "query": "SELECT 1", "db_id": "d"}, "q"]))
+    with pytest.raises(InputFileError, match=r"dev\.json: record 1 is not an object"):
         load_examples(path)
 
 
 def test_load_examples_rejects_empty_fields(tmp_path):
     path = tmp_path / "dev.json"
     path.write_text(json.dumps([{"question": "", "query": "SELECT 1", "db_id": "d"}]))
-    with pytest.raises(CorpusParseError, match="empty"):
+    with pytest.raises(InputFileError, match="empty"):
         load_examples(path)
 
 
@@ -171,7 +205,7 @@ def test_load_examples_rejects_a_field_that_is_not_a_string(tmp_path, field_name
     path = tmp_path / "dev.json"
     good = {"question": "q", "query": "SELECT 1", "db_id": "d"}
     path.write_text(json.dumps([good, {**good, field_name: value}]))
-    with pytest.raises(CorpusParseError, match=rf"dev\.json: record 1 .*'{field_name}'"):
+    with pytest.raises(InputFileError, match=rf"dev\.json: record 1 .*'{field_name}'"):
         load_examples(path)
 
 

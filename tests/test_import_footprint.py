@@ -2,7 +2,8 @@
 http.client and ssl load only for an HTTP call; urllib3 never loads, and
 neither does concurrent.futures (with the logging it imports), even for a run
 that starts threads. The package imports nothing that pyproject.toml does not
-declare, and it declares nothing; no module of it imports a name it never uses.
+declare, and it declares nothing; no module of it imports a name it never
+uses, and only dataset.read_json parses a file's text as JSON.
 
 The footprint checks run in a fresh interpreter: other test modules load
 these modules into this one.
@@ -184,6 +185,30 @@ def test_the_declared_dependencies_are_the_imported_ones():
     pyproject = tomllib.loads((SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8"))
     declared = {re.match(r"[\w.-]+", spec).group() for spec in pyproject["project"]["dependencies"]}
     assert third_party == declared
+
+
+# Where the package parses JSON text: an input file's, in dataset.read_json alone; a cache
+# line's, which is skipped when it does not parse; and an HTTP reply body's.
+_JSON_LOADS_SITES = {"dataset.read_json", "llm.CompletionCache.__init__",
+                     "llm._parse_http_response"}
+
+
+def test_only_the_input_file_reader_parses_a_file_as_json():
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in ("json.loads", "loads"):
+                sites.append(scope)
+            visit(child, scope)
+
+    for path in sorted((SRC_DIR / "splitsql").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert "dataset.read_json" in sites
+    assert [site for site in sites if site not in _JSON_LOADS_SITES] == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -810,6 +810,18 @@ def test_a_100_continue_before_the_reply_is_skipped(raw_server):
     assert (response.text, response.retries) == ("raw", 0)
 
 
+def test_a_body_less_204_reply_is_a_provider_error(raw_server):
+    server = raw_server(b"HTTP/1.1 204 No Content\r\n\r\n")
+    provider, pool = _pooled(server)
+    try:
+        with pytest.raises(ProviderError, match="HTTP 204") as failure:
+            complete(provider, _request("hi"))
+    finally:
+        pool.clear()
+    assert failure.value.status == 204
+    assert len(server.requests) == 1  # a 204 is not retried
+
+
 def _headers(count: int, width: int = 10) -> bytes:
     return b"".join(b"X-%d: %s\r\n" % (n, b"v" * width) for n in range(count))
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from splitsql.dataset import InputFileError
 from splitsql.prompts import (
     _FENCE_RE,
     _SQL_START_RE,
@@ -44,15 +45,24 @@ def test_template_body_must_contain_required_placeholders(tmp_path):
     for template in builtin_template_dir().glob("*.txt"):
         (tmp_path / template.name).write_bytes(template.read_bytes())
     (tmp_path / "judge.txt").write_text("Is {question} hard?")
-    with pytest.raises(ValueError, match=r"judge\.txt: .*\['schema'\]"):
+    with pytest.raises(InputFileError, match=r"judge\.txt: .*\['schema'\]"):
+        load_templates(tmp_path)
+
+
+def test_a_missing_template_file_is_an_input_file_error_naming_it(tmp_path):
+    for template in builtin_template_dir().glob("*.txt"):
+        (tmp_path / template.name).write_bytes(template.read_bytes())
+    (tmp_path / "judge.txt").unlink()
+    with pytest.raises(InputFileError,
+                       match=r"judge\.txt: cannot read prompt template: No such file or directory"):
         load_templates(tmp_path)
 
 
 @pytest.mark.parametrize(
     "content, problem",
     [
-        ("[{", "not JSON"),
-        ('{"question": "q", "sql": "SELECT 1"}', "expected a JSON array"),
+        ("[{", "few-shot file is not JSON"),
+        ('{"question": "q", "sql": "SELECT 1"}', "a few-shot file must hold a JSON array"),
         ('[{"question": "q"}]', "pair 0 needs"),
         ('[{"question": "q", "sql": "SELECT 1"}, {"question": 5, "sql": "SELECT 1"}]', "pair 1 needs"),
         ('[{"question": "", "sql": "SELECT 1"}]', "pair 0 needs"),
@@ -63,7 +73,7 @@ def test_template_body_must_contain_required_placeholders(tmp_path):
 def test_a_bad_fewshot_file_is_a_value_error_naming_it(tmp_path, content, problem):
     path = tmp_path / "fewshot.json"
     path.write_text(content)
-    with pytest.raises(ValueError, match=f"fewshot.json: {problem}"):
+    with pytest.raises(InputFileError, match=f"fewshot.json: {problem}"):
         load_fewshot(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import scripted_endpoint
-from splitsql.dataset import FeatureVector, extract_features
+from splitsql.dataset import FeatureVector, InputFileError, extract_features
 from splitsql.harness import PerExampleRecord, realized_router_accuracy
 from splitsql.router import (
     BRANCH_BASELINE,
@@ -152,6 +152,12 @@ def test_single_class_data_is_training_error():
         train_logistic(rows)
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_fewer_than_two_rows_is_a_training_error(count):
+    with pytest.raises(RouterTrainingError, match="need at least 2 rows"):
+        train_logistic(_separable_dataset()[:count])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("learning_rate, l2", [(1.0, 2.0), (0.5, 6.0), (40.0, 0.05)])
 def test_training_refuses_a_step_that_cannot_converge(learning_rate, l2):
@@ -280,7 +286,7 @@ def test_a_model_file_holding_nan_fails_when_it_loads(tmp_path):
     payload = json.loads(path.read_text())
     payload["weights"][0] = math.nan
     path.write_text(json.dumps(payload))  # json writes NaN, and reads it back
-    with pytest.raises(ValueError, match="^weights must be finite"):
+    with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}: weights must be finite"):
         load_router_model(path)
 
 
@@ -299,7 +305,7 @@ def test_a_malformed_model_file_names_itself_when_it_loads(tmp_path, edit):
     path = tmp_path / "router.json"
     save_router_model(train_logistic(_separable_dataset(), epochs=10), path)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: router model"):
+    with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}: (a )?router model"):
         load_router_model(path)
 
 
@@ -351,7 +357,7 @@ def test_model_file_rejects_reordered_features(tmp_path):
     save_router_model(model, path)
     text = path.read_text().replace("table_count", "zz_renamed")
     path.write_text(text)
-    with pytest.raises(ValueError, match="feature order"):
+    with pytest.raises(InputFileError, match="feature order"):
         load_router_model(path)
 
 
