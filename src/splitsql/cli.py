@@ -14,7 +14,9 @@ from .dataset import InputFileError, extract_features, load_examples, load_schem
 from .harness import (
     ARM_BOTH,
     ARMS,
+    DEFAULT_SWEEP_POINTS,
     EXAMPLE_ID,
+    EX_ROWS,
     build_report,
     emit_report,
     load_config,
@@ -67,7 +69,7 @@ def _cmd_run(args) -> int:
 
     summary = report_to_dict(report)
     print(f"examples: {summary['n']}")
-    for key in ("ex_baseline", "ex_module", "ex_routed", "ex_oracle"):
+    for key, _ in EX_ROWS:
         if summary[key] is not None:
             print(f"{key}: {summary[key]:.2f}")
     failed = sum(1 for record in records if record.error)
@@ -109,7 +111,9 @@ def _cmd_sweep(args) -> int:
         print(f"{accuracy:.2f}\t{float(expected):.2f}")
     if args.out:
         payload = [[accuracy, round(float(expected), 2)] for accuracy, expected in curve]
-        Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(payload, indent=2), encoding="utf-8")
         print(f"sweep written to {args.out}")
     return 0
 
@@ -168,14 +172,13 @@ def _cmd_route_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    records_a = load_records(args.a)
-    records_b = load_records(args.b)
-    report_a = report_to_dict(build_report(records_a))
-    report_b = report_to_dict(build_report(records_b))
+    summary_a = report_to_dict(build_report(load_records(args.a)))
+    report_b = build_report(load_records(args.b))
+    summary_b = report_to_dict(report_b)
 
     print(f"{'metric':<16}{args.label_a:>12}{args.label_b:>12}{'delta':>10}")
-    for key in ("ex_baseline", "ex_module", "ex_routed", "ex_oracle"):
-        left, right = report_a[key], report_b[key]
+    for key, _ in EX_ROWS:
+        left, right = summary_a[key], summary_b[key]
         if left is None and right is None:
             continue
         left_text = "-" if left is None else f"{left:.2f}"
@@ -185,15 +188,14 @@ def _cmd_compare(args) -> int:
 
     if args.ablation:
         # Treat run A as the CS-off arm and run B as the CS-on arm.
-        if report_a["ex_module"] is None or report_b["ex_module"] is None:
+        if summary_a["ex_module"] is None or summary_b["ex_module"] is None:
             print("ablation output needs module EX in both runs", file=sys.stderr)
             return 1
-        report = build_report(records_b)
-        report.ablation_rows = [
-            (args.ablation, report_a["ex_module"], report_b["ex_module"])
+        report_b.ablation_rows = [
+            (args.ablation, summary_a["ex_module"], summary_b["ex_module"])
         ]
         out = Path(args.out or "ablation.md")
-        emit_report(report, "markdown", out)
+        emit_report(report_b, "markdown", out)
         print(f"ablation report written to {out}")
     return 0
 
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="expected EX versus router accuracy")
     sweep.add_argument("--records", required=True)
-    sweep.add_argument("--points", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
+    sweep.add_argument("--points", default=",".join(map(str, DEFAULT_SWEEP_POINTS)))
     sweep.add_argument("--out")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -17,10 +17,6 @@ SUPERLATIVE_KEYWORDS = ("most", "least", "highest", "lowest", "maximum", "minimu
 class InputFileError(ValueError):
     """A file a run or report reads (config, tables, examples, prompts, few-shot pairs,
     router model or records) that is not given, cannot be read, or holds what it must not."""
-
-
-class SchemaIntegrityError(InputFileError):
-    """A schema record references table/column indices that do not exist."""
 
 
 class SchemaReductionError(ValueError):
@@ -37,13 +33,13 @@ class TableDef:
 class DatabaseSchema:
     """A database schema: ordered tables plus foreign-key links.
 
-    Foreign keys are (from_table, from_column, to_table, to_column) tuples of
-    table indices and table-local column indices.
+    Foreign keys are (table, column, referenced table, referenced column) tuples of
+    names, spelt as the tables and their columns spell them.
     """
 
     db_id: str
     tables: tuple[TableDef, ...]
-    foreign_keys: tuple[tuple[int, int, int, int], ...] = ()
+    foreign_keys: tuple[tuple[str, str, str, str], ...] = ()
     db_file_path: str = ""
 
     @property
@@ -113,10 +109,10 @@ def read_json(path: str | Path, what: str, kind: type = list):
 def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
     """Load a Spider-layout ``tables.json`` into DatabaseSchema values.
 
-    The synthetic leading ``[-1, "*"]`` column is dropped and all column
-    references are re-based to (table index, table-local column index).
-    Database file paths are derived as ``<dir>/database/<db_id>/<db_id>.sqlite``
-    relative to the tables file. Two records with one db_id raise InputFileError.
+    The synthetic leading ``[-1, "*"]`` column is dropped and each foreign key
+    becomes the names it links. Database file paths are derived as
+    ``<dir>/database/<db_id>/<db_id>.sqlite`` relative to the tables file. A record
+    that cannot serve, or a second record with one db_id, raises InputFileError.
     """
     path = Path(path)
     records = read_json(path, "tables file")
@@ -129,7 +125,7 @@ def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
             raise InputFileError(f"{path}: schema record without db_id")
         try:
             schema = _schema_from_record(record, database_dir)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(f"{path}: malformed schema record {db_id!r}: {exc}") from exc
         if db_id in schemas:
             raise InputFileError(f"{path}: two schema records with db_id {db_id!r}")
@@ -138,19 +134,19 @@ def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
 
 
 def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
-    """A record's schema. A record of the wrong shape raises KeyError or TypeError (which
-    load_schemas reports as InputFileError); a dangling reference SchemaIntegrityError."""
+    """A record's schema. A record of the wrong shape raises KeyError or TypeError, one that
+    cannot serve ValueError; load_schemas reports each as InputFileError naming the file."""
     db_id = record["db_id"]
     table_names = record["table_names_original"]
     if not isinstance(table_names, list) or not all(isinstance(n, str) for n in table_names):
         raise TypeError(f"table_names_original is not a list of names: {table_names!r}")
     if not table_names:
-        raise SchemaIntegrityError(f"{db_id}: schema has no tables")
+        raise ValueError("schema has no tables")
 
-    # Map global column ids to (table index, table-local column index); the
-    # "*" pseudo-columns (table index -1) stay unmapped.
+    # Map global column ids to (table name, column name); the "*" pseudo-columns
+    # (table index -1) stay unmapped.
     per_table: list[list[str]] = [[] for _ in table_names]
-    global_to_local: dict[int, tuple[int, int]] = {}
+    named: dict[int, tuple[str, str]] = {}
     for col_id, entry in enumerate(record["column_names_original"]):
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], str)):
             raise TypeError(f"column entry {entry!r} is not a [table index, name] pair")
@@ -158,16 +154,14 @@ def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
         if table_idx == -1:
             continue
         if not 0 <= table_idx < len(table_names):
-            raise SchemaIntegrityError(
-                f"{db_id}: column {col_name!r} references table index {table_idx}"
-            )
-        global_to_local[col_id] = (table_idx, len(per_table[table_idx]))
+            raise ValueError(f"column {col_name!r} references table index {table_idx}")
+        named[col_id] = (table_names[table_idx], col_name)
         per_table[table_idx].append(col_name)
 
     seen = set()
     for name in table_names:
         if name.lower() in seen:
-            raise SchemaIntegrityError(f"{db_id}: duplicate table name {name!r}")
+            raise ValueError(f"duplicate table name {name!r}")
         seen.add(name.lower())
 
     foreign_keys = []
@@ -175,11 +169,9 @@ def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise TypeError(f"foreign key {pair!r} is not a [column, column] pair")
         for col_id in pair:
-            if col_id not in global_to_local:
-                raise SchemaIntegrityError(
-                    f"{db_id}: foreign key references column index {col_id}"
-                )
-        foreign_keys.append(global_to_local[pair[0]] + global_to_local[pair[1]])
+            if col_id not in named:
+                raise ValueError(f"foreign key references column index {col_id}")
+        foreign_keys.append(named[pair[0]] + named[pair[1]])
 
     return DatabaseSchema(
         db_id=db_id,
@@ -190,8 +182,10 @@ def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
 
 
 def load_examples(path: str | Path) -> list[BenchmarkExample]:
-    """Load a Spider-layout ``dev.json``/``test.json`` example file."""
+    """Load a Spider-layout ``dev.json``/``test.json`` file of one or more examples."""
     records = read_json(path, "examples file")
+    if not records:
+        raise InputFileError(f"{path}: an examples file holds no examples")
     examples = []
     for index, record in enumerate(records):
         if not isinstance(record, dict):
@@ -215,31 +209,21 @@ def load_examples(path: str | Path) -> list[BenchmarkExample]:
 
 def reduce_schema(schema: DatabaseSchema, keep: list[str]) -> DatabaseSchema:
     """Restrict a schema to the named tables (case-insensitive match),
-    keeping the source order, db_id and database file.
+    keeping the source order, db_id and database file, and the foreign keys
+    whose two tables are kept.
 
     Names that match no table are dropped silently; the reduction never
     invents tables. An empty intersection raises SchemaReductionError.
     """
     wanted = {name.strip().lower() for name in keep if name.strip()}
-    kept_indices = [i for i, t in enumerate(schema.tables) if t.name.lower() in wanted]
-    if not kept_indices:
+    tables = tuple(t for t in schema.tables if t.name.lower() in wanted)
+    if not tables:
         raise SchemaReductionError(
             f"{schema.db_id}: none of {sorted(wanted)!r} match a schema table"
         )
-
-    old_to_new = {old: new for new, old in enumerate(kept_indices)}
-    tables = tuple(schema.tables[old] for old in kept_indices)
-    foreign_keys = tuple(
-        (old_to_new[ft], fc, old_to_new[tt], tc)
-        for ft, fc, tt, tc in schema.foreign_keys
-        if ft in old_to_new and tt in old_to_new
-    )
-    return DatabaseSchema(
-        db_id=schema.db_id,
-        tables=tables,
-        foreign_keys=foreign_keys,
-        db_file_path=schema.db_file_path,
-    )
+    kept = {t.name for t in tables}
+    foreign_keys = tuple(fk for fk in schema.foreign_keys if fk[0] in kept and fk[2] in kept)
+    return replace(schema, tables=tables, foreign_keys=foreign_keys)
 
 
 def serialize_schema(schema: DatabaseSchema) -> str:
@@ -254,13 +238,7 @@ def serialize_schema(schema: DatabaseSchema) -> str:
     ]
     if schema.foreign_keys:
         lines.append("Foreign keys:")
-        for ft, fc, tt, tc in schema.foreign_keys:
-            from_table = schema.tables[ft]
-            to_table = schema.tables[tt]
-            lines.append(
-                f"{from_table.name}.{from_table.columns[fc]}"
-                f" = {to_table.name}.{to_table.columns[tc]}"
-            )
+        lines += [f"{ft}.{fc} = {tt}.{tc}" for ft, fc, tt, tc in schema.foreign_keys]
     return "\n".join(lines)
 
 

@@ -65,6 +65,9 @@ ARMS = (ARM_BASELINE, ARM_MODULE, ARM_BOTH, ARM_ROUTED)
 _ARM_OF_BRANCH = {BRANCH_BASELINE: ARM_BASELINE, BRANCH_DIVIDE_AND_MERGE: ARM_MODULE}
 
 DEFAULT_SWEEP_POINTS = tuple(i / 10 for i in range(11))
+# The report's EX values as (field, label), in the order every listing of them gives.
+EX_ROWS = (("ex_baseline", "Baseline"), ("ex_module", "Divide-and-merge"),
+           ("ex_routed", "Routed"), ("ex_oracle", "Oracle routing"))
 
 # The id of the example at index i of the examples file: EXAMPLE_ID.format(i).
 EXAMPLE_ID = "ex{:04d}"
@@ -492,12 +495,9 @@ def _pct(value: Fraction | float | None, digits: int = 2) -> float | None:
 def report_to_dict(report: EvalReport) -> dict:
     return {
         "n": report.n,
-        "ex_baseline": _pct(report.ex_baseline),
-        "ex_module": _pct(report.ex_module),
+        **{key: _pct(getattr(report, key)) for key, _ in EX_ROWS},
         "module_only": _pct(report.module_only),
         "baseline_only": _pct(report.baseline_only),
-        "ex_oracle": _pct(report.ex_oracle),
-        "ex_routed": _pct(report.ex_routed),
         "sweep": [[a, _pct(value)] for a, value in report.sweep],
         "pearson_r": _pct(report.pearson_r, digits=4),
         "spearman_rho": _pct(report.spearman_rho, digits=4),
@@ -522,9 +522,8 @@ def _table(title: str, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> 
 def report_to_markdown(report: EvalReport) -> str:
     lines = ["# Benchmark report", "", f"Examples: {report.n}", ""]
 
-    arms = (("Baseline", report.ex_baseline), ("Divide-and-merge", report.ex_module),
-            ("Routed", report.ex_routed), ("Oracle routing", report.ex_oracle))
-    arm_rows = [(name, f"{_pct(value):.2f}") for name, value in arms if value is not None]
+    arms = ((label, getattr(report, key)) for key, label in EX_ROWS)
+    arm_rows = [(label, f"{_pct(value):.2f}") for label, value in arms if value is not None]
     if arm_rows:
         lines += _table("Execution accuracy", ("Arm", "EX (%)"), arm_rows)
 

@@ -201,7 +201,9 @@ def route_judge(
 
 def save_router_model(model: RouterModel, path: str | Path) -> None:
     payload = {**_fields(model), "feature_names": FEATURE_NAMES}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def load_router_model(path: str | Path) -> RouterModel:

@@ -565,6 +565,12 @@ def _template_dir_without_the_question(tmp_path):
          "tables.json: a tables file must hold a JSON array"),
         (lambda tmp: (tmp / "dev.json").write_text("{}"), {"dataset": {"examples": "dev.json"}},
          "dev.json: an examples file must hold a JSON array"),
+        (lambda tmp: (tmp / "dev.json").write_text("[]"), {"dataset": {"examples": "dev.json"}},
+         "dev.json: an examples file holds no examples"),
+        (lambda tmp: (tmp / "tables.json").write_text(
+            '[{"db_id": "x", "table_names_original": [], "column_names_original": []}]'),
+         {"dataset": {"tables": "tables.json"}},
+         "tables.json: malformed schema record 'x': schema has no tables"),
         (_template_dir_without_the_question, {"prompts": {"dir": "templates"}},
          "baseline.txt: template lacks required placeholder(s)"),
         (lambda tmp: (tmp / "few.json").write_text('{"q": 1}'),
@@ -576,7 +582,8 @@ def _template_dir_without_the_question(tmp_path):
         (lambda tmp: None, {"router": {"kind": "logistic"}},
          "logistic routing requires router.model_file"),
     ],
-    ids=["tables", "examples", "template", "fewshot", "router-model", "router-model-unset"],
+    ids=["tables", "examples", "examples-empty", "tables-no-tables", "template", "fewshot",
+         "router-model", "router-model-unset"],
 )
 def test_a_bad_run_input_file_prints_one_line_and_exits_2(
     tmp_path, corpus_root, capsys, write, settings, message
@@ -601,8 +608,10 @@ def test_a_bad_run_input_file_prints_one_line_and_exits_2(
          "bad_tables.json: a tables file must hold a JSON array"),
         (lambda tmp: None, {"examples": "missing.json"},
          "missing.json: cannot read examples file: No such file or directory"),
+        (lambda tmp: (tmp / "empty.json").write_text("[]"), {"examples": "empty.json"},
+         "empty.json: an examples file holds no examples"),
     ],
-    ids=["tables-object", "examples-missing"],
+    ids=["tables-object", "examples-missing", "examples-empty"],
 )
 def test_a_bad_corpus_file_makes_route_train_print_one_line_and_exit_2(
     tmp_path, corpus_root, capsys, write, dataset, message
@@ -707,6 +716,25 @@ def test_sweep_writes_its_points_to_the_out_file(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == [[0.0, 30.0], [0.5, 65.0], [1.0, 100.0]]
     assert capsys.readouterr().out.endswith(f"sweep written to {out}\n")
+
+
+def test_sweep_makes_the_directory_of_its_out_file(tmp_path, capsys):
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    out = tmp_path / "new" / "sweep.json"
+    assert main(["sweep", "--records", str(records_path), "--points", "0,1",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == [[0.0, 30.0], [1.0, 100.0]]
+
+
+def test_route_train_makes_the_directory_of_its_out_file(tmp_path, corpus_root):
+    records_path = tmp_path / "records.json"
+    write_records(records_path, _both_arm_records())
+    config = _write_config(tmp_path, corpus_root, "http://unused.localhost")
+    model_path = tmp_path / "new" / "router.json"
+    assert main(["route-train", "--records", str(records_path), "--config", str(config),
+                 "--out", str(model_path)]) == 0
+    assert model_path.read_bytes() == ROUTE_TRAIN_MODEL.encode()
 
 
 def test_an_error_inside_the_run_stays_loud(tmp_path, corpus_root):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitsql.dataset import (
     InputFileError,
     DatabaseSchema,
-    SchemaIntegrityError,
     SchemaReductionError,
     TableDef,
+    _schema_from_record,
     extract_features,
     load_examples,
     load_schemas,
@@ -43,11 +46,10 @@ def test_star_pseudo_column_dropped(schemas):
 
 def test_foreign_key_endpoints_valid(schemas):
     for schema in schemas.values():
+        columns = {table.name: table.columns for table in schema.tables}
         for ft, fc, tt, tc in schema.foreign_keys:
-            assert 0 <= ft < schema.table_count
-            assert 0 <= tt < schema.table_count
-            assert 0 <= fc < len(schema.tables[ft].columns)
-            assert 0 <= tc < len(schema.tables[tt].columns)
+            assert fc in columns[ft]
+            assert tc in columns[tt]
 
 
 def test_reload_yields_identical_value(corpus_root):
@@ -70,7 +72,7 @@ def test_two_table_record_maps_directly(tmp_path):
     schema = load_schemas(path)["toy"]
     assert schema.table_count == 2
     assert [t.name for t in schema.tables] == ["region", "building"]
-    assert schema.foreign_keys == ((1, 1, 0, 0),)
+    assert schema.foreign_keys == (("building", "region_id", "region", "id"),)
     assert [t.columns for t in schema.tables] == [("id",), ("id", "region_id")]
 
 
@@ -85,7 +87,8 @@ def test_dangling_foreign_key_is_integrity_error(tmp_path):
     }
     path = tmp_path / "tables.json"
     path.write_text(json.dumps([record]))
-    with pytest.raises(SchemaIntegrityError, match="broken"):
+    with pytest.raises(InputFileError, match=r"tables\.json: malformed schema record 'broken':"
+                       " foreign key references column index 99"):
         load_schemas(path)
 
 
@@ -114,18 +117,18 @@ def test_a_malformed_schema_record_is_a_parse_error_naming_file_and_db_id(tmp_pa
 
 
 @pytest.mark.parametrize(
-    "change, error, message",
+    "change, message",
     [
-        ({"db_id": ""}, InputFileError, r"tables\.json: schema record without db_id"),
-        ({"table_names_original": []}, SchemaIntegrityError, "^bad: schema has no tables"),
-        ({"column_names_original": [[-1, "*"], [0, "a"], [3, "b"]]}, SchemaIntegrityError,
-         "^bad: column 'b' references table index 3"),
-        ({"table_names_original": ["t", "T"]}, SchemaIntegrityError,
-         "^bad: duplicate table name 'T'"),
+        ({"db_id": ""}, "schema record without db_id"),
+        ({"table_names_original": []}, "malformed schema record 'bad': schema has no tables"),
+        ({"column_names_original": [[-1, "*"], [0, "a"], [3, "b"]]},
+         "malformed schema record 'bad': column 'b' references table index 3"),
+        ({"table_names_original": ["t", "T"]},
+         "malformed schema record 'bad': duplicate table name 'T'"),
     ],
     ids=["no-db-id", "no-tables", "table-index-out-of-range", "duplicate-table"],
 )
-def test_a_schema_record_that_cannot_serve_is_an_input_file_error(tmp_path, change, error, message):
+def test_a_schema_record_that_cannot_serve_is_an_input_file_error(tmp_path, change, message):
     record = {
         "db_id": "bad",
         "table_names_original": ["t"],
@@ -135,9 +138,8 @@ def test_a_schema_record_that_cannot_serve_is_an_input_file_error(tmp_path, chan
     }
     path = tmp_path / "tables.json"
     path.write_text(json.dumps([record]))
-    with pytest.raises(error, match=message) as failure:
+    with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}: {message}$"):
         load_schemas(path)
-    assert isinstance(failure.value, InputFileError)
 
 
 def test_two_schema_records_with_one_db_id_are_a_parse_error(tmp_path):
@@ -171,7 +173,8 @@ def test_load_examples_basic(tmp_path):
 def test_load_examples_empty_array(tmp_path):
     path = tmp_path / "dev.json"
     path.write_text("[]")
-    assert load_examples(path) == []
+    with pytest.raises(InputFileError, match=r"dev\.json: an examples file holds no examples$"):
+        load_examples(path)
 
 
 def test_load_examples_missing_field_names_index(tmp_path):
@@ -241,11 +244,7 @@ def test_reduce_drops_foreign_keys_with_removed_endpoint(schemas):
     schema = schemas["customer_orders"]
     reduced = reduce_schema(schema, ["Orders", "Customers"])
     # Only Orders.customer_id -> Customers.customer_id survives.
-    assert len(reduced.foreign_keys) == 1
-    ft, fc, tt, tc = reduced.foreign_keys[0]
-    assert reduced.tables[ft].name == "Orders"
-    assert reduced.tables[ft].columns[fc] == "customer_id"
-    assert reduced.tables[tt].name == "Customers"
+    assert reduced.foreign_keys == (("Orders", "customer_id", "Customers", "customer_id"),)
 
 
 def test_serialize_matches_expected_layout(schemas):
@@ -291,6 +290,105 @@ def test_serialize_is_injective_over_corpus(schemas):
     assert len(pool) >= 20
     serialized = [serialize_schema(s) for s in pool]
     assert len(set(serialized)) == len(pool)
+
+
+# The index-based layout the loader once stored: each foreign key as (table index,
+# table-local column index, table index, table-local column index), remapped by every
+# reduction and looked up by every rendering. Kept as the reference that the name-based
+# layout must render and count exactly alike.
+def _indexed_schema(record: dict) -> DatabaseSchema:
+    per_table = [[] for _ in record["table_names_original"]]
+    global_to_local = {}
+    for col_id, (table_idx, col_name) in enumerate(record["column_names_original"]):
+        if table_idx != -1:
+            global_to_local[col_id] = (table_idx, len(per_table[table_idx]))
+            per_table[table_idx].append(col_name)
+    tables = zip(record["table_names_original"], per_table)
+    return DatabaseSchema(
+        db_id=record["db_id"],
+        tables=tuple(TableDef(name, tuple(columns)) for name, columns in tables),
+        foreign_keys=tuple(global_to_local[a] + global_to_local[b]
+                           for a, b in record["foreign_keys"]),
+    )
+
+
+def _indexed_reduce_schema(schema: DatabaseSchema, keep: list[str]) -> DatabaseSchema | None:
+    wanted = {name.strip().lower() for name in keep if name.strip()}
+    kept_indices = [i for i, t in enumerate(schema.tables) if t.name.lower() in wanted]
+    if not kept_indices:
+        return None
+    old_to_new = {old: new for new, old in enumerate(kept_indices)}
+    return DatabaseSchema(
+        db_id=schema.db_id,
+        tables=tuple(schema.tables[old] for old in kept_indices),
+        foreign_keys=tuple(
+            (old_to_new[ft], fc, old_to_new[tt], tc)
+            for ft, fc, tt, tc in schema.foreign_keys
+            if ft in old_to_new and tt in old_to_new
+        ),
+    )
+
+
+def _indexed_serialize_schema(schema: DatabaseSchema) -> str:
+    lines = [f"{table.name} ({', '.join(table.columns)})" for table in schema.tables]
+    if schema.foreign_keys:
+        lines.append("Foreign keys:")
+        for ft, fc, tt, tc in schema.foreign_keys:
+            from_table = schema.tables[ft]
+            to_table = schema.tables[tt]
+            lines.append(
+                f"{from_table.name}.{from_table.columns[fc]}"
+                f" = {to_table.name}.{to_table.columns[tc]}"
+            )
+    return "\n".join(lines)
+
+
+_NAME = st.text(alphabet="abAB_", min_size=1, max_size=3)
+
+
+@st.composite
+def _spider_records(draw):
+    """A Spider-layout record: 1-6 tables named uniquely ignoring case, 1-5 columns each,
+    listed in any order after "*", and 0-6 foreign keys between real columns."""
+    names = draw(st.lists(_NAME, min_size=1, max_size=6, unique_by=str.lower))
+    columns = [
+        [table_idx, column]
+        for table_idx in range(len(names))
+        for column in draw(st.lists(_NAME, min_size=1, max_size=5, unique=True))
+    ]
+    columns = [[-1, "*"]] + draw(st.permutations(columns))
+    column_id = st.integers(1, len(columns) - 1)
+    links = draw(st.lists(st.lists(column_id, min_size=2, max_size=2), max_size=6))
+    return {"db_id": "prop", "table_names_original": names,
+            "column_names_original": columns, "foreign_keys": links}
+
+
+def _keep_lists(names: list[str]):
+    """Table names in any case and with stray spaces, mixed with names of no table."""
+    cased = st.sampled_from(names).flatmap(lambda name: st.sampled_from(
+        [name, name.lower(), name.upper(), name.swapcase(), f" {name} "]))
+    return st.lists(st.one_of(cased, _NAME, st.just("")), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_name_based_foreign_keys_render_and_count_as_the_indexed_layout_did(data):
+    record = data.draw(_spider_records())
+    schema = _schema_from_record(record, Path("database"))
+    reference = _indexed_schema(record)
+    assert schema.prompt_text == _indexed_serialize_schema(reference)
+    assert extract_features("q", schema) == extract_features("q", reference)
+
+    keep = data.draw(_keep_lists(record["table_names_original"]))
+    reduced_reference = _indexed_reduce_schema(reference, keep)
+    if reduced_reference is None:
+        with pytest.raises(SchemaReductionError):
+            reduce_schema(schema, keep)
+        return
+    reduced = reduce_schema(schema, keep)
+    assert reduced.prompt_text == _indexed_serialize_schema(reduced_reference)
+    assert extract_features("q", reduced) == extract_features("q", reduced_reference)
+    assert (reduced.db_id, reduced.db_file_path) == (schema.db_id, schema.db_file_path)
 
 
 def test_feature_counts(schemas):
