@@ -148,7 +148,8 @@ def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
     per_table: list[list[str]] = [[] for _ in table_names]
     named: dict[int, tuple[str, str]] = {}
     for col_id, entry in enumerate(record["column_names_original"]):
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], str)):
+        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int
+                and isinstance(entry[1], str)):
             raise TypeError(f"column entry {entry!r} is not a [table index, name] pair")
         table_idx, col_name = entry
         if table_idx == -1:
@@ -166,8 +167,8 @@ def _schema_from_record(record: dict, database_dir: Path) -> DatabaseSchema:
 
     foreign_keys = []
     for pair in record.get("foreign_keys", []):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise TypeError(f"foreign key {pair!r} is not a [column, column] pair")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(c) is int for c in pair)):
+            raise TypeError(f"foreign key {pair!r} is not a [column id, column id] pair")
         for col_id in pair:
             if col_id not in named:
                 raise ValueError(f"foreign key references column index {col_id}")

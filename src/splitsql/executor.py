@@ -8,9 +8,8 @@ import sqlite3
 import time
 from bisect import bisect_left, bisect_right
 from collections import deque
-from contextlib import contextmanager, suppress
-from contextvars import ContextVar
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
@@ -38,11 +37,6 @@ _EXACT_INT_BOUND = 2**53
 # Row comparisons and search edges the tolerant row matching may take, a few
 # seconds at most, before it calls two tables unequal.
 _MATCH_STEPS = 1_000_000
-
-# The current execution_memo() scope: its memo (outcomes by (db path, sql, timeout_ms), gold
-# order modes by gold SQL, accuracy outcomes by (that key, gold SQL)) and its
-# connection pool or None; None outside any scope.
-_MEMO: ContextVar[tuple | None] = ContextVar("splitsql_execution_memo", default=None)
 
 # The authorizer allows reads, and writes to main (which mode=ro refuses); anything else
 # (ATTACH, PRAGMA, CREATE, BEGIN, ...) is "not authorized", so no statement changes later ones.
@@ -109,30 +103,28 @@ class AccuracyOutcome:
     predicted: ExecOutcome | None
 
 
-@contextmanager
-def execution_memo(connections: dict | None = None):
-    """Within this scope, run each distinct query at most once.
+@dataclass(frozen=True)
+class ExecutionMemo:
+    """One example's memo, shared by every thread that runs its queries: with
+    it, execute_sql runs each distinct query at most once.
 
-    execute_sql returns the stored outcome for a (db path, sql, timeout_ms)
-    it has already run here. ok, sql_error and too_large outcomes are stored;
-    timeouts depend on wall time and are always run again. Once
-    execution_accuracy has scored a prediction here, the memo keeps its
-    status and its AccuracyOutcome but not its rows. The memo is local
-    to the current context (one example, and the threads it copies its
-    context to) and is dropped on exit. With a connections pool, which the
-    caller owns and closes, a query here takes an idle connection to its
+    entries holds outcomes by (db path, sql, timeout_ms), gold order modes by
+    gold SQL and accuracy outcomes by (that key, gold SQL). ok, sql_error and
+    too_large outcomes are stored; timeouts depend on wall time and are always
+    run again. Once execution_accuracy has scored a prediction, the memo keeps
+    its status and its AccuracyOutcome but not its rows. With a pool, which
+    the caller owns and closes, a query takes an idle connection to its
     database from the pool, or opens one, and puts it back after the query;
-    threads may share the pool, but never a connection at once. Database
-    files must not change while the pool is open.
+    memos and threads may share the pool, but never a connection at once.
+    Database files must not change while the pool is open.
     """
-    token = _MEMO.set(({}, connections))
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+
+    pool: dict | None = None
+    entries: dict = field(default_factory=dict)
 
 
-def execute_sql(db_path: str | Path, sql: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> ExecOutcome:
+def execute_sql(db_path: str | Path, sql: str, timeout_ms: int = DEFAULT_TIMEOUT_MS, *,
+                memo: ExecutionMemo | None = None) -> ExecOutcome:
     """Run one statement against a SQLite file opened read-only.
 
     Only reads are authorized: a write fails under the read-only open, any
@@ -140,18 +132,19 @@ def execute_sql(db_path: str | Path, sql: str, timeout_ms: int = DEFAULT_TIMEOUT
     sql_error. A query whose wall time exceeds timeout_ms is interrupted and
     reported as timeout. A result of more than MAX_RESULT_ROWS rows is
     too_large, and a string or blob longer than MAX_VALUE_BYTES, even one
-    the query only computes on the way, is a sql_error. Inside an
-    execution_memo() scope a repeated query returns its first outcome, and
-    the scope's pool gives the connection.
+    the query only computes on the way, is a sql_error. With a memo a
+    repeated query returns its first outcome, and the memo's pool gives the
+    connection; without one the query opens and closes its own.
     """
-    memo, pool = _MEMO.get() or (None, None)
     db_path = str(db_path)
+    if memo is None:
+        return _execute(db_path, sql, timeout_ms, None)
     key = (db_path, sql, timeout_ms)
-    if memo is not None and key in memo:
-        return memo[key]
-    outcome = _execute(db_path, sql, timeout_ms, pool)
-    if memo is not None and outcome.status != STATUS_TIMEOUT:
-        memo[key] = outcome
+    if key in memo.entries:
+        return memo.entries[key]
+    outcome = _execute(db_path, sql, timeout_ms, memo.pool)
+    if outcome.status != STATUS_TIMEOUT:
+        memo.entries[key] = outcome
     return outcome
 
 
@@ -425,30 +418,32 @@ def execution_accuracy(
     predicted_sql: str,
     db_path: str | Path,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    *,
+    memo: ExecutionMemo | None = None,
 ) -> AccuracyOutcome:
     """Score a prediction by comparing execution results against the gold query.
 
     Row order is significant only when the gold query has a top-level
     ORDER BY. A prediction that is empty, errors, times out or is too large
     is unequal. A gold query that fails to execute or is too large is a
-    dataset error, not a model error. Inside an execution_memo() scope a
-    prediction scored again returns its first AccuracyOutcome, whose
-    predicted outcome keeps its status but not its rows.
+    dataset error, not a model error. With a memo a prediction scored again
+    returns its first AccuracyOutcome, whose predicted outcome keeps its
+    status but not its rows.
     """
-    memo = (_MEMO.get() or ({},))[0]
+    entries = {} if memo is None else memo.entries
     gold_key = (str(db_path), example.gold_sql, timeout_ms)
-    if memo.get(gold_key) is _SCORED:  # scored here as another example's prediction
-        del memo[gold_key]
-    gold_outcome = execute_sql(db_path, example.gold_sql, timeout_ms)
+    if entries.get(gold_key) is _SCORED:  # scored here as another example's prediction
+        del entries[gold_key]
+    gold_outcome = execute_sql(db_path, example.gold_sql, timeout_ms, memo=memo)
     if not gold_outcome.ok:
         raise DatasetIntegrityError(
             f"gold query failed on {example.db_id!r}"
             f" ({example.question[:60]!r}): {gold_outcome.error_message}"
         )
 
-    if example.gold_sql not in memo:
-        memo[example.gold_sql] = has_top_level_order_by(example.gold_sql)
-    order_sensitive = memo[example.gold_sql]
+    if example.gold_sql not in entries:
+        entries[example.gold_sql] = has_top_level_order_by(example.gold_sql)
+    order_sensitive = entries[example.gold_sql]
     if not predicted_sql.strip():
         verdict = ComparisonVerdict(
             equal=False, reason="no predicted SQL"
@@ -457,9 +452,9 @@ def execution_accuracy(
 
     key = (str(db_path), predicted_sql, timeout_ms)
     scored_key = (key, example.gold_sql)
-    if scored_key in memo:
-        return memo[scored_key]
-    pred_outcome = execute_sql(db_path, predicted_sql, timeout_ms)
+    if scored_key in entries:
+        return entries[scored_key]
+    pred_outcome = execute_sql(db_path, predicted_sql, timeout_ms, memo=memo)
     if not pred_outcome.ok:
         verdict = ComparisonVerdict(
             equal=False,
@@ -469,9 +464,9 @@ def execution_accuracy(
         verdict = compare_results(
             gold_outcome.result, pred_outcome.result, order_sensitive
         )
-        if key in memo and key != gold_key:  # the gold rows stay for the other arm
-            memo[key] = pred_outcome = _SCORED
+        if key in entries and key != gold_key:  # the gold rows stay for the other arm
+            entries[key] = pred_outcome = _SCORED
     outcome = AccuracyOutcome(verdict=verdict, gold=gold_outcome, predicted=pred_outcome)
-    if key in memo:  # not a timeout, which runs again
-        memo[scored_key] = outcome
+    if key in entries:  # not a timeout, which runs again
+        entries[scored_key] = outcome
     return outcome

@@ -29,8 +29,8 @@ from .executor import (
     DEFAULT_TIMEOUT_MS,
     DatabaseOpenError,
     DatasetIntegrityError,
+    ExecutionMemo,
     execution_accuracy,
-    execution_memo,
 )
 from .llm import (KIND_HTTP, CompletionCache, ModelEndpoint, ModelPair, ProviderConfig,
                   ProviderError, _fields, connection_pool)
@@ -639,10 +639,10 @@ def run_benchmark(
     whose full request it has not seen; every example is still routed, run,
     scored and written.
 
-    Each example runs inside its own execution_memo(), so every distinct
-    query runs at most once per example and scoring reuses the outcomes
-    its refine loops already observed. Records come back, and records.json
-    lists them, in the examples file's order.
+    Each example has its own ExecutionMemo, which its arms and its scoring
+    share, so every distinct query runs at most once per example and scoring
+    reuses the outcomes its refine loops already observed. Records come
+    back, and records.json lists them, in the examples file's order.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
@@ -688,7 +688,7 @@ def run_benchmark(
     run_dir = Path(config.run_dir)
     traces_dir = str(run_dir / "traces")  # joined as a str: pathlib interns every path part
     cache = None if config.cache_dir is None else CompletionCache(config.cache_dir)
-    connections: dict = {}  # execution_memo's pool: idle connections per database
+    connections: dict = {}  # every memo's pool: idle connections per database
 
     def process(item: tuple[int, BenchmarkExample]) -> PerExampleRecord:
         index, example = item
@@ -708,37 +708,38 @@ def run_benchmark(
             router_transcript = []
             notes = []
             trace_paths = {ARM_BASELINE: "", ARM_MODULE: ""}
-            with execution_memo(connections):
-                if arm == ARM_ROUTED:
-                    try:
-                        record.route_taken = route(example, schema, pair, router_transcript).branch
-                    except ProviderError as exc:
-                        notes.append(f"{KIND_JUDGE}: provider error: {exc}")
-                    else:
-                        which_arms = (_ARM_OF_BRANCH[record.route_taken],)
-                for which in which_arms:
-                    trace = arms[which](
-                        example, schema, config.pipeline, pair, schema.db_file_path,
-                        example_id=example_id, templates=templates, fewshot=fewshot,
+            memo = ExecutionMemo(connections)
+            if arm == ARM_ROUTED:
+                try:
+                    record.route_taken = route(example, schema, pair, router_transcript).branch
+                except ProviderError as exc:
+                    notes.append(f"{KIND_JUDGE}: provider error: {exc}")
+                else:
+                    which_arms = (_ARM_OF_BRANCH[record.route_taken],)
+            for which in which_arms:
+                trace = arms[which](
+                    example, schema, config.pipeline, pair, schema.db_file_path,
+                    example_id=example_id, templates=templates, fewshot=fewshot,
+                    timeout_ms=config.timeout_ms, memo=memo,
+                )
+                if trace.error:
+                    bit = 0
+                    notes.append(f"{which}: {trace.error}")
+                else:  # the outcome is not kept while the next arm runs
+                    bit = int(execution_accuracy(
+                        example,
+                        trace.final_sql,
+                        schema.db_file_path,
                         timeout_ms=config.timeout_ms,
-                    )
-                    if trace.error:
-                        bit = 0
-                        notes.append(f"{which}: {trace.error}")
-                    else:  # the outcome is not kept while the next arm runs
-                        bit = int(execution_accuracy(
-                            example,
-                            trace.final_sql,
-                            schema.db_file_path,
-                            timeout_ms=config.timeout_ms,
-                        ).verdict.equal)
-                    setattr(record, f"{which}_correct", bit)
-                    setattr(record, f"final_sql_{which}", trace.final_sql)
-                    # A routed example runs one arm; its trace lists the judge's call first.
-                    trace.transcript[:0] = router_transcript
-                    path = os.path.join(traces_dir, f"{example_id}_{which}.json")
-                    write_trace(path, trace)
-                    trace_paths[which] = path
+                        memo=memo,
+                    ).verdict.equal)
+                setattr(record, f"{which}_correct", bit)
+                setattr(record, f"final_sql_{which}", trace.final_sql)
+                # A routed example runs one arm; its trace lists the judge's call first.
+                trace.transcript[:0] = router_transcript
+                path = os.path.join(traces_dir, f"{example_id}_{which}.json")
+                write_trace(path, trace)
+                trace_paths[which] = path
         except (DatasetIntegrityError, DatabaseOpenError) as exc:
             table_count = 0 if schema is None else schema.table_count
             failed = PerExampleRecord(example_id, example.db_id, table_count, error=str(exc))

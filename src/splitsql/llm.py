@@ -142,6 +142,14 @@ class ProviderConfig:
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if self.kind == KIND_HTTP and not self.base_url:
             raise ValueError("http provider requires base_url")
+        if self.kind == KIND_HTTP:
+            target = urlsplit(self.base_url)
+            try:
+                port = target.port  # None, or a number in 0..65535
+            except ValueError:
+                port = 0
+            if target.scheme not in ("http", "https") or not target.hostname or port == 0:
+                raise ValueError(f"base_url is not an http(s)://host[:port] URL: {self.base_url!r}")
         if _BAD_TARGET_CHAR.search(self.base_url):  # http.client refuses it in a request target
             raise ValueError(f"base_url contains a space or control character: {self.base_url!r}")
         if self.request_timeout_ms <= 0 or self.retry_backoff_ms <= 0:

@@ -4,7 +4,6 @@ selection. Also the one-step few-shot baseline parser."""
 
 from __future__ import annotations
 
-import contextvars
 import json
 import os
 import threading
@@ -19,7 +18,7 @@ from .dataset import (
     SchemaReductionError,
     reduce_schema,
 )
-from .executor import DEFAULT_TIMEOUT_MS, execute_sql
+from .executor import DEFAULT_TIMEOUT_MS, ExecutionMemo, execute_sql
 from .llm import (
     ModelEndpoint,
     ModelPair,
@@ -114,8 +113,9 @@ class PipelineTrace:
 class StageContext:
     """What the stages of one arm's run share: the question, the two models,
     the few-shot text, the database the refine loop executes against, its
-    bounds, the prompt templates and the transcript every model call is
-    appended to."""
+    bounds, the prompt templates, the transcript every model call is
+    appended to and the example's execution memo, which every fan-out side
+    shares by reference."""
 
     question: str
     models: ModelPair
@@ -125,6 +125,7 @@ class StageContext:
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     templates: dict[str, str] = field(default_factory=load_templates)
     transcript: list[TranscriptEntry] = field(default_factory=list)
+    memo: ExecutionMemo | None = None
 
     def ask(self, endpoint: ModelEndpoint, stage: str, bindings: dict[str, str]) -> str:
         """Render the stage's template and ask the endpoint once."""
@@ -155,7 +156,7 @@ class StageContext:
             except SqlExtractionError as exc:
                 error_text = str(exc)
             else:
-                outcome = execute_sql(self.db_path, sql, self.timeout_ms)
+                outcome = execute_sql(self.db_path, sql, self.timeout_ms, memo=self.memo)
                 if outcome.ok:
                     return sql, attempt, True
                 error_text = outcome.error_message
@@ -288,7 +289,7 @@ def _timed(trace: PipelineTrace, stage: str):
 def _arm(stages):
     """Make stages(ctx, trace, schema, config) a pipeline arm, called as
     arm(example, schema, config, models, db_path, *, example_id, templates,
-    fewshot, timeout_ms) -> PipelineTrace: the one signature both arms share.
+    fewshot, timeout_ms, memo) -> PipelineTrace: the one signature both arms share.
 
     The arm builds its trace and StageContext (a fewshot of None is the
     shipped pairs' text) and runs the stages timed as "total". A provider failure
@@ -307,11 +308,12 @@ def _arm(stages):
         templates: dict[str, str] | None = None,
         fewshot: str | None = None,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
+        memo: ExecutionMemo | None = None,
     ) -> PipelineTrace:
         trace = PipelineTrace(example_id=example_id or example.db_id)
         fewshot = load_fewshot() if fewshot is None else fewshot
         ctx = StageContext(example.question, models, db_path, config.max_refinements, fewshot,
-                           timeout_ms, templates or load_templates(), trace.transcript)
+                           timeout_ms, templates or load_templates(), trace.transcript, memo)
         with _timed(trace, "total"):
             try:
                 stages(ctx, trace, schema, config)
@@ -365,9 +367,9 @@ def run_divide_and_merge(
 
 
 def _map_threads(fn, items, width: int) -> list:
-    """[fn(item) for item in items] on at most width threads, the caller one of them and
-    each helper in a copy of its context. No item starts after a failure; once all are
-    joined the lowest failed index raises, as a plain loop would: every lower one started."""
+    """[fn(item) for item in items] on at most width threads, the caller one of them.
+    No item starts after a failure; once all are joined the lowest failed index
+    raises, as a plain loop would: every lower one started."""
     results, errors = [None] * len(items), {}
     indices, lock = iter(range(len(items))), threading.Lock()
 
@@ -383,8 +385,7 @@ def _map_threads(fn, items, width: int) -> list:
                 with lock:
                     errors[i] = exc
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(min(width, len(items)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(width, len(items)) - 1)]
     for helper in helpers:
         helper.start()
     work()  # it raises nothing: a failure of fn is recorded

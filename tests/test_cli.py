@@ -332,9 +332,12 @@ def test_route_train_rejects_hyper_parameters_that_cannot_train(
         ('{"router": {"kind": "logstic"}}', "unknown router kind 'logstic'"),
         (None, "No such file or directory"),
         ("[]", "bad.json: a config file must hold a JSON object"),
+        *((json.dumps({"llm": {"coding_model": {"base_url": url, "model_id": "c"}}}),
+           f"base_url is not an http(s)://host[:port] URL: {url!r}")
+          for url in ("localhost:8000", "http://", "127.0.0.1:9/v1", "ftp://host/x")),
     ],
     ids=["unknown-key", "unknown-merge", "not-json", "unknown-router", "missing",
-         "top-level-array"],
+         "top-level-array", "url-no-scheme", "url-no-host", "url-ip-no-scheme", "url-ftp"],
 )
 def test_a_bad_config_file_prints_one_line_and_exits_2(tmp_path, capsys, command, content, message):
     config = tmp_path / "bad.json"

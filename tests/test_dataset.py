@@ -116,6 +116,11 @@ def test_a_malformed_schema_record_is_a_parse_error_naming_file_and_db_id(tmp_pa
         load_schemas(path)
 
 
+# Two tables, a.id and b.ref, for the index-type cases.
+TWO_TABLES = {"table_names_original": ["a", "b"],
+              "column_names_original": [[-1, "*"], [0, "id"], [1, "ref"]]}
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -125,8 +130,19 @@ def test_a_malformed_schema_record_is_a_parse_error_naming_file_and_db_id(tmp_pa
          "malformed schema record 'bad': column 'b' references table index 3"),
         ({"table_names_original": ["t", "T"]},
          "malformed schema record 'bad': duplicate table name 'T'"),
+        # Indices must be integers: JSON true and whole floats name no table or column.
+        ({**TWO_TABLES, "column_names_original": [[-1, "*"], [0, "id"], [True, "ref"]]},
+         r"malformed schema record 'bad': column entry \[True, 'ref'\] is not a"
+         r" \[table index, name\] pair"),
+        ({**TWO_TABLES, "column_names_original": [[-1, "*"], [0, "id"], [1.0, "x"]]},
+         r"malformed schema record 'bad': column entry \[1\.0, 'x'\] is not a"
+         r" \[table index, name\] pair"),
+        ({**TWO_TABLES, "foreign_keys": [[2.0, True]]},
+         r"malformed schema record 'bad': foreign key \[2\.0, True\] is not a"
+         r" \[column id, column id\] pair"),
     ],
-    ids=["no-db-id", "no-tables", "table-index-out-of-range", "duplicate-table"],
+    ids=["no-db-id", "no-tables", "table-index-out-of-range", "duplicate-table",
+         "table-index-true", "table-index-float", "foreign-key-float-and-true"],
 )
 def test_a_schema_record_that_cannot_serve_is_an_input_file_error(tmp_path, change, message):
     record = {

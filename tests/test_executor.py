@@ -17,11 +17,11 @@ from splitsql.executor import (
     ComparisonVerdict,
     DatabaseOpenError,
     DatasetIntegrityError,
+    ExecutionMemo,
     ResultTable,
     compare_results,
     execute_sql,
     execution_accuracy,
-    execution_memo,
     has_top_level_order_by,
 )
 from splitsql.minicorpus import db_path
@@ -98,10 +98,10 @@ MILLION_ROWS_SQL = (
 def test_a_result_past_the_row_cap_is_too_large(lab_db, opened):
     pool = {}
     try:
-        with execution_memo(pool):
-            first = execute_sql(lab_db, MILLION_ROWS_SQL)
-            again = execute_sql(lab_db, MILLION_ROWS_SQL)
-            after = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
+        memo = ExecutionMemo(pool)
+        first = execute_sql(lab_db, MILLION_ROWS_SQL, memo=memo)
+        again = execute_sql(lab_db, MILLION_ROWS_SQL, memo=memo)
+        after = execute_sql(lab_db, "SELECT COUNT(*) FROM samples", memo=memo)
     finally:
         _close(pool)
     assert first.status == "too_large" and first.result is None
@@ -132,7 +132,7 @@ def test_unopenable_database_raises(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# execution_memo
+# ExecutionMemo
 # ---------------------------------------------------------------------------
 
 HEAVY_SQL = (
@@ -142,49 +142,50 @@ HEAVY_SQL = (
 
 
 def test_memo_runs_a_repeated_query_once(lab_db, opened):
-    with execution_memo():
-        first = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
-        second = execute_sql(str(lab_db), "SELECT COUNT(*) FROM samples")
-        error = execute_sql(lab_db, "SELECT * FROM no_such_table")
-        again = execute_sql(lab_db, "SELECT * FROM no_such_table")
+    memo = ExecutionMemo()
+    first = execute_sql(lab_db, "SELECT COUNT(*) FROM samples", memo=memo)
+    second = execute_sql(str(lab_db), "SELECT COUNT(*) FROM samples", memo=memo)
+    error = execute_sql(lab_db, "SELECT * FROM no_such_table", memo=memo)
+    again = execute_sql(lab_db, "SELECT * FROM no_such_table", memo=memo)
     assert second == first
     assert again == error and error.status == "sql_error"
     assert opened == ["SELECT COUNT(*) FROM samples", "SELECT * FROM no_such_table"]
 
 
 def test_memo_keys_on_timeout_and_ends_with_its_scope(lab_db, opened):
-    with execution_memo():
-        execute_sql(lab_db, "SELECT 1", timeout_ms=1000)
-        execute_sql(lab_db, "SELECT 1", timeout_ms=2000)
+    memo = ExecutionMemo()
+    execute_sql(lab_db, "SELECT 1", timeout_ms=1000, memo=memo)
+    execute_sql(lab_db, "SELECT 1", timeout_ms=2000, memo=memo)
     execute_sql(lab_db, "SELECT 1", timeout_ms=1000)
     execute_sql(lab_db, "SELECT 1", timeout_ms=1000)
     assert opened == ["SELECT 1"] * 4
 
 
 def test_memo_runs_a_timed_out_query_again(lab_db, opened):
-    with execution_memo():
-        first = execute_sql(lab_db, HEAVY_SQL, timeout_ms=50)
-        second = execute_sql(lab_db, HEAVY_SQL, timeout_ms=50)
+    memo = ExecutionMemo()
+    first = execute_sql(lab_db, HEAVY_SQL, timeout_ms=50, memo=memo)
+    second = execute_sql(lab_db, HEAVY_SQL, timeout_ms=50, memo=memo)
     assert first.status == second.status == "timeout"
     assert opened == [HEAVY_SQL, HEAVY_SQL]
 
 
 def test_memo_does_not_store_a_missing_database(tmp_path, lab_db):
     target = tmp_path / "late.sqlite"
-    with execution_memo():
-        with pytest.raises(DatabaseOpenError):
-            execute_sql(target, "SELECT 1")
-        target.write_bytes(lab_db.read_bytes())
-        assert execute_sql(target, "SELECT 1").ok
+    memo = ExecutionMemo()
+    with pytest.raises(DatabaseOpenError):
+        execute_sql(target, "SELECT 1", memo=memo)
+    target.write_bytes(lab_db.read_bytes())
+    assert execute_sql(target, "SELECT 1", memo=memo).ok
 
 
 def test_scoring_inside_a_memo_runs_gold_once(lab_db, opened):
     example = BenchmarkExample(
         question="q", gold_sql="SELECT group_name FROM samples", db_id="measurement_lab"
     )
-    with execution_memo():
-        assert execution_accuracy(example, "SELECT group_name FROM samples", lab_db).verdict.equal
-        assert not execution_accuracy(example, "SELECT 1", lab_db).verdict.equal
+    memo = ExecutionMemo()
+    gold_sql = "SELECT group_name FROM samples"
+    assert execution_accuracy(example, gold_sql, lab_db, memo=memo).verdict.equal
+    assert not execution_accuracy(example, "SELECT 1", lab_db, memo=memo).verdict.equal
     assert opened == ["SELECT group_name FROM samples", "SELECT 1"]
 
 
@@ -192,17 +193,17 @@ GROUPS_SQL = "SELECT group_name FROM samples"
 REVERSED_GROUPS_SQL = "SELECT group_name FROM samples ORDER BY sample_id DESC"
 
 
-def _memo_entry(db, sql):
-    return executor._MEMO.get()[0][(str(db), sql, executor.DEFAULT_TIMEOUT_MS)]
+def _memo_entry(memo, db, sql):
+    return memo.entries[(str(db), sql, executor.DEFAULT_TIMEOUT_MS)]
 
 
 def test_a_scored_prediction_keeps_its_status_but_not_its_rows(lab_db, opened):
     example = BenchmarkExample(question="q", gold_sql=GROUPS_SQL, db_id="measurement_lab")
-    with execution_memo():
-        assert execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db).verdict.equal
-        entry = _memo_entry(lab_db, REVERSED_GROUPS_SQL)
-        gold = _memo_entry(lab_db, GROUPS_SQL)
-        again = execute_sql(lab_db, REVERSED_GROUPS_SQL)
+    memo = ExecutionMemo()
+    assert execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db, memo=memo).verdict.equal
+    entry = _memo_entry(memo, lab_db, REVERSED_GROUPS_SQL)
+    gold = _memo_entry(memo, lab_db, GROUPS_SQL)
+    again = execute_sql(lab_db, REVERSED_GROUPS_SQL, memo=memo)
     assert entry.status == "ok" and entry.result is None
     assert again == entry  # a refine loop in the other arm runs it no more
     assert gold.ok and len(gold.result.rows) == 6  # the other arm scores against them
@@ -216,11 +217,11 @@ def test_scoring_a_prediction_again_runs_and_compares_nothing(lab_db, opened, mo
     monkeypatch.setattr(
         executor, "compare_results", lambda *a, **k: compared.append(a) or compare(*a, **k)
     )
-    with execution_memo():
-        first = execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db)
-        second = execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db)
-        wrong = execution_accuracy(example, "SELECT 1", lab_db)
-        wrong_again = execution_accuracy(example, "SELECT 1", lab_db)
+    memo = ExecutionMemo()
+    first = execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db, memo=memo)
+    second = execution_accuracy(example, REVERSED_GROUPS_SQL, lab_db, memo=memo)
+    wrong = execution_accuracy(example, "SELECT 1", lab_db, memo=memo)
+    wrong_again = execution_accuracy(example, "SELECT 1", lab_db, memo=memo)
     assert second == first and second.verdict.equal
     assert wrong_again == wrong and not wrong.verdict.equal
     assert len(compared) == 2
@@ -230,18 +231,17 @@ def test_scoring_a_prediction_again_runs_and_compares_nothing(lab_db, opened, mo
 def test_a_scored_prediction_that_is_a_later_gold_query_runs_again(lab_db, opened):
     first = BenchmarkExample(question="q", gold_sql=GROUPS_SQL, db_id="measurement_lab")
     second = BenchmarkExample(question="q", gold_sql=REVERSED_GROUPS_SQL, db_id="measurement_lab")
-    with execution_memo():
-        assert execution_accuracy(first, REVERSED_GROUPS_SQL, lab_db).verdict.equal
-        assert execution_accuracy(second, REVERSED_GROUPS_SQL, lab_db).verdict.equal
-        assert not execution_accuracy(second, GROUPS_SQL, lab_db).verdict.equal
+    memo = ExecutionMemo()
+    assert execution_accuracy(first, REVERSED_GROUPS_SQL, lab_db, memo=memo).verdict.equal
+    assert execution_accuracy(second, REVERSED_GROUPS_SQL, lab_db, memo=memo).verdict.equal
+    assert not execution_accuracy(second, GROUPS_SQL, lab_db, memo=memo).verdict.equal
     assert opened == [GROUPS_SQL, REVERSED_GROUPS_SQL, REVERSED_GROUPS_SQL]
 
 
 def test_connections_keep_no_statement_cache(lab_db, connect_kwargs):
     pool = {}
     try:
-        with execution_memo(pool):
-            execute_sql(lab_db, "SELECT 1")
+        execute_sql(lab_db, "SELECT 1", memo=ExecutionMemo(pool))
     finally:
         _close(pool)
     execute_sql(lab_db, "SELECT 1")
@@ -308,13 +308,12 @@ def _close(pool):
 @example(["ATTACH ':memory:' AS other", "SELECT COUNT(*) FROM other.sqlite_master"])
 def test_pooled_reads_see_what_a_fresh_connection_sees(lab_db, statements):
     """A sequence of reads and state-changing statements on one pooled
-    connection, each in its own memo scope as the examples of a run are:
+    connection, each with its own memo as the examples of a run are:
     every read gives the status and rows it gives on a fresh connection."""
     pool = {}
     try:
         for sql in statements:
-            with execution_memo(pool):
-                pooled = execute_sql(lab_db, sql)
+            pooled = execute_sql(lab_db, sql, memo=ExecutionMemo(pool))
             if sql in GUARD_READS:
                 fresh = execute_sql(lab_db, sql)
                 assert (pooled.status, pooled.result) == (fresh.status, fresh.result), sql
@@ -326,11 +325,10 @@ def test_pooled_reads_see_what_a_fresh_connection_sees(lab_db, statements):
 def test_pool_serves_a_query_after_a_timed_out_one(lab_db, connections):
     pool = {}
     try:
-        with execution_memo(pool):
-            assert execute_sql(lab_db, HEAVY_SQL, timeout_ms=50).status == "timeout"
-            after = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
-        with execution_memo(pool):
-            again = execute_sql(lab_db, "SELECT COUNT(*) FROM samples")
+        memo = ExecutionMemo(pool)
+        assert execute_sql(lab_db, HEAVY_SQL, timeout_ms=50, memo=memo).status == "timeout"
+        after = execute_sql(lab_db, "SELECT COUNT(*) FROM samples", memo=memo)
+        again = execute_sql(lab_db, "SELECT COUNT(*) FROM samples", memo=ExecutionMemo(pool))
     finally:
         _close(pool)
     assert after.ok and after.result.rows == ((6,),)
@@ -343,8 +341,7 @@ def test_a_file_that_is_no_database_fails_at_the_query(tmp_path):
     target.write_bytes(b"no database here " * 256)
     pool = {}
     try:
-        with execution_memo(pool):
-            pooled = execute_sql(target, "SELECT COUNT(*) FROM samples")
+        pooled = execute_sql(target, "SELECT COUNT(*) FROM samples", memo=ExecutionMemo(pool))
     finally:
         _close(pool)
     fresh = execute_sql(target, "SELECT COUNT(*) FROM samples")
@@ -354,9 +351,9 @@ def test_a_file_that_is_no_database_fails_at_the_query(tmp_path):
 
 
 def test_outside_a_pool_each_query_opens_and_closes_its_own_connection(lab_db, connections):
-    with execution_memo():
-        execute_sql(lab_db, "SELECT 1")
-        execute_sql(lab_db, "SELECT 2")
+    memo = ExecutionMemo()
+    execute_sql(lab_db, "SELECT 1", memo=memo)
+    execute_sql(lab_db, "SELECT 2", memo=memo)
     execute_sql(lab_db, "SELECT 3")
     assert len(connections) == 3
     for _thread, _target, connection in connections:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import random
@@ -900,7 +899,7 @@ def test_memo_leaves_records_and_traces_unchanged(run_config, monkeypatch, paral
     for workers in (1, 4):
         run_config.worker_count = workers
         runs.append(_run_outputs(run_config, monkeypatch))
-    monkeypatch.setattr(harness, "execution_memo", contextlib.nullcontext)
+    monkeypatch.setattr(harness, "ExecutionMemo", lambda pool: None)
     runs.append(_run_outputs(run_config, monkeypatch))
     assert len(runs[0][1]) == 6
     assert runs[0] == runs[1] == runs[2]

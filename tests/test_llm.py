@@ -891,6 +891,22 @@ def test_an_api_key_with_cr_lf_never_reaches_the_server(raw_server, monkeypatch)
     assert (server.connections, server.requests) == (0, [])
 
 
+@pytest.mark.parametrize(
+    "base_url",
+    ["localhost:8000", "http://", "127.0.0.1:9/v1", "ftp://host/x", "http://:80/v1",
+     "http://host:abc/v1", "http://host:70000/v1", "http://host:0/v1"],
+)
+def test_a_base_url_that_is_not_http_host_is_refused(base_url):
+    # Each once ended in a traceback when the run opened its pool, or spoke plain HTTP to ftp.
+    with pytest.raises(ValueError, match=r"base_url is not an http\(s\)://host\[:port\] URL"):
+        _http_provider(base_url)
+
+
+@pytest.mark.parametrize("base_url", ["http://localhost:8000/v1", "HTTPS://[::1]:8443", "http://h"])
+def test_an_http_host_base_url_is_accepted(base_url):
+    assert _http_provider(base_url).base_url == base_url
+
+
 def test_a_request_target_with_a_space_fails_every_attempt_unsent(raw_server):
     # http.client would refuse such a target on every attempt: the provider is refused at once.
     server = raw_server(_OK)
